@@ -5,10 +5,14 @@ order.  Each block is a little-endian u32 name length, the UTF-8 name, a
 little-endian u32 rank, one little-endian u64 extent per axis, and the
 values as little-endian float64 in C order.  Blocks repeat until EOF, so
 the container needs no explicit count.
+
+Writes go to a sibling temporary file that replaces the target only once
+complete, so a crash mid-write leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -21,16 +25,25 @@ MAGIC = b"FHT1"
 
 def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
     """Write named arrays to a checkpoint file, preserving order."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        for name, values in arrays.items():
-            encoded = name.encode("utf-8")
-            data = np.asarray(values, dtype="<f8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-            fh.write(data.tobytes(order="C"))
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(MAGIC)
+            for name, values in arrays.items():
+                encoded = name.encode("utf-8")
+                data = np.asarray(values, dtype="<f8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", data.ndim))
+                fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
+                fh.write(data.tobytes(order="C"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:

@@ -329,10 +329,6 @@ def _evaluate_checkpoint(params, codes: np.ndarray, dataset: Dataset,
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.workers != 1:
-        raise ContractError(
-            f"bench: timings pin to one worker for stability, got --workers {args.workers}"
-        )
     rng = np.random.default_rng(args.seed)
     if args.codes:
         codes = unpack_codes(load_packed(args.codes))
@@ -466,8 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--queries", type=_positive(int, "--queries"), default=50)
     bench.add_argument("--reps", type=_positive(int, "--reps"), default=5)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--workers", type=int, default=1,
-                       help="must stay 1; timings pin to a single worker")
     bench.add_argument("--csv", help="also write the table to this CSV file")
     bench.set_defaults(func=cmd_bench)
 

@@ -120,28 +120,10 @@ def _check_code_matrix(codes: np.ndarray, bits: int, what: str) -> np.ndarray:
     return codes
 
 
-def similarity_squared_loss(
-    relaxed: ad.Tensor, db_code: np.ndarray, sim: float, bits: int
-) -> ad.Tensor:
-    """(relaxed . db_code - bits * sim)^2 for one query/database pair."""
-    db_code = np.asarray(db_code, dtype=np.float64)
-    if relaxed.shape != (bits,) or db_code.shape != (bits,):
-        raise DimensionError(
-            f"similarity_squared_loss: shapes {relaxed.shape} and {db_code.shape}, "
-            f"expected ({bits},)"
-        )
-    if not np.all(np.abs(db_code) == 1.0):
-        raise DomainError("similarity_squared_loss: database code entries must be +/-1")
-    if float(sim) not in (-1.0, 1.0):
-        raise DomainError(f"similarity_squared_loss: sim must be +/-1, got {sim}")
-    resid = ad.add_scalar(ad.dot(relaxed, ad.tensor(db_code)), -float(bits) * float(sim))
-    return ad.hadamard(resid, resid)
-
-
 def batch_similarity_loss(
     relaxed_list: Sequence[ad.Tensor], db_codes: np.ndarray, sim_rows: np.ndarray, bits: int
 ) -> ad.Tensor:
-    """Sum of similarity_squared_loss over every (sample, database) pair.
+    """Sum of (u . v - bits * s)^2 over every (sample u, database code v) pair.
 
     Computed per sample as ||db_codes @ u - bits * s||^2 so the tape stays
     small: one matmul per sample instead of one record per pair.

@@ -207,13 +207,6 @@ def pq_rank(codebook: PQCodebook, codes: np.ndarray, query: np.ndarray) -> np.nd
     return np.lexsort((np.arange(codes.shape[0]), dists))
 
 
-def pq_code_bytes(count: int, subspaces: int) -> int:
-    """Stored code footprint: one byte per subspace per item."""
-    if count < 0 or subspaces < 1:
-        raise ContractError(f"pq_code_bytes: bad count={count} subspaces={subspaces}")
-    return count * subspaces
-
-
 def save_pq(path: str | Path, codebook: PQCodebook, codes: np.ndarray) -> None:
     """FHQ1 file: magic, u64 subspaces/centroids/dim, centroid table, codes."""
     codes = _check_codes(codebook, codes)

@@ -172,20 +172,6 @@ def code_memory_bytes(count: int, bits: int) -> float:
     return count * bits / 8
 
 
-def code_ram_bytes(count: int, bits: int) -> int:
-    """Actual packed layout: count * ceil(bits / 64) * 8 bytes."""
-    if count < 0 or bits < 1:
-        raise ContractError(f"code_ram_bytes: bad count={count} bits={bits}")
-    return count * _words_per_code(bits) * 8
-
-
-def feature_memory_bytes(count: int, dim: int) -> int:
-    """float32 re-ranking features: count * dim * 4 bytes."""
-    if count < 0 or dim < 0:
-        raise ContractError(f"feature_memory_bytes: bad count={count} dim={dim}")
-    return count * dim * 4
-
-
 def format_bytes(size: float) -> str:
     """Decimal units with one fractional digit: 404000 -> '404.0KB'."""
     if size < 0:

@@ -10,6 +10,10 @@ One outer iteration runs three phases:
 3. anchor phase: per-class part-feature means over the full training
    database, used for feature exchanging once warm-up has passed.
 
+The weights stay fixed from the end of the weight phase to the end of the
+iteration, so one encoding of the training database serves three readers:
+the bit thresholds, the code phase's relaxed codes and the anchor means.
+
 Every random draw comes from a per-iteration stream seeded by
 (seed, iteration + 1), so resuming from a checkpoint replays the exact
 trajectory a straight run would have produced.
@@ -337,7 +341,7 @@ class AlternatingTrainer:
         save_checkpoint(path, self.params, self.train_config, self.codes,
                         self.iteration, self.anchors)
 
-    def _refresh_hash_bias(self) -> None:
+    def _refresh_hash_bias(self) -> np.ndarray:
         """Reset each bit's threshold to the mean training projection.
 
         Pooled relu descriptors are entrywise positive, so raw projections
@@ -348,10 +352,15 @@ class AlternatingTrainer:
         outer iteration tracks the slowly moving descriptor distribution.
         The reset is idempotent while the weights are unchanged, and the
         bias still receives ordinary gradients inside the network phase.
+
+        Returns the training descriptors [db_size, descriptor_dim] it
+        encoded.  They do not depend on the hash bias, so until the weights
+        move again they also feed the code phase and the anchor phase.
         """
         descriptors = encode_images(self.params, self.train_images)[1]
         mean = descriptors.mean(axis=0)
         self.params.hash_bias.data[...] = self.params.hash_weight.data @ mean
+        return descriptors
 
     def _resolve_weights(self) -> LossWeights:
         config = self.train_config
@@ -372,7 +381,7 @@ class AlternatingTrainer:
     def _iteration_rng(self, iteration: int) -> np.random.Generator:
         return np.random.default_rng([self.train_config.seed, iteration + 1])
 
-    def _relaxed_code(self, index: int, rng: np.random.Generator | None, exchanging: bool):
+    def _relaxed_code(self, index: int, rng: np.random.Generator, exchanging: bool):
         """Forward one training image; returns (features, relaxed code tensor)."""
         features = forward_features(self.params, self.train_images[index])
         part_vecs = features.part_vecs
@@ -418,32 +427,35 @@ class AlternatingTrainer:
                 losses.append(self._theta_batch(batch, rate, rng, exchanging))
         return (float(np.mean(losses)) if losses else None), rate
 
-    def _code_phase(self, subset: np.ndarray):
+    def _code_phase(self, subset: np.ndarray, descriptors: np.ndarray):
         """Fit the discrete codes to the subset's own relaxed codes.
 
-        Exchanging is never applied here: the stored codes stand in for the
-        database items at query time, so they track what encoding each item
-        would produce, not an anchor-blended variant of it.
+        The relaxed codes are tanh(W d - b) on the subset rows of the
+        current database descriptors.  Exchanging is never applied here:
+        the stored codes stand in for the database items at query time, so
+        they track what encoding each item would produce, not an
+        anchor-blended variant of it.
         """
         config = self.train_config
         if config.code_sweeps == 0:
             return None
-        relaxed = np.empty((len(subset), self.model_config.bits))
-        for row, index in enumerate(subset):
-            _, code = self._relaxed_code(int(index), rng=None, exchanging=False)
-            relaxed[row] = code.data
+        # stacked matrix-vector products, one per row, round exactly like
+        # hash_layer; a flat matrix product may differ in the last ulp
+        projected = (self.params.hash_weight.data @ descriptors[subset][:, :, None])[:, :, 0]
+        relaxed = np.tanh(projected - self.params.hash_bias.data)
         sim = build_similarity(self.train_labels[subset], self.train_labels)
         self.codes = sweep_codes(relaxed, self.codes, sim, self.model_config.bits,
                                  config.code_sweeps)
         return frobenius_objective(relaxed, self.codes, sim, self.model_config.bits)
 
-    def _anchor_phase(self):
-        by_class: dict[int, list[np.ndarray]] = {}
-        for index in range(self.db_size):
-            features = forward_features(self.params, self.train_images[index])
-            stacked = np.stack([vec.data for vec in features.part_vecs])
-            by_class.setdefault(int(self.train_labels[index]), []).append(stacked)
-        fresh = compute_anchor_bank({c: np.stack(v) for c, v in by_class.items()}, self.anchors)
+    def _anchor_phase(self, descriptors: np.ndarray):
+        """Refresh the anchors from the part slices of the database descriptors."""
+        parts = self.model_config.parts
+        part_vecs = descriptors.reshape(self.db_size, parts + 1, -1)[:, :parts]
+        fresh = compute_anchor_bank(
+            {int(c): part_vecs[self.train_labels == c] for c in np.unique(self.train_labels)},
+            self.anchors,
+        )
         if self.anchors is None:
             drift = 0.0
         else:
@@ -460,9 +472,9 @@ class AlternatingTrainer:
             raise ContractError(f"run_iteration: iteration {t} beyond schedule")
         rng = self._iteration_rng(t)
         exchanging = self.exchange_active(t)
-        self._refresh_hash_bias()
+        descriptors = self._refresh_hash_bias()
         if exchanging and self.anchors is None:
-            self._anchor_phase()  # resumed or hand-built state without a bank
+            self._anchor_phase(descriptors)  # resumed or hand-built state without a bank
         subset = rng.choice(self.db_size, size=min(self.train_config.samples_per_epoch,
                                                    self.db_size), replace=False)
 
@@ -471,12 +483,12 @@ class AlternatingTrainer:
         if theta_loss is not None:
             logger.info("iter=%d phase=theta loss=%.6f seconds=%.3f",
                         t, theta_loss, time.perf_counter() - started)
-            # the weights moved, so re-center the thresholds before the code
-            # phase reads relaxed codes (and before any later encode call)
-            self._refresh_hash_bias()
+            # the weights moved, so re-center the thresholds and re-encode
+            # the database before the code and anchor phases read it
+            descriptors = self._refresh_hash_bias()
 
         started = time.perf_counter()
-        code_objective = self._code_phase(subset)
+        code_objective = self._code_phase(subset, descriptors)
         if code_objective is not None:
             logger.info("iter=%d phase=v loss=%.6f seconds=%.3f",
                         t, code_objective, time.perf_counter() - started)
@@ -484,7 +496,7 @@ class AlternatingTrainer:
         anchor_drift = None
         if self.train_config.exchange:
             started = time.perf_counter()
-            anchor_drift = self._anchor_phase()
+            anchor_drift = self._anchor_phase(descriptors)
             logger.info("iter=%d phase=anchor loss=%.6f seconds=%.3f",
                         t, anchor_drift, time.perf_counter() - started)
 

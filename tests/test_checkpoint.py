@@ -55,3 +55,19 @@ class TestErrors:
         path.write_bytes(MAGIC + b"\x05\x00")
         with pytest.raises(FileFormatError):
             load_arrays(path)
+
+
+class TestCrashSafety:
+    def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path):
+        class Interrupt:
+            def __array__(self, dtype=None, copy=None):
+                raise RuntimeError("write interrupted")
+
+        path = tmp_path / "model.fht1"
+        save_arrays(path, {"w": np.arange(3.0)})
+        with pytest.raises(RuntimeError):
+            # the first block is written before the second one raises
+            save_arrays(path, {"w": np.ones(4), "late": Interrupt()})
+        assert list(tmp_path.iterdir()) == [path]
+        assert list(load_arrays(path)) == ["w"]
+        assert np.array_equal(load_arrays(path)["w"], np.arange(3.0))

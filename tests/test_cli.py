@@ -366,8 +366,3 @@ class TestBench:
                                 "--queries", "2", "--reps", "1"])
         assert code == 0
         assert "database 18" in stdout
-
-    def test_multiple_workers_exit_2(self):
-        code, _ = run_cli(["bench", "--items", "100", "--bits", "8",
-                           "--queries", "1", "--reps", "1", "--workers", "2"])
-        assert code == 2

@@ -263,46 +263,34 @@ class TestChannelDiversityLoss:
             assert helpers.relative_error(leaf.grad, expected) < 1e-4
 
 
+def one_pair_loss(relaxed, db_code, sim, bits):
+    return losses.batch_similarity_loss(
+        [ad.tensor(relaxed)], np.array([db_code]), np.array([[sim]]), bits
+    ).item()
+
+
 class TestSimilaritySquaredLoss:
+    """(u . v - bits * s)^2 for one pair: a one-row batch_similarity_loss."""
+
     def test_perfect_agreement(self):
         code = np.array([1.0, -1.0, 1.0, 1.0])
-        loss = losses.similarity_squared_loss(ad.tensor(code), code, 1.0, 4)
-        assert loss.item() == 0.0
+        assert one_pair_loss(code, code, 1.0, 4) == 0.0
 
     def test_worst_disagreement(self):
         code = np.array([1.0, -1.0, 1.0, 1.0])
-        loss = losses.similarity_squared_loss(ad.tensor(code), code, -1.0, 4)
-        assert loss.item() == 4.0 * 16.0  # (q + q)^2 with q = 4
+        assert one_pair_loss(code, code, -1.0, 4) == 4.0 * 16.0  # (q + q)^2 with q = 4
 
     def test_two_bit_example(self):
         # u = (1, 1), v = (1, -1), S = +1: (0 - 2)^2 = 4.
-        loss = losses.similarity_squared_loss(
-            ad.tensor([1.0, 1.0]), np.array([1.0, -1.0]), 1.0, 2
-        )
-        assert loss.item() == 4.0
+        assert one_pair_loss([1.0, 1.0], [1.0, -1.0], 1.0, 2) == 4.0
 
     def test_invalid_database_code_rejected(self):
         with pytest.raises(DomainError):
-            losses.similarity_squared_loss(ad.tensor([0.5, 0.5]), np.array([1.0, 0.0]), 1.0, 2)
+            one_pair_loss([0.5, 0.5], [1.0, 0.0], 1.0, 2)
 
     def test_invalid_sim_rejected(self):
         with pytest.raises(DomainError):
-            losses.similarity_squared_loss(ad.tensor([0.5, 0.5]), np.array([1.0, 1.0]), 0.0, 2)
-
-    def test_gradient(self):
-        rng = np.random.default_rng(16)
-        u = rng.uniform(-0.9, 0.9, size=6)
-        v = np.where(rng.random(6) < 0.5, -1.0, 1.0)
-
-        def value(ua):
-            return losses.similarity_squared_loss(ad.tensor(ua), v, 1.0, 6).item()
-
-        with ad.Tape() as tape:
-            ut = ad.parameter(u)
-            loss = losses.similarity_squared_loss(ut, v, 1.0, 6)
-        tape.backward(loss)
-        numeric = helpers.finite_difference(value, [u.copy()])
-        assert helpers.relative_error(ut.grad, numeric[0]) < 1e-4
+            one_pair_loss([0.5, 0.5], [1.0, 1.0], 0.0, 2)
 
 
 class TestBatchSimilarityLoss:
@@ -316,7 +304,7 @@ class TestBatchSimilarityLoss:
             [ad.tensor(u) for u in relaxed], codes, sims, bits
         ).item()
         by_pairs = sum(
-            losses.similarity_squared_loss(ad.tensor(relaxed[i]), codes[j], sims[i, j], bits).item()
+            (relaxed[i] @ codes[j] - bits * sims[i, j]) ** 2
             for i in range(batch)
             for j in range(n)
         )

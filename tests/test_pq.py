@@ -11,7 +11,6 @@ from finehash.pq import (
     encode_pq,
     kmeans,
     load_pq,
-    pq_code_bytes,
     pq_rank,
     save_pq,
     train_pq,
@@ -189,11 +188,6 @@ class TestAdc:
 
 
 class TestMemoryAndFiles:
-    def test_code_bytes(self):
-        assert pq_code_bytes(1000, 8) == 8000
-        with pytest.raises(ContractError):
-            pq_code_bytes(-1, 8)
-
     def test_round_trip(self, trained, tmp_path):
         features, codebook = trained
         codes = encode_pq(codebook, features)

@@ -17,9 +17,7 @@ from finehash.retrieval import (
     bench_scan,
     coarse_rank,
     code_memory_bytes,
-    code_ram_bytes,
     evaluate_queries,
-    feature_memory_bytes,
     format_bytes,
     hamming_distances,
     load_features,
@@ -207,13 +205,6 @@ class TestMemory:
     def test_reported_code_bytes(self):
         assert code_memory_bytes(101000, 32) == 404000
         assert code_memory_bytes(10, 4) == 5
-
-    def test_ram_layout_bytes(self):
-        assert code_ram_bytes(101000, 32) == 101000 * 8
-        assert code_ram_bytes(3, 65) == 3 * 2 * 8
-
-    def test_feature_bytes(self):
-        assert feature_memory_bytes(1000, 160) == 640000
 
     def test_format_decimal_units(self):
         assert format_bytes(404000) == "404.0KB"

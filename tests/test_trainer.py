@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import finehash.trainer as trainer_module
 from finehash.anchors import AnchorBank
-from finehash.data import Dataset, SynthConfig, generate_synthetic
+from finehash.data import Dataset, SynthConfig, build_similarity, generate_synthetic
 from finehash.errors import ContractError, DimensionError, DomainError, FileFormatError
-from finehash.model import ModelConfig
+from finehash.model import ModelConfig, forward_features, hash_layer
 from finehash.trainer import (
     AlternatingTrainer,
     TrainConfig,
@@ -266,6 +267,47 @@ class TestTrainerLoop:
                        splits=np.array(["train-db"] * 4))
         with pytest.raises(ContractError):
             AlternatingTrainer(data, SMALL_MODEL, small_train())
+
+
+class TestSharedEncoding:
+    """The code and anchor phases read the database encoding of the bias refresh."""
+
+    def test_code_phase_matches_per_image_relaxed_codes(self, small_dataset):
+        config = small_train()
+        trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, config)
+        codes_before = trainer.codes.copy()
+        metrics = trainer.run_iteration()
+        subset = np.random.default_rng([config.seed, 1]).choice(
+            trainer.db_size, size=min(config.samples_per_epoch, trainer.db_size), replace=False
+        )
+        relaxed_ref = np.empty((len(subset), SMALL_MODEL.bits))
+        for row, index in enumerate(subset):
+            features = forward_features(trainer.params, small_dataset.train_images[index])
+            relaxed_ref[row] = hash_layer(trainer.params, features.part_vecs,
+                                          features.global_vec, mode="relaxed").data
+        labels = small_dataset.train_labels
+        sim = build_similarity(labels[subset], labels)
+        expected = sweep_codes(relaxed_ref, codes_before, sim, SMALL_MODEL.bits,
+                               config.code_sweeps)
+        assert np.array_equal(trainer.codes, expected)
+        assert metrics["code_objective"] == frobenius_objective(
+            relaxed_ref, trainer.codes, sim, SMALL_MODEL.bits
+        )
+
+    def test_one_iteration_encodes_the_database_twice(self, small_dataset, monkeypatch):
+        config = small_train()
+        trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, config)
+        calls = []
+
+        def counted(params, image):
+            calls.append(None)
+            return forward_features(params, image)
+
+        monkeypatch.setattr(trainer_module, "forward_features", counted)
+        trainer.run_iteration()
+        samples = min(config.samples_per_epoch, trainer.db_size)
+        # network phase per sample, plus the refreshes before and after it
+        assert len(calls) == config.epochs_per_iter * samples + 2 * trainer.db_size
 
 
 class TestResume:
