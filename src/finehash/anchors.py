@@ -3,14 +3,13 @@
 An anchor is the mean local feature of one part over all training samples
 of one class.  During training, each part vector of a sample is kept or
 replaced by its class anchor according to a fair coin flip per part, which
-regularizes part features toward class prototypes.  Anchors are plain
+regularizes part features toward class prototypes; a whole batch is
+exchanged at once with a [batch, parts] mask.  Anchors are plain
 arrays: wrapped as constants when spliced into the graph, they never
 receive gradients.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -66,6 +65,14 @@ class AnchorBank:
             raise KeyError(f"no anchors for class {class_id}")
         return self._anchors[class_id]
 
+    def rows(self, class_ids: np.ndarray) -> np.ndarray:
+        """Stacked anchors [n, parts, dim] of each class id in turn."""
+        classes = np.array(self.classes)
+        slots = np.searchsorted(classes, class_ids).clip(0, len(classes) - 1)
+        if not np.array_equal(classes[slots], class_ids):
+            raise KeyError(f"no anchors for classes {np.setdiff1d(class_ids, classes).tolist()}")
+        return np.stack([self._anchors[c] for c in self.classes])[slots]
+
     def arrays(self) -> dict[str, np.ndarray]:
         """Flatten to named arrays for the checkpoint container."""
         return {f"{_PREFIX}{c}": self._anchors[c].copy() for c in self.classes}
@@ -118,43 +125,40 @@ def compute_anchor_bank(
     return AnchorBank(anchors)
 
 
-def draw_keep_mask(rng: np.random.Generator, parts: int) -> np.ndarray:
-    """Fair coin per part: 1 keeps the sample's own feature, 0 exchanges it."""
-    parts = int(parts)
-    if parts < 0:
-        raise ContractError(f"draw_keep_mask: parts must be >= 0, got {parts}")
-    return rng.integers(0, 2, size=parts)
+def draw_keep_mask(rng: np.random.Generator, shape) -> np.ndarray:
+    """Fair coin per part: 1 keeps the sample's own feature, 0 exchanges it.
+
+    ``shape`` is a part count or (batch, parts); one (B, P) draw gives the
+    masks and the generator state of B successive draws of P.
+    """
+    shape = tuple(int(n) for n in np.atleast_1d(shape))
+    if min(shape) < 0:
+        raise ContractError(f"draw_keep_mask: extents must be >= 0, got {shape}")
+    return rng.integers(0, 2, size=shape)
 
 
 def exchange_features(
-    part_vecs: Sequence[ad.Tensor], class_anchors: np.ndarray, keep_mask: np.ndarray
-) -> list[ad.Tensor]:
-    """Replace part vectors by class anchors where the keep mask is 0.
+    part_vecs: ad.Tensor, class_anchors: np.ndarray, keep_mask: np.ndarray
+) -> ad.Tensor:
+    """Replace part vectors [..., P, dim] by anchors where the keep mask [..., P] is 0.
 
-    Anchor replacements enter the graph as constants, so gradients flow only
-    through the parts that were kept.
+    ``class_anchors`` holds each row's class anchors, shaped like the part
+    vectors.  The result is part * keep + anchor * (1 - keep), which
+    reproduces both sides exactly; the anchors enter the graph as
+    constants, so gradients flow only through the parts that were kept.
     """
-    part_vecs = list(part_vecs)
     class_anchors = np.asarray(class_anchors, dtype=np.float64)
     keep_mask = np.asarray(keep_mask)
-    parts = len(part_vecs)
-    if class_anchors.shape[0] != parts:
+    if class_anchors.shape != part_vecs.shape:
         raise DimensionError(
-            f"exchange_features: {parts} parts vs {class_anchors.shape[0]} anchor rows"
+            f"exchange_features: part vectors {part_vecs.shape} vs anchors {class_anchors.shape}"
         )
-    if keep_mask.shape != (parts,):
-        raise DimensionError(f"exchange_features: mask shape {keep_mask.shape}, expected ({parts},)")
+    if keep_mask.shape != part_vecs.shape[:-1]:
+        raise DimensionError(
+            f"exchange_features: mask shape {keep_mask.shape}, expected {part_vecs.shape[:-1]}"
+        )
     if not np.all(np.isin(keep_mask, (0, 1))):
         raise ContractError("exchange_features: mask entries must be 0 or 1")
-    exchanged: list[ad.Tensor] = []
-    for j, vec in enumerate(part_vecs):
-        if vec.shape != (class_anchors.shape[1],):
-            raise DimensionError(
-                f"exchange_features: part {j} has shape {vec.shape}, "
-                f"anchors have dim {class_anchors.shape[1]}"
-            )
-        if keep_mask[j] >= 0.5:
-            exchanged.append(vec)
-        else:
-            exchanged.append(ad.tensor(class_anchors[j]))
-    return exchanged
+    keep = keep_mask[..., None].astype(np.float64)
+    return ad.add(ad.hadamard(part_vecs, ad.tensor(keep)),
+                  ad.tensor(class_anchors * (1.0 - keep)))

@@ -10,8 +10,15 @@ fresh for every forward pass; there is no graph reuse between passes.
 Numeric conventions shared by the whole package live here as well: values
 are kept in double precision, ``sign(0)`` is ``+1``, and every forward
 result is checked to be finite (NaN or Inf anywhere is an error state, not
-a value).  The only broadcast supported is the map-times-tensor rule of
-:func:`hadamard`; everything else requires exact shape agreement.
+a value).
+
+Every op accepts leading axes and works on the trailing ones only: maps are
+``[..., H, W, C]`` and vectors ``[..., N]``, so one call covers a whole
+batch (of images, of parts, of pairs).  :func:`sub` and :func:`hadamard`
+broadcast like numpy, aligning shapes at their trailing axes, and
+:func:`matmul` broadcasts its leading axes like ``np.matmul``; the gradient
+of a broadcast operand is summed over the axes it was broadcast along.
+Everything else requires exact shape agreement.
 """
 
 from __future__ import annotations
@@ -168,6 +175,20 @@ def _result(op: str, data: np.ndarray, inputs: Sequence[tuple[Tensor, _GradFn]])
     return out
 
 
+def _broadcast_check(op: str, a: Tensor, b: Tensor) -> None:
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient over the axes along which an operand of ``shape`` was broadcast."""
+    extra = grad.ndim - len(shape)
+    axes = tuple(range(extra)) + tuple(extra + i for i, n in enumerate(shape) if n == 1)
+    return grad.sum(axis=axes).reshape(shape) if axes else grad
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two equally shaped tensors."""
     if a.shape != b.shape:
@@ -176,10 +197,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise difference of two equally shaped tensors."""
-    if a.shape != b.shape:
-        raise DimensionError(f"sub: shapes {a.shape} and {b.shape} differ")
-    return _result("sub", a.data - b.data, [(a, lambda g: g), (b, lambda g: -g)])
+    """Elementwise difference; the shapes broadcast at their trailing axes."""
+    _broadcast_check("sub", a, b)
+    return _result(
+        "sub",
+        a.data - b.data,
+        [(a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: -_unbroadcast(g, b.shape))],
+    )
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
@@ -195,31 +219,18 @@ def add_scalar(a: Tensor, shift: float) -> Tensor:
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product.
+    """Elementwise product; the shapes broadcast at their trailing axes.
 
-    Shapes must match exactly, with one exception: a rank-2 map [H, W] may
-    multiply a rank-3 tensor [H, W, C], scaling every channel fiber by the
-    map.  That is the only broadcast this engine supports.
+    For example a map [..., H, W, 1] times a tensor [..., H, W, C] scales
+    every channel fiber by the map.
     """
-    if a.shape == b.shape:
-        return _result(
-            "hadamard",
-            a.data * b.data,
-            [(a, lambda g: g * b.data), (b, lambda g: g * a.data)],
-        )
-    if a.data.ndim == 2 and b.data.ndim == 3 and a.shape == b.shape[:2]:
-        plane, full = a, b
-    elif b.data.ndim == 2 and a.data.ndim == 3 and b.shape == a.shape[:2]:
-        plane, full = b, a
-    else:
-        raise DimensionError(f"hadamard: shapes {a.shape} and {b.shape} are incompatible")
-    data = full.data * plane.data[:, :, None]
+    _broadcast_check("hadamard", a, b)
     return _result(
         "hadamard",
-        data,
+        a.data * b.data,
         [
-            (full, lambda g: g * plane.data[:, :, None]),
-            (plane, lambda g: np.sum(g * full.data, axis=2)),
+            (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+            (b, lambda g: _unbroadcast(g * a.data, b.shape)),
         ],
     )
 
@@ -260,47 +271,44 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    """Matrix product over the last two axes of [..., m, k] and [..., k, n].
+
+    Both operands need rank >= 2; their leading axes broadcast as in
+    ``np.matmul``.
+    """
+    if a.data.ndim < 2 or b.data.ndim < 2:
         raise DimensionError(
-            f"matmul: rank-2 operands required, got ranks {a.data.ndim} and {b.data.ndim}"
+            f"matmul: operands of rank >= 2 required, got ranks {a.data.ndim} and {b.data.ndim}"
         )
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner extents {a.shape[1]} and {b.shape[0]} differ")
+    try:
+        data = np.matmul(a.data, b.data)
+    except ValueError:
+        raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not match") from None
     return _result(
         "matmul",
-        a.data @ b.data,
-        [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)],
-    )
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two rank-1 tensors, returning a scalar tensor."""
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise DimensionError("dot: rank-1 operands required")
-    if a.size != b.size:
-        raise DimensionError(f"dot: lengths {a.size} and {b.size} differ")
-    return _result(
-        "dot",
-        np.asarray(a.data @ b.data),
-        [(a, lambda g: g * b.data), (b, lambda g: g * a.data)],
+        data,
+        [
+            (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)),
+            (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)),
+        ],
     )
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate rank-1 tensors into one longer vector."""
+    """Concatenate tensors [..., n_i] with equal leading axes along their last axis."""
     parts = list(parts)
     if not parts:
         raise DimensionError("concat: at least one input required")
+    lead = parts[0].shape[:-1]
     for part in parts:
-        if part.data.ndim != 1:
-            raise DimensionError(f"concat: rank-1 inputs required, got shape {part.shape}")
-    data = np.concatenate([part.data for part in parts])
+        if part.data.ndim < 1 or part.shape[:-1] != lead:
+            raise DimensionError(f"concat: leading axes {lead} required, got shape {part.shape}")
+    data = np.concatenate([part.data for part in parts], axis=-1)
     grads: list[tuple[Tensor, _GradFn]] = []
     start = 0
     for part in parts:
-        stop = start + part.size
-        grads.append((part, lambda g, s=start, e=stop: g[s:e]))
+        stop = start + part.shape[-1]
+        grads.append((part, lambda g, s=start, e=stop: g[..., s:e]))
         start = stop
     return _result("concat", data, grads)
 
@@ -315,6 +323,16 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _result("reshape", data, [(a, lambda g: g.reshape(a.shape))])
 
 
+def moveaxis(a: Tensor, source: int, destination: int) -> Tensor:
+    """Move axis ``source`` of the tensor to position ``destination``."""
+    source, destination = int(source), int(destination)
+    try:
+        data = np.moveaxis(a.data, source, destination)
+    except ValueError as exc:
+        raise DimensionError(f"moveaxis: {exc}") from exc
+    return _result("moveaxis", data, [(a, lambda g: np.moveaxis(g, destination, source))])
+
+
 def sum_all(a: Tensor) -> Tensor:
     """Sum every entry into a scalar tensor."""
     return _result(
@@ -325,94 +343,75 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def channel_sum(a: Tensor) -> Tensor:
-    """Sum a rank-3 tensor [H, W, C] over channels into a map [H, W]."""
-    if a.data.ndim != 3:
-        raise DimensionError(f"channel_sum: rank-3 input required, got shape {a.shape}")
+    """Sum over the last axis: [..., C] -> [...]."""
+    if a.data.ndim < 1:
+        raise DimensionError(f"channel_sum: input of rank >= 1 required, got shape {a.shape}")
     return _result(
         "channel_sum",
-        a.data.sum(axis=2),
-        [(a, lambda g: np.broadcast_to(g[:, :, None], a.shape))],
+        a.data.sum(axis=-1),
+        [(a, lambda g: np.broadcast_to(g[..., None], a.shape))],
     )
 
 
-def channel_slice(a: Tensor, index: int) -> Tensor:
-    """Extract channel ``index`` of a rank-3 tensor [H, W, C] as a map."""
-    if a.data.ndim != 3:
-        raise DimensionError(f"channel_slice: rank-3 input required, got shape {a.shape}")
-    index = int(index)
-    if not 0 <= index < a.shape[2]:
-        raise DimensionError(f"channel_slice: index {index} out of range for {a.shape[2]} channels")
-
-    def back(g: np.ndarray) -> np.ndarray:
-        full = np.zeros_like(a.data)
-        full[:, :, index] = g
-        return full
-
-    return _result("channel_slice", a.data[:, :, index].copy(), [(a, back)])
-
-
 def softmax(a: Tensor) -> Tensor:
-    """Softmax over a nonempty rank-1 tensor, computed with the max shift."""
-    if a.data.ndim != 1 or a.size == 0:
-        raise DimensionError(f"softmax: nonempty rank-1 input required, got shape {a.shape}")
-    shifted = a.data - a.data.max()
+    """Softmax over the last axis of [..., N] with N >= 1, computed with the max shift."""
+    if a.data.ndim < 1 or a.shape[-1] == 0:
+        raise DimensionError(f"softmax: nonempty last axis required, got shape {a.shape}")
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    probs = exps / exps.sum()
+    probs = exps / exps.sum(axis=-1, keepdims=True)
 
     def back(g: np.ndarray) -> np.ndarray:
-        return probs * (g - np.dot(g, probs))
+        return probs * (g - np.sum(g * probs, axis=-1, keepdims=True))
 
     return _result("softmax", probs, [(a, back)])
 
 
 def global_avg_pool(a: Tensor) -> Tensor:
-    """Mean over the spatial extents of a rank-3 tensor [H, W, C] -> [C]."""
-    if a.data.ndim != 3:
-        raise DimensionError(f"global_avg_pool: rank-3 input required, got shape {a.shape}")
-    height, width, _ = a.shape
+    """Mean over the spatial extents of a map [..., H, W, C] -> [..., C]."""
+    if a.data.ndim < 3:
+        raise DimensionError(f"global_avg_pool: input of rank >= 3 required, got shape {a.shape}")
+    height, width = a.shape[-3:-1]
     inv = 1.0 / (height * width)
     return _result(
         "global_avg_pool",
-        a.data.mean(axis=(0, 1)),
-        [(a, lambda g: np.broadcast_to(g[None, None, :] * inv, a.shape))],
+        a.data.mean(axis=(-3, -2)),
+        [(a, lambda g: np.broadcast_to(g[..., None, None, :] * inv, a.shape))],
     )
 
 
 def avg_pool2(a: Tensor, factor: int = 2) -> Tensor:
-    """Mean-pool spatial extents by an integer factor (channels preserved)."""
-    if a.data.ndim != 3:
-        raise DimensionError(f"avg_pool2: rank-3 input required, got shape {a.shape}")
+    """Mean-pool the spatial extents of a map [..., H, W, C] by an integer factor."""
+    if a.data.ndim < 3:
+        raise DimensionError(f"avg_pool2: input of rank >= 3 required, got shape {a.shape}")
     factor = int(factor)
     if factor < 1:
         raise DimensionError(f"avg_pool2: factor must be >= 1, got {factor}")
-    height, width, channels = a.shape
+    *lead, height, width, channels = a.shape
     if height % factor or width % factor:
         raise DimensionError(f"avg_pool2: extents {height}x{width} not divisible by {factor}")
-    out_h, out_w = height // factor, width // factor
-    data = a.data.reshape(out_h, factor, out_w, factor, channels).mean(axis=(1, 3))
+    blocks = (*lead, height // factor, factor, width // factor, factor, channels)
+    data = a.data.reshape(blocks).mean(axis=(-4, -2))
     inv = 1.0 / (factor * factor)
 
     def back(g: np.ndarray) -> np.ndarray:
-        tiled = np.broadcast_to(
-            g[:, None, :, None, :] * inv, (out_h, factor, out_w, factor, channels)
-        )
-        return tiled.reshape(height, width, channels)
+        return np.broadcast_to(g[..., :, None, :, None, :] * inv, blocks).reshape(a.shape)
 
     return _result("avg_pool2", data, [(a, back)])
 
 
 def bias_add(a: Tensor, bias: Tensor) -> Tensor:
-    """Add a per-channel bias vector [C] to a rank-3 tensor [H, W, C]."""
-    if a.data.ndim != 3 or bias.data.ndim != 1:
+    """Add a per-channel bias vector [C] to a tensor [..., C]."""
+    if a.data.ndim < 1 or bias.data.ndim != 1:
         raise DimensionError(
-            f"bias_add: expected rank-3 tensor and rank-1 bias, got {a.shape} and {bias.shape}"
+            f"bias_add: expected tensor [..., C] and rank-1 bias, got {a.shape} and {bias.shape}"
         )
-    if a.shape[2] != bias.size:
-        raise DimensionError(f"bias_add: {a.shape[2]} channels vs bias length {bias.size}")
+    if a.shape[-1] != bias.size:
+        raise DimensionError(f"bias_add: {a.shape[-1]} channels vs bias length {bias.size}")
     return _result(
         "bias_add",
-        a.data + bias.data[None, None, :],
-        [(a, lambda g: g), (bias, lambda g: g.sum(axis=(0, 1)))],
+        a.data + bias.data,
+        [(a, lambda g: g), (bias, lambda g: g.reshape(-1, bias.size).sum(axis=0))],
     )
 
 
@@ -420,49 +419,52 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     """Same-padding stride-1 2-D convolution (ML convention, no kernel flip).
 
     Args:
-        x: input tensor [H, W, Cin].
+        x: input maps [..., H, W, Cin].
         kernels: filter bank [kh, kw, Cin, Cout] with odd kh and kw.
 
     Returns:
-        Tensor [H, W, Cout]; positions outside the frame contribute zero.
+        Tensor [..., H, W, Cout]; positions outside the frame contribute zero.
+        Each kernel tap is one matrix product whose rows run over every
+        leading index and position, so a map's result does not depend on
+        the other maps stacked with it.
     """
-    if x.data.ndim != 3:
-        raise DimensionError(f"conv2d: rank-3 input required, got shape {x.shape}")
+    if x.data.ndim < 3:
+        raise DimensionError(f"conv2d: input of rank >= 3 required, got shape {x.shape}")
     if kernels.data.ndim != 4:
         raise DimensionError(f"conv2d: rank-4 kernels required, got shape {kernels.shape}")
-    height, width, c_in = x.shape
+    *lead, height, width, c_in = x.shape
     k_h, k_w, k_cin, c_out = kernels.shape
     if k_h % 2 == 0 or k_w % 2 == 0:
         raise DimensionError(f"conv2d: kernel extents {k_h}x{k_w} must be odd")
     if k_cin != c_in:
         raise DimensionError(f"conv2d: input has {c_in} channels, kernels expect {k_cin}")
     pad_h, pad_w = k_h // 2, k_w // 2
-    padded = np.zeros((height + k_h - 1, width + k_w - 1, c_in))
-    padded[pad_h : pad_h + height, pad_w : pad_w + width] = x.data
+    padded = np.zeros((*lead, height + k_h - 1, width + k_w - 1, c_in))
+    padded[..., pad_h : pad_h + height, pad_w : pad_w + width, :] = x.data
     k_data = kernels.data
-    out = np.zeros((height, width, c_out))
-    for off_i in range(k_h):
-        for off_j in range(k_w):
-            patch = padded[off_i : off_i + height, off_j : off_j + width].reshape(-1, c_in)
-            out += (patch @ k_data[off_i, off_j]).reshape(height, width, c_out)
+    taps = [(off_i, off_j) for off_i in range(k_h) for off_j in range(k_w)]
+
+    def window(off_i: int, off_j: int) -> np.ndarray:
+        return padded[..., off_i : off_i + height, off_j : off_j + width, :].reshape(-1, c_in)
+
+    out = np.zeros((*lead, height, width, c_out))
+    for off_i, off_j in taps:
+        out += (window(off_i, off_j) @ k_data[off_i, off_j]).reshape(out.shape)
 
     def back_x(g: np.ndarray) -> np.ndarray:
         grad_pad = np.zeros_like(padded)
         g_mat = g.reshape(-1, c_out)
-        for off_i in range(k_h):
-            for off_j in range(k_w):
-                grad_pad[off_i : off_i + height, off_j : off_j + width] += (
-                    g_mat @ k_data[off_i, off_j].T
-                ).reshape(height, width, c_in)
-        return grad_pad[pad_h : pad_h + height, pad_w : pad_w + width]
+        for off_i, off_j in taps:
+            grad_pad[..., off_i : off_i + height, off_j : off_j + width, :] += (
+                g_mat @ k_data[off_i, off_j].T
+            ).reshape(x.shape)
+        return grad_pad[..., pad_h : pad_h + height, pad_w : pad_w + width, :]
 
     def back_k(g: np.ndarray) -> np.ndarray:
         grad_k = np.empty_like(k_data)
         g_mat = g.reshape(-1, c_out)
-        for off_i in range(k_h):
-            for off_j in range(k_w):
-                patch = padded[off_i : off_i + height, off_j : off_j + width].reshape(-1, c_in)
-                grad_k[off_i, off_j] = patch.T @ g_mat
+        for off_i, off_j in taps:
+            grad_k[off_i, off_j] = window(off_i, off_j).T @ g_mat
         return grad_k
 
     return _result("conv2d", out, [(x, back_x), (kernels, back_k)])

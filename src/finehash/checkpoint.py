@@ -6,14 +6,16 @@ little-endian u32 rank, one little-endian u64 extent per axis, and the
 values as little-endian float64 in C order.  Blocks repeat until EOF, so
 the container needs no explicit count.
 
-Writes go to a sibling temporary file that replaces the target only once
-complete, so a crash mid-write leaves the previous checkpoint intact.
+Writes go through :func:`atomic_write`, which every artifact writer of the
+package shares: a sibling temporary file replaces the target only once
+complete, so a crash mid-write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,27 +25,38 @@ from .errors import FileFormatError
 MAGIC = b"FHT1"
 
 
-def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
-    """Write named arrays to a checkpoint file, preserving order."""
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "wb", **open_kwargs):
+    """Open ``<path>.tmp`` for writing; on success fsync it and move it onto path.
+
+    If the body raises, the temporary file is removed and whatever was at
+    path before stays as it was.
+    """
     path = Path(path)
     partial = path.with_name(path.name + ".tmp")
     try:
-        with open(partial, "wb") as fh:
-            fh.write(MAGIC)
-            for name, values in arrays.items():
-                encoded = name.encode("utf-8")
-                data = np.asarray(values, dtype="<f8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<I", data.ndim))
-                fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-                fh.write(data.tobytes(order="C"))
+        with open(partial, mode, **open_kwargs) as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
+    """Write named arrays to a checkpoint file, preserving order."""
+    with atomic_write(path) as fh:
+        fh.write(MAGIC)
+        for name, values in arrays.items():
+            encoded = name.encode("utf-8")
+            data = np.asarray(values, dtype="<f8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<I", data.ndim))
+            fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
+            fh.write(data.tobytes(order="C"))
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:

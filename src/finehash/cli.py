@@ -21,7 +21,6 @@ import argparse
 import csv
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -46,7 +45,7 @@ from .retrieval import (
     save_packed,
     unpack_codes,
 )
-from .trainer import AlternatingTrainer, TrainState, encode_images, load_checkpoint
+from .trainer import AlternatingTrainer, encode_images, load_checkpoint
 
 LOG = logging.getLogger(__name__)
 
@@ -98,14 +97,6 @@ def _resolve_dataset(config: RunConfig) -> Dataset:
         return dataset
     LOG.info("no data_dir configured, generating the synthetic set in memory")
     return generate_synthetic(config.synth)
-
-
-def _encode_set(state: TrainState, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Codes and descriptors for a possibly empty image stack."""
-    config = state.params.config
-    if images.shape[0] == 0:
-        return (np.zeros((0, config.bits)), np.zeros((0, config.descriptor_dim)))
-    return encode_images(state.params, images)
 
 
 def _select_images(dataset: Dataset, split: str) -> np.ndarray:
@@ -178,7 +169,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
             f"encode: checkpoint stores {stored_bits}-bit codes, --bits asked for {args.bits}"
         )
     dataset = load_manifest(_manifest_path(args.manifest))
-    codes, descriptors = _encode_set(state, _select_images(dataset, args.split))
+    codes, descriptors = encode_images(state.params, _select_images(dataset, args.split))
     save_packed(args.out, pack_codes(codes))
     if args.features:
         save_features(args.features, descriptors)
@@ -234,7 +225,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         )
     index = RetrievalIndex(packed, features=features)
     dataset = load_manifest(_manifest_path(args.queries))
-    codes, descriptors = _encode_set(state, _select_images(dataset, args.split))
+    codes, descriptors = encode_images(state.params, _select_images(dataset, args.split))
 
     topk = args.topk
     if not 1 <= topk <= len(index):
@@ -248,19 +239,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     else:
         topn = args.topn if args.topn is not None else topk
 
-    def rank_one(i: int) -> np.ndarray:
-        feature = descriptors[i] if topn is not None else None
-        return index.search(codes[i], feature, topn)[:topk]
-
-    if args.workers < 1:
-        raise ContractError(f"query: --workers must be >= 1, got {args.workers}")
-    if args.workers == 1 or len(codes) == 0:
-        results = [rank_one(i) for i in range(len(codes))]
-    else:
-        # The index is read-only, so query scans can run concurrently.
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(rank_one, range(len(codes))))
-
+    results = [index.search(code, feature if topn is not None else None, topn)[:topk]
+               for code, feature in zip(codes, descriptors)]
     writer = csv.writer(sys.stdout)
     writer.writerow(["query", "rank", "item"])
     for query_id, order in enumerate(results):
@@ -436,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-rank shortlist size (default: same as --topk)")
     query.add_argument("--split", choices=("train-db", "query", "all"), default="all",
                        help="rank only this manifest split")
-    query.add_argument("--workers", type=int, default=1,
-                       help="concurrent query scans over the read-only index")
     query.set_defaults(func=cmd_query)
 
     evaluate = sub.add_parser("eval", help="retrieval quality of trained checkpoints")

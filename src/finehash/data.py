@@ -8,7 +8,9 @@ added on top, so intra-class variation can exceed the inter-class signal.
 
 On disk a dataset is a ``manifest.csv`` with ``relative_path,label,split``
 rows next to binary P6 PPM images; the generator writes exactly that layout
-so synthetic and external data take the same ingestion path.
+so synthetic and external data take the same ingestion path.  The manifest
+is written last and moved into place whole: it is the commit point of a
+written set, so an interrupted write leaves no manifest to load.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .errors import ContractError, DimensionError, IngestionError
 
 SPLITS = ("train-db", "query")
@@ -282,23 +285,23 @@ def read_ppm(path: str | Path) -> np.ndarray:
 
 
 def write_dataset(dataset: Dataset, root: str | Path) -> Path:
-    """Write PPM images plus manifest.csv under root; returns the manifest path."""
+    """Write PPM images, then manifest.csv, under root; returns the manifest path."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    manifest = root / "manifest.csv"
+    rows = [MANIFEST_HEADER]
     counters: dict[tuple[int, str], int] = {}
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        for image, label, split in zip(dataset.images, dataset.labels, dataset.splits):
-            label = int(label)
-            index = counters.get((label, split), 0)
-            counters[(label, split)] = index + 1
-            name = dataset.label_names[label] if dataset.label_names else str(label)
-            rel = f"class_{label:03d}/{split}_{index:04d}.ppm"
-            (root / rel).parent.mkdir(parents=True, exist_ok=True)
-            write_ppm(root / rel, image)
-            writer.writerow([rel, name, str(split)])
+    for image, label, split in zip(dataset.images, dataset.labels, dataset.splits):
+        label = int(label)
+        index = counters.get((label, split), 0)
+        counters[(label, split)] = index + 1
+        name = dataset.label_names[label] if dataset.label_names else str(label)
+        rel = f"class_{label:03d}/{split}_{index:04d}.ppm"
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        write_ppm(root / rel, image)
+        rows.append((rel, name, str(split)))
+    manifest = root / "manifest.csv"
+    with atomic_write(manifest, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
     return manifest
 
 

@@ -15,7 +15,6 @@ inputs); the standalone metric :func:`hellinger_distance` is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -49,65 +48,66 @@ def hellinger_distance(p: np.ndarray, r: np.ndarray) -> float:
 
 
 def hellinger_term(p: ad.Tensor, r: ad.Tensor) -> ad.Tensor:
-    """Differentiable Hellinger distance between two distribution tensors."""
-    if p.data.ndim != 1 or p.shape != r.shape:
-        raise DimensionError(f"hellinger_term: shapes {p.shape} and {r.shape} must be equal rank-1")
+    """Differentiable Hellinger distances between distributions [..., N] -> [...]."""
+    if p.data.ndim < 1 or p.shape != r.shape:
+        raise DimensionError(f"hellinger_term: shapes {p.shape} and {r.shape} must be equal")
     diff = ad.sub(ad.sqrt(ad.add_scalar(p, _SQRT_SHIFT)), ad.sqrt(ad.add_scalar(r, _SQRT_SHIFT)))
-    total = ad.sum_all(ad.hadamard(diff, diff))
+    total = ad.channel_sum(ad.hadamard(diff, diff))
     return ad.scale(ad.sqrt(ad.add_scalar(total, _SQRT_SHIFT**2)), _INV_SQRT2)
 
 
-def aggregation_distribution(part_map: ad.Tensor) -> ad.Tensor:
-    """Collapse a refined part map [h, w, C] to a distribution over positions.
+def aggregation_distribution(part_maps: ad.Tensor) -> ad.Tensor:
+    """Collapse refined part maps [..., h, w, C] to distributions [..., h * w].
 
-    Channels are summed per position and the resulting map is flattened and
+    Channels are summed per position and each resulting map is flattened and
     passed through softmax, so the output is strictly positive and sums to 1.
     """
-    summed = ad.channel_sum(part_map)
-    return ad.softmax(ad.reshape(summed, (summed.size,)))
+    *lead, height, width, _ = part_maps.shape
+    return ad.softmax(ad.reshape(ad.channel_sum(part_maps), (*lead, height * width)))
 
 
-def _mean_pairwise_hellinger(distributions: list[ad.Tensor]) -> ad.Tensor:
-    count = len(distributions)
-    pairs = [
-        hellinger_term(distributions[l], distributions[k])
-        for l in range(count)
-        for k in range(l + 1, count)
-    ]
-    total = pairs[0]
-    for term in pairs[1:]:
-        total = ad.add(total, term)
-    return ad.scale(total, 2.0 / (count * (count - 1)))
+def _mean_pairwise_hellinger(what: str, distributions: ad.Tensor) -> ad.Tensor:
+    """Mean Hellinger distance over all pairs l < k of distributions [..., P, N] -> [...].
+
+    Constant 0/1 selection matrices pick the two sides of every pair, in
+    the order (0, 1), (0, 2), ..., (P - 2, P - 1); a product with one 1 and
+    zeros elsewhere reproduces each selected entry exactly.
+    """
+    count = distributions.shape[-2]
+    if count < 2:
+        raise ContractError(f"{what}: needs >= 2 parts, got {count}")
+    left, right = np.triu_indices(count, k=1)
+    identity = np.eye(count)
+    dists = hellinger_term(ad.matmul(ad.tensor(identity[left]), distributions),
+                           ad.matmul(ad.tensor(identity[right]), distributions))
+    return ad.scale(ad.channel_sum(dists), 2.0 / (count * (count - 1)))
 
 
-def spatial_diversity_loss(part_maps: Sequence[ad.Tensor]) -> ad.Tensor:
+def spatial_diversity_loss(part_maps: ad.Tensor) -> ad.Tensor:
     """One minus the mean pairwise Hellinger distance of aggregation maps.
 
-    Low when parts attend to different positions; exactly 1 (to within the
-    sqrt shift) when all parts look at the same places.  Needs at least two
-    parts.
+    Takes part maps [..., P, h, w, C] and returns one loss per leading
+    index.  Low when parts attend to different positions; exactly 1 (to
+    within the sqrt shift) when all parts look at the same places.  Needs
+    at least two parts.
     """
-    part_maps = list(part_maps)
-    if len(part_maps) < 2:
-        raise ContractError(f"spatial_diversity_loss: needs >= 2 parts, got {len(part_maps)}")
-    mean_dist = _mean_pairwise_hellinger([aggregation_distribution(m) for m in part_maps])
+    mean_dist = _mean_pairwise_hellinger("spatial_diversity_loss",
+                                         aggregation_distribution(part_maps))
     return ad.add_scalar(ad.scale(mean_dist, -1.0), 1.0)
 
 
-def channel_diversity_loss(part_vecs: Sequence[ad.Tensor], margin: float = 0.4) -> ad.Tensor:
+def channel_diversity_loss(part_vecs: ad.Tensor, margin: float = 0.4) -> ad.Tensor:
     """Hinge on the mean pairwise Hellinger distance of channel distributions.
 
+    Takes part vectors [..., P, C] and returns one loss per leading index.
     Each part vector is softmaxed into a distribution over channels; the
     loss is max(0, margin - mean pairwise distance), so it vanishes once the
     parts use sufficiently different channels.
     """
-    part_vecs = list(part_vecs)
-    if len(part_vecs) < 2:
-        raise ContractError(f"channel_diversity_loss: needs >= 2 parts, got {len(part_vecs)}")
     margin = float(margin)
     if margin < 0.0:
         raise ContractError(f"channel_diversity_loss: margin must be >= 0, got {margin}")
-    mean_dist = _mean_pairwise_hellinger([ad.softmax(vec) for vec in part_vecs])
+    mean_dist = _mean_pairwise_hellinger("channel_diversity_loss", ad.softmax(part_vecs))
     return ad.relu(ad.add_scalar(ad.scale(mean_dist, -1.0), margin))
 
 
@@ -121,38 +121,30 @@ def _check_code_matrix(codes: np.ndarray, bits: int, what: str) -> np.ndarray:
 
 
 def batch_similarity_loss(
-    relaxed_list: Sequence[ad.Tensor], db_codes: np.ndarray, sim_rows: np.ndarray, bits: int
+    relaxed: ad.Tensor, db_codes: np.ndarray, sim_rows: np.ndarray, bits: int
 ) -> ad.Tensor:
     """Sum of (u . v - bits * s)^2 over every (sample u, database code v) pair.
 
-    Computed per sample as ||db_codes @ u - bits * s||^2 so the tape stays
-    small: one matmul per sample instead of one record per pair.
+    Computed as ||relaxed @ db_codes.T - bits * S||_F^2 for the relaxed
+    codes [B, bits] of the batch: one matrix product for all pairs.
     """
     db_codes = _check_code_matrix(db_codes, bits, "batch_similarity_loss: db_codes")
+    if relaxed.data.ndim != 2 or relaxed.shape[1] != bits:
+        raise DimensionError(
+            f"batch_similarity_loss: relaxed codes shape {relaxed.shape}, expected (B, {bits})"
+        )
+    if relaxed.shape[0] == 0:
+        raise ContractError("batch_similarity_loss: empty batch")
     sim_rows = np.asarray(sim_rows, dtype=np.float64)
-    if sim_rows.shape != (len(relaxed_list), db_codes.shape[0]):
+    if sim_rows.shape != (relaxed.shape[0], db_codes.shape[0]):
         raise DimensionError(
             f"batch_similarity_loss: sim_rows shape {sim_rows.shape}, expected "
-            f"({len(relaxed_list)}, {db_codes.shape[0]})"
+            f"({relaxed.shape[0]}, {db_codes.shape[0]})"
         )
     if not np.all(np.abs(sim_rows) == 1.0):
         raise DomainError("batch_similarity_loss: sim entries must be +/-1")
-    codes_const = ad.tensor(db_codes)
-    total: ad.Tensor | None = None
-    for relaxed, sim_row in zip(relaxed_list, sim_rows):
-        if relaxed.shape != (bits,):
-            raise DimensionError(
-                f"batch_similarity_loss: relaxed code shape {relaxed.shape}, expected ({bits},)"
-            )
-        scores = ad.reshape(
-            ad.matmul(codes_const, ad.reshape(relaxed, (bits, 1))), (db_codes.shape[0],)
-        )
-        resid = ad.sub(scores, ad.tensor(bits * sim_row))
-        term = ad.dot(resid, resid)
-        total = term if total is None else ad.add(total, term)
-    if total is None:
-        raise ContractError("batch_similarity_loss: empty batch")
-    return total
+    resid = ad.sub(ad.matmul(relaxed, ad.tensor(db_codes.T)), ad.tensor(bits * sim_rows))
+    return ad.sum_all(ad.hadamard(resid, resid))
 
 
 @dataclass(frozen=True)
@@ -184,34 +176,29 @@ def auto_weights(bits: int, pair_count: int, margin: float = 0.4) -> LossWeights
 
 
 def total_objective(
-    relaxed_list: Sequence[ad.Tensor],
-    feature_sets: Sequence[RefinedFeatures],
+    relaxed: ad.Tensor,
+    features: RefinedFeatures,
     db_codes: np.ndarray,
     sim_rows: np.ndarray,
     bits: int,
     weights: LossWeights,
 ) -> ad.Tensor:
-    """Batch similarity loss plus weighted diversity terms.
+    """Batch similarity loss plus weighted diversity terms summed over the batch.
 
-    A diversity term with weight 0 is skipped entirely, which also permits
-    single-part configurations where the pairwise terms are undefined.
+    relaxed holds the codes [B, bits] of a batch and features its stacked
+    part tensors.  A diversity term with weight 0 is skipped entirely,
+    which also permits single-part configurations where the pairwise terms
+    are undefined.
     """
-    if len(feature_sets) != len(relaxed_list):
+    if features.part_vecs.shape[:-2] != relaxed.shape[:-1]:
         raise DimensionError(
-            f"total_objective: {len(relaxed_list)} codes vs {len(feature_sets)} feature sets"
+            f"total_objective: codes {relaxed.shape} vs part vectors {features.part_vecs.shape}"
         )
-    total = batch_similarity_loss(relaxed_list, db_codes, sim_rows, bits)
+    total = batch_similarity_loss(relaxed, db_codes, sim_rows, bits)
     if weights.spatial > 0.0:
-        for features in feature_sets:
-            total = ad.add(
-                total, ad.scale(spatial_diversity_loss(features.part_maps), weights.spatial)
-            )
+        spatial = ad.sum_all(spatial_diversity_loss(features.part_maps))
+        total = ad.add(total, ad.scale(spatial, weights.spatial))
     if weights.channel > 0.0:
-        for features in feature_sets:
-            total = ad.add(
-                total,
-                ad.scale(
-                    channel_diversity_loss(features.part_vecs, weights.margin), weights.channel
-                ),
-            )
+        channel = ad.sum_all(channel_diversity_loss(features.part_vecs, weights.margin))
+        total = ad.add(total, ad.scale(channel, weights.channel))
     return total

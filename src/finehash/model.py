@@ -5,14 +5,15 @@ convolutional backbone produces a base feature map, a 1x1-conv attention
 head scores one spatial map per part, each attention map gates the base
 features which are then refined into a compact part vector, and a final
 linear hash layer turns the concatenated part and global vectors into a
-code.  All stages run per sample on the autodiff tape so the trainer can
-differentiate straight through them.
+code.  Every stage takes a stack of images ``[..., side, side, C]`` and runs
+on the whole stack at once, with one op call per stage, on the autodiff tape
+so the trainer can differentiate straight through them.  Each image's
+result does not depend on the images stacked with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,16 +91,17 @@ class ModelConfig:
 
 @dataclass
 class RefinedFeatures:
-    """Per-sample forward outputs used by the losses and the hash layer.
+    """Stacked forward outputs used by the losses and the hash layer.
 
-    part_maps holds the refined spatial tensor of each part, part_vecs the
-    spatially pooled part vectors, and global_vec the pooled output of the
+    For images [..., side, side, C], part_maps holds the refined spatial
+    tensors [..., P, h, w, C'], part_vecs their spatially pooled vectors
+    [..., P, C'], and global_vec the pooled output [..., C'] of the
     independent global refinement branch.
     """
 
-    part_maps: list[ad.Tensor] = field(default_factory=list)
-    part_vecs: list[ad.Tensor] = field(default_factory=list)
-    global_vec: ad.Tensor | None = None
+    part_maps: ad.Tensor
+    part_vecs: ad.Tensor
+    global_vec: ad.Tensor
 
 
 class ModelParams:
@@ -164,19 +166,21 @@ class ModelParams:
         return {name: tens.data.copy() for name, tens in self._tensors.items()}
 
 
-def backbone_forward(params: ModelParams, image: np.ndarray) -> ad.Tensor:
-    """Run the backbone on one image, returning the base feature map.
+def backbone_forward(params: ModelParams, images: np.ndarray) -> ad.Tensor:
+    """Run the backbone on a stack of images, returning the base feature maps.
 
-    The image must be [side, side, in_channels] with values in [0, 1].
-    Each block is a same-padded 3x3 convolution, a channel bias, a relu,
-    and a spatial mean-pool by the configured factor.
+    Images are [..., side, side, in_channels] with values in [0, 1].  Each
+    block is a same-padded 3x3 convolution, a channel bias, a relu, and a
+    spatial mean-pool by the configured factor.
     """
     config = params.config
     expected = (config.image_side, config.image_side, config.in_channels)
-    image = np.asarray(image, dtype=np.float64)
-    if image.shape != expected:
-        raise DimensionError(f"backbone_forward: image shape {image.shape}, expected {expected}")
-    out = ad.tensor(image)
+    images = np.asarray(images, dtype=np.float64)
+    if images.shape[-3:] != expected:
+        raise DimensionError(
+            f"backbone_forward: images shape {images.shape}, expected trailing axes {expected}"
+        )
+    out = ad.tensor(images)
     for kernel, bias, factor in zip(
         params.backbone_kernels, params.backbone_biases, config.backbone_pools
     ):
@@ -186,31 +190,35 @@ def backbone_forward(params: ModelParams, image: np.ndarray) -> ad.Tensor:
     return out
 
 
-def attention_maps(params: ModelParams, feature_map: ad.Tensor) -> list[ad.Tensor]:
-    """Score one attention map per part; every entry lies in (0, 1)."""
+def attention_maps(params: ModelParams, feature_map: ad.Tensor) -> ad.Tensor:
+    """Score the attention maps [..., P, h, w] of all parts; entries lie in (0, 1)."""
     config = params.config
     expected = (config.feature_side, config.feature_side, config.feature_channels)
-    if feature_map.shape != expected:
+    if feature_map.shape[-3:] != expected:
         raise DimensionError(
-            f"attention_maps: feature map shape {feature_map.shape}, expected {expected}"
+            f"attention_maps: feature map shape {feature_map.shape}, "
+            f"expected trailing axes {expected}"
         )
     scores = ad.bias_add(ad.conv2d(feature_map, params.attention_kernel), params.attention_bias)
-    probs = ad.sigmoid(scores)
-    return [ad.channel_slice(probs, j) for j in range(config.parts)]
+    return ad.moveaxis(ad.sigmoid(scores), -1, -3)
 
 
 def attend(feature_map: ad.Tensor, attention: ad.Tensor) -> ad.Tensor:
-    """Gate every channel fiber of the feature map by one attention map."""
-    if attention.data.ndim != 2 or feature_map.data.ndim != 3:
+    """Gate every channel fiber of feature maps [..., H, W, C] by maps [..., H, W].
+
+    The leading axes broadcast, so maps [..., P, H, W] gate features
+    [..., 1, H, W, C] into one attended tensor per part.
+    """
+    if feature_map.data.ndim < 3 or attention.shape[-2:] != feature_map.shape[-3:-1]:
         raise DimensionError(
-            f"attend: need map [H, W] and tensor [H, W, C], got "
+            f"attend: need maps [..., H, W] and tensors [..., H, W, C], got "
             f"{attention.shape} and {feature_map.shape}"
         )
-    return ad.hadamard(attention, feature_map)
+    return ad.hadamard(ad.reshape(attention, (*attention.shape, 1)), feature_map)
 
 
 def local_refine(params: ModelParams, attended: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-    """Refine one attended map into a spatial tensor and its pooled vector.
+    """Refine attended maps into spatial tensors and their pooled vectors.
 
     The refinement weights are shared across parts, so refining part j can
     never touch the features of any other part.
@@ -223,7 +231,7 @@ def local_refine(params: ModelParams, attended: ad.Tensor) -> tuple[ad.Tensor, a
 
 
 def global_refine(params: ModelParams, feature_map: ad.Tensor) -> ad.Tensor:
-    """Independent refinement branch over the ungated feature map."""
+    """Independent refinement branch over the ungated feature maps."""
     refined = ad.avg_pool2(
         ad.relu(ad.bias_add(ad.conv2d(feature_map, params.global_kernel), params.global_bias)),
         REFINE_POOL,
@@ -231,25 +239,28 @@ def global_refine(params: ModelParams, feature_map: ad.Tensor) -> ad.Tensor:
     return ad.global_avg_pool(refined)
 
 
-def forward_features(params: ModelParams, image: np.ndarray) -> RefinedFeatures:
-    """Full feature pipeline for one image: backbone, attention, refinement."""
-    base = backbone_forward(params, image)
-    features = RefinedFeatures()
-    for attention in attention_maps(params, base):
-        refined_map, refined_vec = local_refine(params, attend(base, attention))
-        features.part_maps.append(refined_map)
-        features.part_vecs.append(refined_vec)
-    features.global_vec = global_refine(params, base)
-    return features
+def forward_features(params: ModelParams, images: np.ndarray) -> RefinedFeatures:
+    """Full feature pipeline for images [..., side, side, C]: backbone,
+    attention and refinement, with all parts attended and refined at once."""
+    base = backbone_forward(params, images)
+    per_part = ad.reshape(base, (*base.shape[:-3], 1, *base.shape[-3:]))
+    part_maps, part_vecs = local_refine(params, attend(per_part, attention_maps(params, base)))
+    return RefinedFeatures(part_maps, part_vecs, global_refine(params, base))
 
 
-def hash_layer(
-    params: ModelParams,
-    part_vecs: Sequence[ad.Tensor],
-    global_vec: ad.Tensor,
-    mode: str = "relaxed",
-):
-    """Map part and global vectors to a code.
+def descriptor(part_vecs: ad.Tensor, global_vec: ad.Tensor) -> ad.Tensor:
+    """Concatenate part vectors [..., P, C'] and global vectors [..., C'] into
+    the descriptors [..., (P + 1) C'] that the hash layer projects and
+    re-ranking compares."""
+    lead = global_vec.shape[:-1]
+    if part_vecs.data.ndim < 2 or part_vecs.shape[:-2] != lead:
+        raise DimensionError(f"descriptor: parts {part_vecs.shape} vs global {global_vec.shape}")
+    flat = ad.reshape(part_vecs, (*lead, part_vecs.shape[-2] * part_vecs.shape[-1]))
+    return ad.concat([flat, global_vec])
+
+
+def hash_layer(params: ModelParams, descriptors: ad.Tensor, mode: str = "relaxed"):
+    """Map descriptors [..., descriptor_dim] to codes [..., bits].
 
     In ``relaxed`` mode the result is a differentiable tanh code in
     (-1, 1)^q; in ``discrete`` mode it is a plain +/-1 ndarray using the
@@ -262,29 +273,24 @@ def hash_layer(
     that recentering one shared direction dominates every projection and
     all items collapse onto a single code.
 
+    Each descriptor is projected as its own matrix-vector product, so a
+    code does not depend on the descriptors stacked with it.
+
     Returns:
         A Tensor in relaxed mode, an ndarray in discrete mode.
     """
     config = params.config
     if mode not in ("relaxed", "discrete"):
         raise ContractError(f"hash_layer: unknown mode {mode!r}")
-    if len(part_vecs) != config.parts:
-        raise DimensionError(f"hash_layer: {len(part_vecs)} part vectors, expected {config.parts}")
-    for vec in (*part_vecs, global_vec):
-        if vec.shape != (config.refined_channels,):
-            raise DimensionError(
-                f"hash_layer: vector shape {vec.shape}, expected ({config.refined_channels},)"
-            )
-    descriptor = ad.concat([*part_vecs, global_vec])
-    column = ad.reshape(descriptor, (config.descriptor_dim, 1))
-    projected = ad.reshape(ad.matmul(params.hash_weight, column), (config.bits,))
+    if descriptors.data.ndim < 1 or descriptors.shape[-1] != config.descriptor_dim:
+        raise DimensionError(
+            f"hash_layer: descriptor shape {descriptors.shape}, "
+            f"expected [..., {config.descriptor_dim}]"
+        )
+    lead = descriptors.shape[:-1]
+    column = ad.reshape(descriptors, (*lead, config.descriptor_dim, 1))
+    projected = ad.reshape(ad.matmul(params.hash_weight, column), (*lead, config.bits))
     scores = ad.sub(projected, params.hash_bias)
     if mode == "relaxed":
         return ad.tanh(scores)
     return ad.sign_pm1(scores.data)
-
-
-def descriptor_vector(features: RefinedFeatures) -> np.ndarray:
-    """Concatenated real-valued descriptor used for re-ranking."""
-    pieces = [vec.data for vec in features.part_vecs] + [features.global_vec.data]
-    return np.concatenate(pieces)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .errors import ContractError, DimensionError, FileFormatError
 
 PQ_MAGIC = b"FHQ1"
@@ -210,7 +211,7 @@ def pq_rank(codebook: PQCodebook, codes: np.ndarray, query: np.ndarray) -> np.nd
 def save_pq(path: str | Path, codebook: PQCodebook, codes: np.ndarray) -> None:
     """FHQ1 file: magic, u64 subspaces/centroids/dim, centroid table, codes."""
     codes = _check_codes(codebook, codes)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(PQ_MAGIC)
         fh.write(struct.pack("<QQQ", codebook.subspaces, codebook.centroids_per_space,
                              codebook.dim))

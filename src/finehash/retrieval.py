@@ -21,6 +21,7 @@ from statistics import median
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .errors import ContractError, DimensionError, DomainError, FileFormatError, IngestionError
 
 logger = logging.getLogger(__name__)
@@ -186,7 +187,7 @@ def format_bytes(size: float) -> str:
 
 def save_packed(path: str | Path, packed: PackedCodes) -> None:
     """FHC1 file: magic, u64 count, u64 bits, row-major code words."""
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(CODE_MAGIC)
         fh.write(struct.pack("<QQ", len(packed), packed.bits))
         fh.write(packed.words.astype("<u8").tobytes(order="C"))
@@ -217,7 +218,7 @@ def save_features(path: str | Path, features: np.ndarray) -> None:
     features = np.asarray(features)
     if features.ndim != 2:
         raise DimensionError(f"save_features: shape {features.shape}, expected [n, dim]")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<QQ", features.shape[0], features.shape[1]))
         fh.write(features.astype("<f4").tobytes(order="C"))
@@ -241,7 +242,7 @@ def save_labels(path: str | Path, labels: np.ndarray) -> None:
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DimensionError(f"save_labels: shape {labels.shape}, expected [n]")
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LABEL_HEADER)
         for item_id, label in enumerate(labels):

@@ -10,9 +10,11 @@ One outer iteration runs three phases:
 3. anchor phase: per-class part-feature means over the full training
    database, used for feature exchanging once warm-up has passed.
 
-The weights stay fixed from the end of the weight phase to the end of the
-iteration, so one encoding of the training database serves three readers:
-the bit thresholds, the code phase's relaxed codes and the anchor means.
+Each SGD step of the weight phase is one forward pass, one objective and
+one backward pass over the whole batch.  The weights stay fixed from the
+end of the weight phase to the end of the iteration, so one encoding of the
+training database serves three readers: the bit thresholds, the code
+phase's relaxed codes and the anchor means.
 
 Every random draw comes from a per-iteration stream seeded by
 (seed, iteration + 1), so resuming from a checkpoint replays the exact
@@ -34,9 +36,13 @@ from .checkpoint import load_arrays, save_arrays
 from .data import Dataset, build_similarity
 from .errors import ContractError, DimensionError, DomainError, FileFormatError
 from .losses import LossWeights, auto_weights, total_objective
-from .model import ModelConfig, ModelParams, descriptor_vector, forward_features, hash_layer
+from .model import ModelConfig, ModelParams, descriptor, forward_features, hash_layer
 
 logger = logging.getLogger(__name__)
+
+# images per forward pass of encode_images: bounds the memory that encoding
+# the training database takes, without changing any code or descriptor
+ENCODE_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -175,8 +181,10 @@ def frobenius_objective(
 
 
 def encode_images(params: ModelParams, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete codes and refined descriptors for a stack of images.
+    """Discrete codes [n, bits] and refined descriptors [n, descriptor_dim]
+    for a stack of n images, encoded ENCODE_CHUNK images at a time.
 
+    An empty stack gives empty arrays whatever its trailing shape.
     Encoding never exchanges features: anchors are a training-time device,
     so the codes depend only on the network weights.
     """
@@ -184,10 +192,12 @@ def encode_images(params: ModelParams, images: np.ndarray) -> tuple[np.ndarray, 
     count = images.shape[0]
     codes = np.empty((count, params.config.bits))
     descriptors = np.empty((count, params.config.descriptor_dim))
-    for i in range(count):
-        features = forward_features(params, images[i])
-        codes[i] = hash_layer(params, features.part_vecs, features.global_vec, mode="discrete")
-        descriptors[i] = descriptor_vector(features)
+    for start in range(0, count, ENCODE_CHUNK):
+        rows = slice(start, start + ENCODE_CHUNK)
+        features = forward_features(params, images[rows])
+        described = descriptor(features.part_vecs, features.global_vec)
+        codes[rows] = hash_layer(params, described, mode="discrete")
+        descriptors[rows] = described.data
     return codes, descriptors
 
 
@@ -381,28 +391,19 @@ class AlternatingTrainer:
     def _iteration_rng(self, iteration: int) -> np.random.Generator:
         return np.random.default_rng([self.train_config.seed, iteration + 1])
 
-    def _relaxed_code(self, index: int, rng: np.random.Generator, exchanging: bool):
-        """Forward one training image; returns (features, relaxed code tensor)."""
-        features = forward_features(self.params, self.train_images[index])
-        part_vecs = features.part_vecs
-        if exchanging:
-            mask = draw_keep_mask(rng, self.model_config.parts)
-            part_vecs = exchange_features(
-                part_vecs, self.anchors.get(int(self.train_labels[index])), mask
-            )
-        relaxed = hash_layer(self.params, part_vecs, features.global_vec, mode="relaxed")
-        return features, relaxed
-
     def _theta_batch(self, batch: np.ndarray, rate: float, rng, exchanging: bool) -> float:
         """One SGD step on the batch mean of the per-sample objective."""
         with ad.Tape() as tape:
-            feature_sets, relaxed_list = [], []
-            for index in batch:
-                features, relaxed = self._relaxed_code(int(index), rng, exchanging)
-                feature_sets.append(features)
-                relaxed_list.append(relaxed)
+            features = forward_features(self.params, self.train_images[batch])
+            part_vecs = features.part_vecs
+            if exchanging:
+                labels = self.train_labels[batch]
+                mask = draw_keep_mask(rng, (len(batch), self.model_config.parts))
+                part_vecs = exchange_features(part_vecs, self.anchors.rows(labels), mask)
+            relaxed = hash_layer(self.params, descriptor(part_vecs, features.global_vec),
+                                 mode="relaxed")
             sim_rows = build_similarity(self.train_labels[batch], self.train_labels)
-            total = total_objective(relaxed_list, feature_sets, self.codes, sim_rows,
+            total = total_objective(relaxed, features, self.codes, sim_rows,
                                     self.model_config.bits, self._weights)
             loss = ad.scale(
                 total, 1.0 / (len(batch) * self.db_size * self.model_config.bits)
@@ -439,10 +440,7 @@ class AlternatingTrainer:
         config = self.train_config
         if config.code_sweeps == 0:
             return None
-        # stacked matrix-vector products, one per row, round exactly like
-        # hash_layer; a flat matrix product may differ in the last ulp
-        projected = (self.params.hash_weight.data @ descriptors[subset][:, :, None])[:, :, 0]
-        relaxed = np.tanh(projected - self.params.hash_bias.data)
+        relaxed = hash_layer(self.params, ad.tensor(descriptors[subset]), mode="relaxed").data
         sim = build_similarity(self.train_labels[subset], self.train_labels)
         self.codes = sweep_codes(relaxed, self.codes, sim, self.model_config.bits,
                                  config.code_sweeps)

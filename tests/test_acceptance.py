@@ -22,7 +22,7 @@ from finehash.cli import main as cli_main
 from finehash.config import default_run_config
 from finehash.data import SynthConfig, build_similarity, generate_synthetic
 from finehash.losses import LossWeights, total_objective
-from finehash.model import ModelConfig, ModelParams, forward_features, hash_layer
+from finehash.model import ModelConfig, ModelParams, descriptor, forward_features, hash_layer
 from finehash.pq import adc_distances, encode_pq, kmeans, pq_rank, train_pq
 from finehash.retrieval import (
     RetrievalIndex,
@@ -123,31 +123,36 @@ def _op_cases(rng):
         ("sigmoid", ad.sigmoid, [rng.standard_normal(6)]),
         ("sqrt", ad.sqrt, [rng.uniform(0.5, 2.0, size=(3, 3))]),
         ("matmul", ad.matmul, [rng.standard_normal((2, 3)), rng.standard_normal((3, 4))]),
-        ("dot", ad.dot, [rng.standard_normal(5), rng.standard_normal(5)]),
         ("concat", lambda a, b, c: ad.concat([a, b, c]),
          [rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(1)]),
         ("reshape", lambda a: ad.reshape(a, (3, 4)), [rng.standard_normal((2, 6))]),
         ("sum_all", ad.sum_all, [rng.standard_normal((3, 3))]),
         ("channel_sum", ad.channel_sum, [rng.standard_normal((4, 4, 3))]),
-        ("channel_slice", lambda a: ad.channel_slice(a, 2), [rng.standard_normal((3, 3, 4))]),
         ("softmax", ad.softmax, [rng.standard_normal(6)]),
         ("global_avg_pool", ad.global_avg_pool, [rng.standard_normal((4, 4, 3))]),
         ("avg_pool2", lambda a: ad.avg_pool2(a, 2), [rng.standard_normal((4, 4, 2))]),
         ("bias_add", ad.bias_add, [rng.standard_normal((3, 3, 2)), rng.standard_normal(2)]),
         ("conv2d", ad.conv2d, [rng.standard_normal((5, 5, 2)),
                                rng.standard_normal((3, 3, 2, 3)) * 0.5]),
+        ("moveaxis", lambda a: ad.moveaxis(a, -1, -3), [rng.standard_normal((2, 3, 4, 5))]),
+        # leading axes: a stack of maps or vectors in one call
+        ("conv2d_stacked", ad.conv2d, [rng.standard_normal((2, 3, 4, 4, 2)),
+                                       rng.standard_normal((3, 3, 2, 3)) * 0.5]),
+        ("global_avg_pool_stacked", ad.global_avg_pool, [rng.standard_normal((2, 3, 4, 4, 3))]),
+        ("avg_pool2_stacked", lambda a: ad.avg_pool2(a, 2), [rng.standard_normal((3, 4, 4, 2))]),
+        ("softmax_stacked", ad.softmax, [rng.standard_normal((2, 3, 6))]),
+        ("hadamard_broadcast", ad.hadamard, [rng.standard_normal((2, 4, 4, 1)),
+                                             rng.standard_normal((4, 4, 3))]),
+        ("matmul_broadcast", ad.matmul, [rng.standard_normal((3, 4)),
+                                         rng.standard_normal((2, 4, 2))]),
     ]
 
 
 def _toy_batch_loss(params, images, codes, sim, bits, weights):
-    relaxed_list, feature_sets = [], []
-    for image in images:
-        features = forward_features(params, image)
-        relaxed_list.append(
-            hash_layer(params, features.part_vecs, features.global_vec, mode="relaxed")
-        )
-        feature_sets.append(features)
-    return total_objective(relaxed_list, feature_sets, codes, sim, bits, weights)
+    features = forward_features(params, images)
+    relaxed = hash_layer(params, descriptor(features.part_vecs, features.global_vec),
+                         mode="relaxed")
+    return total_objective(relaxed, features, codes, sim, bits, weights)
 
 
 def test_01_gradients_match_finite_differences():
@@ -233,8 +238,7 @@ def test_03_anchors_equal_class_part_means(small_trained):
     trainer = small_trained
     by_class: dict[int, list[np.ndarray]] = {}
     for image, label in zip(trainer.train_images, trainer.train_labels):
-        features = forward_features(trainer.params, image)
-        stacked = np.stack([vec.data for vec in features.part_vecs])
+        stacked = forward_features(trainer.params, image).part_vecs.data
         by_class.setdefault(int(label), []).append(stacked)
     worst = max(
         float(np.max(np.abs(trainer.anchors.get(c) - np.mean(np.stack(rows), axis=0))))
@@ -251,14 +255,14 @@ def test_03_anchors_equal_class_part_means(small_trained):
 
 def test_04_exchange_identity_anchors_and_encode_invariance(small_trained):
     rng = np.random.default_rng(44)
-    parts = [ad.tensor(rng.standard_normal(5)) for _ in range(3)]
+    parts = ad.tensor(rng.standard_normal((3, 5)))
     anchors = rng.standard_normal((3, 5))
 
     kept = exchange_features(parts, anchors, np.ones(3))
-    identity = all(np.array_equal(out.data, vec.data) for out, vec in zip(kept, parts))
+    identity = bool(np.array_equal(kept.data, parts.data))
 
     swapped = exchange_features(parts, anchors, np.zeros(3))
-    to_anchors = all(np.array_equal(out.data, anchors[j]) for j, out in enumerate(swapped))
+    to_anchors = bool(np.array_equal(swapped.data, anchors))
 
     trainer = small_trained
     probe = trainer.train_images[:4]

@@ -86,6 +86,18 @@ class TestAnchorBank:
         with pytest.raises(DimensionError):
             anchors.AnchorBank({0: np.zeros((2, 3)), 1: np.zeros((2, 4))})
 
+    def test_rows_stack_each_label_anchors(self):
+        rng = np.random.default_rng(6)
+        bank = anchors.AnchorBank({c: rng.standard_normal((2, 3)) for c in (1, 4, 9)})
+        labels = np.array([9, 1, 9, 4])
+        rows = bank.rows(labels)
+        assert rows.shape == (4, 2, 3)
+        for row, label in zip(rows, labels):
+            assert np.array_equal(row, bank.get(label))
+        for missing in (0, 5, 10):
+            with pytest.raises(KeyError):
+                bank.rows(np.array([1, missing]))
+
 
 class TestDrawKeepMask:
     def test_deterministic_under_seed(self):
@@ -107,10 +119,18 @@ class TestDrawKeepMask:
         with pytest.raises(ContractError):
             anchors.draw_keep_mask(np.random.default_rng(0), -1)
 
+    def test_batch_draw_equals_per_sample_draws(self):
+        for parts in (1, 3, 4):
+            batched, serial = np.random.default_rng(3), np.random.default_rng(3)
+            masks = anchors.draw_keep_mask(batched, (5, parts))
+            expected = np.stack([anchors.draw_keep_mask(serial, parts) for _ in range(5)])
+            assert np.array_equal(masks, expected)
+            assert batched.bit_generator.state == serial.bit_generator.state
+
 
 class TestExchangeFeatures:
     def _setup(self, rng, parts=3, dim=4):
-        vecs = [ad.parameter(rng.standard_normal(dim)) for _ in range(parts)]
+        vecs = ad.parameter(np.stack([rng.standard_normal(dim) for _ in range(parts)]))
         bank_anchors = rng.standard_normal((parts, dim))
         return vecs, bank_anchors
 
@@ -118,33 +138,35 @@ class TestExchangeFeatures:
         rng = np.random.default_rng(8)
         vecs, bank_anchors = self._setup(rng)
         out = anchors.exchange_features(vecs, bank_anchors, np.ones(3, dtype=int))
-        assert all(o is v for o, v in zip(out, vecs))
+        assert np.array_equal(out.data, vecs.data)
 
     def test_all_zeros_substitutes_anchors(self):
         rng = np.random.default_rng(9)
         vecs, bank_anchors = self._setup(rng)
-        out = anchors.exchange_features(vecs, bank_anchors, np.zeros(3, dtype=int))
-        for j, o in enumerate(out):
-            assert np.array_equal(o.data, bank_anchors[j])
-            assert not o.requires_grad
+        with ad.Tape() as tape:
+            out = anchors.exchange_features(vecs, bank_anchors, np.zeros(3, dtype=int))
+            loss = ad.sum_all(ad.hadamard(out, out))
+        tape.backward(loss)
+        assert np.array_equal(out.data, bank_anchors)
+        assert np.array_equal(vecs.grad, np.zeros_like(vecs.data))
 
     def test_mixed_mask(self):
         rng = np.random.default_rng(10)
         vecs, bank_anchors = self._setup(rng)
         out = anchors.exchange_features(vecs, bank_anchors, np.array([1, 0, 1]))
-        assert out[0] is vecs[0]
-        assert np.array_equal(out[1].data, bank_anchors[1])
-        assert out[2] is vecs[2]
+        assert np.array_equal(out.data[0], vecs.data[0])
+        assert np.array_equal(out.data[1], bank_anchors[1])
+        assert np.array_equal(out.data[2], vecs.data[2])
 
     def test_gradients_flow_only_through_kept_parts(self):
         rng = np.random.default_rng(11)
         with ad.Tape() as tape:
             vecs, bank_anchors = self._setup(rng, parts=2)
             out = anchors.exchange_features(vecs, bank_anchors, np.array([1, 0]))
-            loss = ad.add(ad.dot(out[0], out[0]), ad.dot(out[1], out[1]))
+            loss = ad.sum_all(ad.hadamard(out, out))
         tape.backward(loss)
-        assert np.linalg.norm(vecs[0].grad) > 0.0
-        assert vecs[1].grad is None or np.allclose(vecs[1].grad, 0.0)
+        assert np.linalg.norm(vecs.grad[0]) > 0.0
+        assert np.allclose(vecs.grad[1], 0.0)
 
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(12)

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from finehash import checkpoint
 from finehash.checkpoint import MAGIC, load_arrays, save_arrays
+from finehash.data import Dataset, write_dataset
 from finehash.errors import FileFormatError
+from finehash.pq import PQCodebook, save_pq
+from finehash.retrieval import pack_codes, save_features, save_labels, save_packed
 
 
 class TestRoundTrip:
@@ -71,3 +75,57 @@ class TestCrashSafety:
         assert list(tmp_path.iterdir()) == [path]
         assert list(load_arrays(path)) == ["w"]
         assert np.array_equal(load_arrays(path)["w"], np.arange(3.0))
+
+
+class _FailingWrites:
+    """File wrapper whose second write raises, as a full disk would."""
+
+    def __init__(self, fh):
+        self._fh, self._writes = fh, 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError("no space left on device")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+def _write_manifest(path, value):
+    names = ["a", "b"] if value > 0 else ["c", "d"]
+    dataset = Dataset(images=np.zeros((2, 4, 4, 3)), labels=np.array([0, 1]),
+                      splits=np.array(["train-db", "query"]), label_names=names)
+    write_dataset(dataset, path.parent)
+
+
+# each writer called with a value that changes what it writes
+WRITERS = {
+    "save_packed": lambda path, v: save_packed(path, pack_codes(np.full((3, 8), v))),
+    "save_features": lambda path, v: save_features(path, np.full((3, 4), v)),
+    "save_labels": lambda path, v: save_labels(path, np.full(3, int(v))),
+    "save_pq": lambda path, v: save_pq(path, PQCodebook(np.full((2, 1, 2), v)),
+                                       np.zeros((3, 2), dtype=np.uint8)),
+    "write_dataset": _write_manifest,
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_failed_artifact_write_keeps_previous_file(writer, tmp_path, monkeypatch):
+    path = tmp_path / ("manifest.csv" if writer == "write_dataset" else "artifact")
+    WRITERS[writer](path, 1.0)
+    before = path.read_bytes()
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *args, **kwargs: _FailingWrites(open(*args, **kwargs)),
+                        raising=False)
+    with pytest.raises(OSError):
+        WRITERS[writer](path, -1.0)
+    assert path.read_bytes() == before
+    assert not path.with_name(path.name + ".tmp").exists()

@@ -285,11 +285,6 @@ class TestQuery:
             got = [int(row[2]) for row in rows if int(row[0]) == i]
             assert got == expected.tolist()
 
-    def test_workers_share_one_answer(self, workspace):
-        _, serial = run_cli(self.query_args(workspace, ["--topk", "5"]))
-        _, threaded = run_cli(self.query_args(workspace, ["--topk", "5", "--workers", "3"]))
-        assert threaded == serial
-
     def test_topk_beyond_database_exits_2(self, workspace):
         code, _ = run_cli(self.query_args(workspace, ["--topk", "99"]))
         assert code == 2

@@ -309,6 +309,23 @@ class TestManifest:
         with pytest.raises(IngestionError, match="shape"):
             load_manifest(root / "manifest.csv")
 
+    def test_failed_image_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        import finehash.data as data_module
+
+        written = []
+
+        def fail_on_fourth(path, image):
+            if len(written) == 3:
+                raise OSError("no space left on device")
+            written.append(path)
+            write_ppm(path, image)
+
+        monkeypatch.setattr(data_module, "write_ppm", fail_on_fourth)
+        with pytest.raises(OSError):
+            write_dataset(generate_synthetic(SMALL), tmp_path / "set")
+        assert len(written) == 3
+        assert not (tmp_path / "set" / "manifest.csv").exists()
+
     def test_empty_manifest_gives_empty_dataset(self, tmp_path):
         root = tmp_path / "set"
         root.mkdir()

@@ -55,9 +55,10 @@ def naive_channel(vecs, margin):
 
 
 def features_from(part_maps, part_vecs):
+    """Stacked features of a batch from nested [sample][part] arrays."""
     return RefinedFeatures(
-        part_maps=[ad.tensor(m) for m in part_maps],
-        part_vecs=[ad.tensor(v) for v in part_vecs],
+        part_maps=ad.tensor(np.array(part_maps)),
+        part_vecs=ad.tensor(np.array(part_vecs)),
         global_vec=None,
     )
 
@@ -166,7 +167,7 @@ class TestSpatialDiversityLoss:
     def test_identical_parts_give_one(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((3, 3, 2))
-        maps = [ad.tensor(m.copy()) for _ in range(3)]
+        maps = ad.tensor(np.stack([m.copy() for _ in range(3)]))
         assert losses.spatial_diversity_loss(maps).item() == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_attention_near_zero(self):
@@ -174,46 +175,45 @@ class TestSpatialDiversityLoss:
         b = np.zeros((2, 2, 1))
         a[0, 0, 0] = 40.0
         b[1, 1, 0] = 40.0
-        loss = losses.spatial_diversity_loss([ad.tensor(a), ad.tensor(b)]).item()
+        loss = losses.spatial_diversity_loss(ad.tensor(np.stack([a, b]))).item()
         assert loss == pytest.approx(0.0, abs=1e-5)
 
     def test_single_part_rejected(self):
         with pytest.raises(ContractError):
-            losses.spatial_diversity_loss([ad.tensor(np.zeros((2, 2, 1)))])
+            losses.spatial_diversity_loss(ad.tensor(np.zeros((1, 2, 2, 1))))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
         maps = [rng.standard_normal((3, 3, 2)) for _ in range(3)]
-        a = losses.spatial_diversity_loss([ad.tensor(m) for m in maps]).item()
-        b = losses.spatial_diversity_loss([ad.tensor(m) for m in maps[::-1]]).item()
+        a = losses.spatial_diversity_loss(ad.tensor(np.stack(maps))).item()
+        b = losses.spatial_diversity_loss(ad.tensor(np.stack(maps[::-1]))).item()
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_matches_naive(self):
         rng = np.random.default_rng(9)
         maps = [rng.standard_normal((4, 3, 2)) for _ in range(3)]
-        got = losses.spatial_diversity_loss([ad.tensor(m) for m in maps]).item()
+        got = losses.spatial_diversity_loss(ad.tensor(np.stack(maps))).item()
         assert got == pytest.approx(naive_spatial(maps), abs=1e-5)
 
     def test_gradients(self):
         rng = np.random.default_rng(10)
-        maps = [rng.standard_normal((3, 3, 2)) for _ in range(2)]
+        maps = np.stack([rng.standard_normal((3, 3, 2)) for _ in range(2)])
 
-        def value(*arrays):
-            return losses.spatial_diversity_loss([ad.tensor(a) for a in arrays]).item()
+        def value(stacked):
+            return losses.spatial_diversity_loss(ad.tensor(stacked)).item()
 
         with ad.Tape() as tape:
-            leaves = [ad.parameter(m) for m in maps]
-            loss = losses.spatial_diversity_loss(leaves)
+            leaf = ad.parameter(maps)
+            loss = losses.spatial_diversity_loss(leaf)
         tape.backward(loss)
-        numeric = helpers.finite_difference(value, [m.copy() for m in maps])
-        for leaf, expected in zip(leaves, numeric):
-            assert helpers.relative_error(leaf.grad, expected) < 1e-4
+        numeric = helpers.finite_difference(value, [maps.copy()])
+        assert helpers.relative_error(leaf.grad, numeric[0]) < 1e-4
 
 
 class TestChannelDiversityLoss:
     def test_identical_vectors_give_margin(self):
         v = np.random.default_rng(11).standard_normal(6)
-        vecs = [ad.tensor(v.copy()) for _ in range(4)]
+        vecs = ad.tensor(np.stack([v.copy() for _ in range(4)]))
         assert losses.channel_diversity_loss(vecs, 0.4).item() == pytest.approx(0.4, abs=1e-9)
 
     def test_separated_vectors_give_zero(self):
@@ -221,51 +221,50 @@ class TestChannelDiversityLoss:
         b = np.zeros(4)
         a[0] = 30.0
         b[3] = 30.0
-        loss = losses.channel_diversity_loss([ad.tensor(a), ad.tensor(b)], 0.4).item()
+        loss = losses.channel_diversity_loss(ad.tensor(np.stack([a, b])), 0.4).item()
         assert loss == 0.0
 
     def test_zero_margin_gives_zero(self):
         rng = np.random.default_rng(12)
-        vecs = [ad.tensor(rng.standard_normal(5)) for _ in range(3)]
+        vecs = ad.tensor(np.stack([rng.standard_normal(5) for _ in range(3)]))
         assert losses.channel_diversity_loss(vecs, 0.0).item() == 0.0
 
     def test_bounded_by_margin(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            vecs = [ad.tensor(rng.standard_normal(6)) for _ in range(3)]
+            vecs = ad.tensor(np.stack([rng.standard_normal(6) for _ in range(3)]))
             loss = losses.channel_diversity_loss(vecs, 0.4).item()
             assert 0.0 <= loss <= 0.4 + 1e-12
 
     def test_matches_naive(self):
         rng = np.random.default_rng(14)
         vecs = [rng.standard_normal(7) * 0.3 for _ in range(3)]
-        got = losses.channel_diversity_loss([ad.tensor(v) for v in vecs], 0.9).item()
+        got = losses.channel_diversity_loss(ad.tensor(np.stack(vecs)), 0.9).item()
         assert got == pytest.approx(naive_channel(vecs, 0.9), abs=1e-5)
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ContractError):
-            losses.channel_diversity_loss([ad.tensor(np.zeros(3))] * 2, -0.1)
+            losses.channel_diversity_loss(ad.tensor(np.zeros((2, 3))), -0.1)
 
     def test_gradients_with_active_hinge(self):
         rng = np.random.default_rng(15)
-        vecs = [rng.standard_normal(5) * 0.2 for _ in range(3)]
+        vecs = np.stack([rng.standard_normal(5) * 0.2 for _ in range(3)])
 
-        def value(*arrays):
-            return losses.channel_diversity_loss([ad.tensor(a) for a in arrays], 0.9).item()
+        def value(stacked):
+            return losses.channel_diversity_loss(ad.tensor(stacked), 0.9).item()
 
         with ad.Tape() as tape:
-            leaves = [ad.parameter(v) for v in vecs]
-            loss = losses.channel_diversity_loss(leaves, 0.9)
+            leaf = ad.parameter(vecs)
+            loss = losses.channel_diversity_loss(leaf, 0.9)
         tape.backward(loss)
         assert loss.item() > 0.05  # hinge active, away from the kink
-        numeric = helpers.finite_difference(value, [v.copy() for v in vecs])
-        for leaf, expected in zip(leaves, numeric):
-            assert helpers.relative_error(leaf.grad, expected) < 1e-4
+        numeric = helpers.finite_difference(value, [vecs.copy()])
+        assert helpers.relative_error(leaf.grad, numeric[0]) < 1e-4
 
 
 def one_pair_loss(relaxed, db_code, sim, bits):
     return losses.batch_similarity_loss(
-        [ad.tensor(relaxed)], np.array([db_code]), np.array([[sim]]), bits
+        ad.tensor([relaxed]), np.array([db_code]), np.array([[sim]]), bits
     ).item()
 
 
@@ -301,7 +300,7 @@ class TestBatchSimilarityLoss:
         codes = np.where(rng.random((n, bits)) < 0.5, -1.0, 1.0)
         sims = np.where(rng.random((batch, n)) < 0.5, -1.0, 1.0)
         batched = losses.batch_similarity_loss(
-            [ad.tensor(u) for u in relaxed], codes, sims, bits
+            ad.tensor(np.stack(relaxed)), codes, sims, bits
         ).item()
         by_pairs = sum(
             (relaxed[i] @ codes[j] - bits * sims[i, j]) ** 2
@@ -313,12 +312,13 @@ class TestBatchSimilarityLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             losses.batch_similarity_loss(
-                [ad.tensor(np.zeros(4))], np.ones((3, 4)), np.ones((2, 3)), 4
+                ad.tensor(np.zeros((1, 4))), np.ones((3, 4)), np.ones((2, 3)), 4
             )
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
-            losses.batch_similarity_loss([], np.ones((3, 4)), np.ones((0, 3)), 4)
+            losses.batch_similarity_loss(ad.tensor(np.zeros((0, 4))), np.ones((3, 4)),
+                                         np.ones((0, 3)), 4)
 
 
 class TestTotalObjective:
@@ -328,17 +328,17 @@ class TestTotalObjective:
         sims = np.where(rng.random((batch, n)) < 0.5, -1.0, 1.0)
         maps = [[rng.standard_normal((2, 2, 3)) for _ in range(parts)] for _ in range(batch)]
         vecs = [[rng.standard_normal(3) for _ in range(parts)] for _ in range(batch)]
-        feats = [features_from(maps[i], vecs[i]) for i in range(batch)]
+        feats = features_from(maps, vecs)
         return relaxed, codes, sims, maps, vecs, feats
 
     def test_zero_weights_reduce_to_similarity(self):
         rng = np.random.default_rng(18)
         relaxed, codes, sims, _, _, feats = self._random_case(rng)
         total = losses.total_objective(
-            [ad.tensor(u) for u in relaxed], feats, codes, sims, 3, losses.LossWeights()
+            ad.tensor(np.stack(relaxed)), feats, codes, sims, 3, losses.LossWeights()
         ).item()
         expected = losses.batch_similarity_loss(
-            [ad.tensor(u) for u in relaxed], codes, sims, 3
+            ad.tensor(np.stack(relaxed)), codes, sims, 3
         ).item()
         assert total == pytest.approx(expected, rel=1e-12)
 
@@ -347,10 +347,10 @@ class TestTotalObjective:
         code = np.where(rng.random(4) < 0.5, -1.0, 1.0)
         part_map = rng.standard_normal((2, 2, 3))
         part_vec = rng.standard_normal(3)
-        feats = [features_from([part_map, part_map.copy()], [part_vec, part_vec.copy()])]
+        feats = features_from([[part_map, part_map.copy()]], [[part_vec, part_vec.copy()]])
         weights = losses.LossWeights(spatial=0.7, channel=1.3, margin=0.4)
         total = losses.total_objective(
-            [ad.tensor(code)], feats, code[None, :], np.array([[1.0]]), 4, weights
+            ad.tensor(code[None, :]), feats, code[None, :], np.array([[1.0]]), 4, weights
         ).item()
         assert total == pytest.approx(0.7 * 1.0 + 1.3 * 0.4, abs=1e-9)
 
@@ -359,10 +359,10 @@ class TestTotalObjective:
         relaxed, codes, sims, maps, vecs, feats = self._random_case(rng)
         weights = losses.LossWeights(spatial=0.5, channel=0.25, margin=0.9)
         total = losses.total_objective(
-            [ad.tensor(u) for u in relaxed], feats, codes, sims, 3, weights
+            ad.tensor(np.stack(relaxed)), feats, codes, sims, 3, weights
         ).item()
         expected = losses.batch_similarity_loss(
-            [ad.tensor(u) for u in relaxed], codes, sims, 3
+            ad.tensor(np.stack(relaxed)), codes, sims, 3
         ).item()
         for i in range(len(relaxed)):
             expected += 0.5 * naive_spatial(maps[i]) + 0.25 * naive_channel(vecs[i], 0.9)
@@ -380,18 +380,14 @@ class TestTotalObjective:
         vec1 = rng.standard_normal(3) * 0.2
         weights = losses.LossWeights(spatial=0.6, channel=0.8, margin=0.9)
 
-        def build(u, m0, m1, v0, v1):
-            feats = [
-                RefinedFeatures(
-                    part_maps=[m0, m1], part_vecs=[v0, v1], global_vec=None
-                )
-            ]
-            return losses.total_objective([u], feats, codes, sims, bits, weights)
+        def build(u, maps, vecs):
+            feats = RefinedFeatures(part_maps=maps, part_vecs=vecs, global_vec=None)
+            return losses.total_objective(u, feats, codes, sims, bits, weights)
 
         def value(*arrays):
             return build(*[ad.tensor(a) for a in arrays]).item()
 
-        arrays = [u0, map0, map1, vec0, vec1]
+        arrays = [u0[None], np.stack([map0, map1])[None], np.stack([vec0, vec1])[None]]
         with ad.Tape() as tape:
             leaves = [ad.parameter(a) for a in arrays]
             loss = build(*leaves)

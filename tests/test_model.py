@@ -87,10 +87,8 @@ class TestAttention:
         params = model.ModelParams.initialize(config, rng)
         base = model.backbone_forward(params, rng.uniform(size=(8, 8, 3)))
         maps = model.attention_maps(params, base)
-        assert len(maps) == config.parts
-        for attn in maps:
-            assert attn.shape == (config.feature_side, config.feature_side)
-            assert np.all(attn.data > 0.0) and np.all(attn.data < 1.0)
+        assert maps.shape == (config.parts, config.feature_side, config.feature_side)
+        assert np.all(maps.data > 0.0) and np.all(maps.data < 1.0)
 
     def test_zero_head_gives_exactly_half(self, rng):
         config = small_config()
@@ -98,8 +96,7 @@ class TestAttention:
         params.attention_kernel.data[:] = 0.0
         params.attention_bias.data[:] = 0.0
         base = model.backbone_forward(params, rng.uniform(size=(8, 8, 3)))
-        for attn in model.attention_maps(params, base):
-            assert np.all(attn.data == 0.5)
+        assert np.all(model.attention_maps(params, base).data == 0.5)
 
     def test_wrong_feature_shape_rejected(self, rng):
         params = model.ModelParams.initialize(small_config(), rng)
@@ -161,7 +158,7 @@ class TestRefinement:
         params = model.ModelParams.initialize(config, rng)
         image = rng.uniform(size=(8, 8, 3))
         base = model.backbone_forward(params, image)
-        maps = model.attention_maps(params, base)
+        maps = [ad.tensor(m) for m in model.attention_maps(params, base).data]
 
         def refine_all(attention_maps):
             return [model.local_refine(params, model.attend(base, a))[1].data for a in attention_maps]
@@ -186,12 +183,16 @@ class TestHashLayer:
     def _features(self, params, rng):
         return model.forward_features(params, rng.uniform(size=(8, 8, 3)))
 
+    def _descriptor(self, params, rng):
+        feats = self._features(params, rng)
+        return model.descriptor(feats.part_vecs, feats.global_vec)
+
     def test_relaxed_range_and_discrete_signs(self, rng):
         config = small_config()
         params = model.ModelParams.initialize(config, rng)
-        feats = self._features(params, rng)
-        relaxed = model.hash_layer(params, feats.part_vecs, feats.global_vec, "relaxed")
-        discrete = model.hash_layer(params, feats.part_vecs, feats.global_vec, "discrete")
+        desc = self._descriptor(params, rng)
+        relaxed = model.hash_layer(params, desc, "relaxed")
+        discrete = model.hash_layer(params, desc, "discrete")
         assert relaxed.shape == (config.bits,)
         assert np.all(np.abs(relaxed.data) < 1.0)
         assert set(np.unique(discrete)) <= {-1.0, 1.0}
@@ -199,38 +200,39 @@ class TestHashLayer:
     def test_sign_consistency_between_modes(self, rng):
         config = small_config()
         params = model.ModelParams.initialize(config, rng)
-        feats = self._features(params, rng)
-        relaxed = model.hash_layer(params, feats.part_vecs, feats.global_vec, "relaxed")
-        discrete = model.hash_layer(params, feats.part_vecs, feats.global_vec, "discrete")
+        desc = self._descriptor(params, rng)
+        relaxed = model.hash_layer(params, desc, "relaxed")
+        discrete = model.hash_layer(params, desc, "discrete")
         assert np.array_equal(ad.sign_pm1(relaxed.data), discrete)
 
     def test_zero_weight_row_convention(self, rng):
         config = small_config()
         params = model.ModelParams.initialize(config, rng)
         params.hash_weight.data[0, :] = 0.0
-        feats = self._features(params, rng)
-        relaxed = model.hash_layer(params, feats.part_vecs, feats.global_vec, "relaxed")
-        discrete = model.hash_layer(params, feats.part_vecs, feats.global_vec, "discrete")
+        desc = self._descriptor(params, rng)
+        relaxed = model.hash_layer(params, desc, "relaxed")
+        discrete = model.hash_layer(params, desc, "discrete")
         assert relaxed.data[0] == 0.0
         assert discrete[0] == 1.0
 
     def test_bad_mode_rejected(self, rng):
         params = model.ModelParams.initialize(small_config(), rng)
-        feats = self._features(params, rng)
+        desc = self._descriptor(params, rng)
         with pytest.raises(ContractError):
-            model.hash_layer(params, feats.part_vecs, feats.global_vec, "binary")
+            model.hash_layer(params, desc, "binary")
 
     def test_part_count_mismatch_rejected(self, rng):
         params = model.ModelParams.initialize(small_config(), rng)
         feats = self._features(params, rng)
         with pytest.raises(DimensionError):
-            model.hash_layer(params, feats.part_vecs[:1], feats.global_vec)
+            model.hash_layer(params, model.descriptor(ad.tensor(feats.part_vecs.data[:1]),
+                                                      feats.global_vec))
 
     def test_vector_length_mismatch_rejected(self, rng):
         params = model.ModelParams.initialize(small_config(), rng)
         feats = self._features(params, rng)
         with pytest.raises(DimensionError):
-            model.hash_layer(params, feats.part_vecs, ad.tensor(np.zeros(5)))
+            model.hash_layer(params, model.descriptor(feats.part_vecs, ad.tensor(np.zeros(5))))
 
 
 class TestEndToEnd:
@@ -238,9 +240,9 @@ class TestEndToEnd:
         config = small_config()
         params = model.ModelParams.initialize(config, rng)
         feats = model.forward_features(params, rng.uniform(size=(8, 8, 3)))
-        desc = model.descriptor_vector(feats)
+        desc = model.descriptor(feats.part_vecs, feats.global_vec).data
         assert desc.shape == (config.descriptor_dim,)
-        assert np.array_equal(desc[: config.refined_channels], feats.part_vecs[0].data)
+        assert np.array_equal(desc[: config.refined_channels], feats.part_vecs.data[0])
         assert np.array_equal(desc[-config.refined_channels :], feats.global_vec.data)
 
     def test_same_seed_same_codes(self):
@@ -250,7 +252,8 @@ class TestEndToEnd:
         for _ in range(2):
             params = model.ModelParams.initialize(config, np.random.default_rng(77))
             feats = model.forward_features(params, image)
-            codes.append(model.hash_layer(params, feats.part_vecs, feats.global_vec, "discrete"))
+            desc = model.descriptor(feats.part_vecs, feats.global_vec)
+            codes.append(model.hash_layer(params, desc, "discrete"))
         assert np.array_equal(codes[0], codes[1])
 
     def test_gradients_reach_every_stage(self, rng):
@@ -259,8 +262,9 @@ class TestEndToEnd:
         image = rng.uniform(size=(8, 8, 3))
         with ad.Tape() as tape:
             feats = model.forward_features(params, image)
-            relaxed = model.hash_layer(params, feats.part_vecs, feats.global_vec, "relaxed")
-            loss = ad.dot(relaxed, relaxed)
+            desc = model.descriptor(feats.part_vecs, feats.global_vec)
+            relaxed = model.hash_layer(params, desc, "relaxed")
+            loss = ad.sum_all(ad.hadamard(relaxed, relaxed))
         tape.backward(loss)
         for name, tens in params.named().items():
             assert tens.grad is not None, f"{name} missing grad"
@@ -276,13 +280,15 @@ class TestEndToEnd:
         def value(*arrays):
             trial = model.ModelParams.from_arrays(config, dict(zip(names, arrays)))
             feats = model.forward_features(trial, image)
-            relaxed = model.hash_layer(trial, feats.part_vecs, feats.global_vec, "relaxed")
-            return ad.dot(relaxed, ad.tensor(target)).item()
+            desc = model.descriptor(feats.part_vecs, feats.global_vec)
+            relaxed = model.hash_layer(trial, desc, "relaxed")
+            return ad.sum_all(ad.hadamard(relaxed, ad.tensor(target))).item()
 
         with ad.Tape() as tape:
             feats = model.forward_features(params, image)
-            relaxed = model.hash_layer(params, feats.part_vecs, feats.global_vec, "relaxed")
-            loss = ad.dot(relaxed, ad.tensor(target))
+            desc = model.descriptor(feats.part_vecs, feats.global_vec)
+            relaxed = model.hash_layer(params, desc, "relaxed")
+            loss = ad.sum_all(ad.hadamard(relaxed, ad.tensor(target)))
         tape.backward(loss)
         arrays = [values.copy() for values in params.arrays().values()]
         numeric = helpers.finite_difference(value, arrays)

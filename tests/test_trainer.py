@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import finehash.autodiff as ad
 import finehash.trainer as trainer_module
-from finehash.anchors import AnchorBank
+from finehash.anchors import AnchorBank, exchange_features
 from finehash.data import Dataset, SynthConfig, build_similarity, generate_synthetic
 from finehash.errors import ContractError, DimensionError, DomainError, FileFormatError
-from finehash.model import ModelConfig, forward_features, hash_layer
+from finehash.losses import LossWeights, total_objective
+from finehash.model import ModelConfig, descriptor, forward_features, hash_layer
 from finehash.trainer import (
     AlternatingTrainer,
     TrainConfig,
@@ -20,7 +22,7 @@ from finehash.trainer import (
     update_code_column,
     warmup_iters,
 )
-from helpers import enumerate_code_column, naive_frobenius_objective
+from helpers import enumerate_code_column, naive_frobenius_objective, relative_error
 
 SMALL_MODEL = ModelConfig(parts=2, bits=8, image_side=16, backbone_channels=(6, 8),
                           backbone_pools=(2, 2), refined_channels=8)
@@ -283,8 +285,9 @@ class TestSharedEncoding:
         relaxed_ref = np.empty((len(subset), SMALL_MODEL.bits))
         for row, index in enumerate(subset):
             features = forward_features(trainer.params, small_dataset.train_images[index])
-            relaxed_ref[row] = hash_layer(trainer.params, features.part_vecs,
-                                          features.global_vec, mode="relaxed").data
+            relaxed_ref[row] = hash_layer(trainer.params,
+                                          descriptor(features.part_vecs, features.global_vec),
+                                          mode="relaxed").data
         labels = small_dataset.train_labels
         sim = build_similarity(labels[subset], labels)
         expected = sweep_codes(relaxed_ref, codes_before, sim, SMALL_MODEL.bits,
@@ -297,17 +300,17 @@ class TestSharedEncoding:
     def test_one_iteration_encodes_the_database_twice(self, small_dataset, monkeypatch):
         config = small_train()
         trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, config)
-        calls = []
+        images = []
 
-        def counted(params, image):
-            calls.append(None)
-            return forward_features(params, image)
+        def counted(params, stack):
+            images.append(int(np.prod(np.shape(stack)[:-3])))
+            return forward_features(params, stack)
 
         monkeypatch.setattr(trainer_module, "forward_features", counted)
         trainer.run_iteration()
         samples = min(config.samples_per_epoch, trainer.db_size)
         # network phase per sample, plus the refreshes before and after it
-        assert len(calls) == config.epochs_per_iter * samples + 2 * trainer.db_size
+        assert sum(images) == config.epochs_per_iter * samples + 2 * trainer.db_size
 
 
 class TestResume:
@@ -434,8 +437,54 @@ class TestEncoding:
         trainer.anchors = AnchorBank(shifted)
         assert np.array_equal(trainer.encode(small_dataset.query_images), baseline)
 
+    def test_chunked_encoding_equals_one_image_at_a_time(self, small_dataset):
+        trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train())
+        trainer.run_iteration()
+        images = small_dataset.images
+        assert len(images) > trainer_module.ENCODE_CHUNK  # more than one chunk
+        codes, descriptors = encode_images(trainer.params, images)
+        for i in range(len(images)):
+            row_codes, row_descriptors = encode_images(trainer.params, images[i : i + 1])
+            assert np.array_equal(row_codes[0], codes[i])
+            assert np.array_equal(row_descriptors[0], descriptors[i])
+
+    def test_empty_stack_gives_empty_arrays(self, small_dataset):
+        trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train())
+        codes, descriptors = encode_images(trainer.params, np.zeros((0, 0, 0, 3)))
+        assert codes.shape == (0, SMALL_MODEL.bits)
+        assert descriptors.shape == (0, SMALL_MODEL.descriptor_dim)
+
     def test_encode_images_pair_consistent(self, small_dataset):
         trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train())
         codes, descriptors = encode_images(trainer.params, small_dataset.query_images[:2])
         assert np.array_equal(codes, trainer.encode(small_dataset.query_images[:2]))
         assert descriptors.shape == (2, SMALL_MODEL.descriptor_dim)
+
+
+class TestBatchIndependence:
+    def test_batch_gradients_equal_sum_of_single_image_gradients(self, small_dataset):
+        trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train(warmup_fraction=0.0))
+        trainer.run_iteration()  # leaves an anchor bank and moved weights
+        params, labels = trainer.params, trainer.train_labels
+        batch = np.array([3, 11, 0, 16, 7])
+        mask = np.array([[1, 0], [0, 0], [1, 1], [0, 1], [1, 0]])
+        weights = LossWeights(spatial=0.3, channel=0.2, margin=0.9)
+
+        def gradients(rows):
+            with ad.Tape() as tape:
+                features = forward_features(params, trainer.train_images[batch[rows]])
+                part_vecs = exchange_features(features.part_vecs,
+                                              trainer.anchors.rows(labels[batch[rows]]),
+                                              mask[rows])
+                relaxed = hash_layer(params, descriptor(part_vecs, features.global_vec))
+                total = total_objective(relaxed, features, trainer.codes,
+                                        build_similarity(labels[batch[rows]], labels),
+                                        SMALL_MODEL.bits, weights)
+            tape.backward(total)
+            return {name: tens.grad.copy() for name, tens in params.named().items()}
+
+        batched = gradients(slice(None))
+        singles = [gradients(slice(i, i + 1)) for i in range(len(batch))]
+        for name, grad in batched.items():
+            summed = sum(single[name] for single in singles)
+            assert relative_error(grad, summed) < 1e-10, name
