@@ -118,6 +118,11 @@ def _positive(kind: type, name: str):
     return parse
 
 
+def _cutoffs(text: str) -> tuple[int, ...]:
+    """argparse type for --ks: comma-separated positive integers."""
+    return tuple(map(_positive(int, "--ks"), text.split(",")))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -251,7 +256,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    ks = tuple(int(token) for token in args.ks.split(","))
     if args.config:
         config = _load_run_config(args)
         dataset = _resolve_dataset(config)
@@ -261,14 +265,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError("eval: give --data or --config to locate the dataset")
 
     writer = csv.writer(sys.stdout)
-    writer.writerow(["bits", "exchange", "map"] + [f"p@{k}" for k in ks] + ["queries"])
+    writer.writerow(["bits", "exchange", "map"] + [f"p@{k}" for k in args.ks] + ["queries"])
 
     def emit(state_params, codes: np.ndarray, train_config) -> None:
-        metrics = _evaluate_checkpoint(state_params, codes, dataset, ks, args.topn)
+        metrics = _evaluate_checkpoint(state_params, codes, dataset, args.ks, args.topn)
         writer.writerow(
             [state_params.config.bits, "on" if train_config.exchange else "off",
              f"{metrics['map']:.4f}"]
-            + [f"{metrics['precision_at'][k]:.4f}" for k in ks]
+            + [f"{metrics['precision_at'][k]:.4f}" for k in args.ks]
             + [metrics["queries"]]
         )
 
@@ -423,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="one report row per checkpoint")
     evaluate.add_argument("--data", help="dataset directory or manifest.csv")
     evaluate.add_argument("--config", help="run configuration locating the dataset")
-    evaluate.add_argument("--ks", default="1,5,10", help="precision cutoffs, comma separated")
+    evaluate.add_argument("--ks", type=_cutoffs, default="1,5,10",
+                          help="precision cutoffs, comma separated")
     evaluate.add_argument("--topn", type=_positive(int, "--topn"),
                           help="re-rank shortlist size; omit for Hamming-only")
     evaluate.add_argument("--no-exchange", action="store_true",

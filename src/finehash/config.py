@@ -9,7 +9,8 @@ silently ignored setting.  Path values resolve relative to the config file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import SynthConfig
@@ -17,28 +18,25 @@ from .errors import ConfigError
 from .model import ModelConfig
 from .trainer import TrainConfig
 
-_MODEL_INTS = ("parts", "bits", "image_side", "in_channels", "refined_channels")
-_MODEL_INT_LISTS = ("backbone_channels", "backbone_pools")
-_TRAIN_INTS = ("outer_iters", "epochs_per_iter", "batch_size", "samples_per_epoch",
-               "code_sweeps", "seed")
-_TRAIN_FLOATS = ("learning_rate", "lr_drop_factor", "weight_decay", "warmup_fraction",
-                 "margin")
-_TRAIN_AUTOS = ("spatial_weight", "channel_weight")
 _SYNTH_KEYS = {
-    "synth_classes": ("num_classes", int),
-    "synth_per_class": ("per_class", int),
-    "synth_queries_per_class": ("queries_per_class", int),
-    "synth_patch_size": ("patch_size", int),
-    "synth_position_jitter": ("position_jitter", float),
-    "synth_pixel_noise": ("pixel_noise", float),
-    "synth_pattern_scale": ("pattern_scale", float),
-    "synth_seed": ("seed", int),
+    "synth_classes": "num_classes",
+    "synth_per_class": "per_class",
+    "synth_queries_per_class": "queries_per_class",
+    "synth_patch_size": "patch_size",
+    "synth_position_jitter": "position_jitter",
+    "synth_pixel_noise": "pixel_noise",
+    "synth_pattern_scale": "pattern_scale",
+    "synth_seed": "seed",
 }
+# config key -> (dataclass, field name); model and schedule keys are the field names
+_FIELDS = {
+    **{f.name: (ModelConfig, f.name) for f in fields(ModelConfig)},
+    **{f.name: (TrainConfig, f.name) for f in fields(TrainConfig)},
+    **{key: (SynthConfig, name) for key, name in _SYNTH_KEYS.items()},
+}
+_TYPES = {cls: typing.get_type_hints(cls) for cls in (ModelConfig, TrainConfig, SynthConfig)}
 
-KNOWN_KEYS = frozenset(
-    _MODEL_INTS + _MODEL_INT_LISTS + _TRAIN_INTS + _TRAIN_FLOATS + _TRAIN_AUTOS
-    + ("lr_drop_points", "exchange", "data_dir")
-) | frozenset(_SYNTH_KEYS)
+KNOWN_KEYS = frozenset(_FIELDS) | {"data_dir"}
 
 
 @dataclass(frozen=True)
@@ -77,9 +75,7 @@ def load_config(path: str | Path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
 
-    model_kwargs: dict = {}
-    train_kwargs: dict = {}
-    synth_kwargs: dict = {}
+    kwargs: dict[type, dict] = {ModelConfig: {}, TrainConfig: {}, SynthConfig: {}}
     data_dir: Path | None = None
     seen: set[str] = set()
 
@@ -105,47 +101,28 @@ def load_config(path: str | Path) -> RunConfig:
                 f"{path}: line {line_no}: key {key!r} expects {expected}, got {value!r}"
             )
 
-        if key in _MODEL_INTS:
-            model_kwargs[key] = _parse_int(value, bad)
-        elif key in _MODEL_INT_LISTS:
-            model_kwargs[key] = tuple(
-                _parse_int(item, bad) for item in value.split(",")
-            )
-        elif key in _TRAIN_INTS:
-            train_kwargs[key] = _parse_int(value, bad)
-        elif key in _TRAIN_FLOATS:
-            train_kwargs[key] = _parse_float(value, bad)
-        elif key in _TRAIN_AUTOS:
-            train_kwargs[key] = None if value == "auto" else _parse_float(value, bad)
-        elif key == "lr_drop_points":
-            train_kwargs[key] = tuple(
-                _parse_float(item, bad) for item in value.split(",")
-            )
-        elif key == "exchange":
-            if value not in ("true", "false"):
-                raise bad("true or false")
-            train_kwargs[key] = value == "true"
-        elif key == "data_dir":
+        if key == "data_dir":
             candidate = Path(value)
             data_dir = candidate if candidate.is_absolute() else path.parent / candidate
         else:
-            field, kind = _SYNTH_KEYS[key]
-            synth_kwargs[field] = (
-                _parse_int(value, bad) if kind is int else _parse_float(value, bad)
-            )
+            cls, name = _FIELDS[key]
+            kwargs[cls][name] = _parse(value, _TYPES[cls][name], bad)
 
-    return _build(model_kwargs, train_kwargs, synth_kwargs, data_dir)
+    return _build(kwargs[ModelConfig], kwargs[TrainConfig], kwargs[SynthConfig], data_dir)
 
 
-def _parse_int(value: str, bad) -> int:
+def _parse(text: str, kind, bad):
+    """One value of a field typed ``kind``: an int, a float, a bool as
+    true/false, a tuple as a comma list, or ``float | None`` with auto as None."""
+    if typing.get_origin(kind) is tuple:
+        return tuple(_parse(item, typing.get_args(kind)[0], bad) for item in text.split(","))
+    if kind == float | None:
+        return None if text == "auto" else _parse(text, float, bad)
+    if kind is bool:
+        if text not in ("true", "false"):
+            raise bad("true or false")
+        return text == "true"
     try:
-        return int(value.strip())
+        return kind(text)
     except ValueError:
-        raise bad("an integer") from None
-
-
-def _parse_float(value: str, bad) -> float:
-    try:
-        return float(value.strip())
-    except ValueError:
-        raise bad("a number") from None
+        raise bad("an integer" if kind is int else "a number") from None

@@ -205,7 +205,7 @@ def adc_distances(codebook: PQCodebook, codes: np.ndarray, query: np.ndarray) ->
 def pq_rank(codebook: PQCodebook, codes: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Database order by ADC distance, ties broken by id."""
     dists = adc_distances(codebook, codes, query)
-    return np.lexsort((np.arange(codes.shape[0]), dists))
+    return np.argsort(dists, kind="stable")
 
 
 def save_pq(path: str | Path, codebook: PQCodebook, codes: np.ndarray) -> None:

@@ -109,8 +109,7 @@ def coarse_rank(packed: PackedCodes, query_code: np.ndarray) -> tuple[np.ndarray
         )
     query_words = pack_codes(query_code[None, :]).words[0]
     dists = hamming_distances(packed, query_words)
-    order = np.lexsort((np.arange(len(packed)), dists))
-    return order, dists
+    return np.argsort(dists, kind="stable"), dists
 
 
 def rerank(order: np.ndarray, features: np.ndarray, query_feature: np.ndarray,
@@ -358,8 +357,7 @@ def bench_scan(codes: np.ndarray, query_codes: np.ndarray, reps: int = 5) -> dic
         nonlocal sink
         started = time.perf_counter()
         for row in query_words:
-            dists = np.bitwise_count(packed.words ^ row[None, :]).sum(axis=1)
-            sink += float(dists[0])
+            sink += float(hamming_distances(packed, row)[0])
         return time.perf_counter() - started
 
     def run_float() -> float:

@@ -26,7 +26,8 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -212,17 +213,6 @@ class TrainState:
     anchors: AnchorBank | None
 
 
-_MODEL_SCALARS = ("parts", "bits", "image_side", "in_channels", "refined_channels")
-_TRAIN_SCALARS = (
-    "outer_iters", "epochs_per_iter", "batch_size", "samples_per_epoch", "learning_rate",
-    "lr_drop_factor", "weight_decay", "warmup_fraction", "exchange", "code_sweeps",
-    "margin", "seed",
-)
-_TRAIN_OPTIONAL = ("spatial_weight", "channel_weight")
-_TRAIN_INTS = ("outer_iters", "epochs_per_iter", "batch_size", "samples_per_epoch",
-               "code_sweeps", "seed")
-
-
 def save_checkpoint(
     path,
     params: ModelParams,
@@ -231,24 +221,36 @@ def save_checkpoint(
     iteration: int,
     anchors: AnchorBank | None = None,
 ) -> None:
-    """Write weights, codes, anchors, and both configs into one file."""
+    """Write weights, codes, anchors, and both configs into one file; each
+    config field is the entry ``config.{model,train}.<field>``, None as NaN."""
     arrays = dict(params.arrays())
     if anchors is not None and len(anchors):
         arrays.update(anchors.arrays())
-    config = params.config
-    for name in _MODEL_SCALARS:
-        arrays[f"config.model.{name}"] = np.array(float(getattr(config, name)))
-    arrays["config.model.backbone_channels"] = np.array(config.backbone_channels, dtype=np.float64)
-    arrays["config.model.backbone_pools"] = np.array(config.backbone_pools, dtype=np.float64)
-    for name in _TRAIN_SCALARS:
-        arrays[f"config.train.{name}"] = np.array(float(getattr(train_config, name)))
-    arrays["config.train.lr_drop_points"] = np.array(train_config.lr_drop_points, dtype=np.float64)
-    for name in _TRAIN_OPTIONAL:
-        value = getattr(train_config, name)
-        arrays[f"config.train.{name}"] = np.array(np.nan if value is None else float(value))
+    for prefix, config in (("config.model", params.config), ("config.train", train_config)):
+        for field in fields(config):
+            value = getattr(config, field.name)
+            arrays[f"{prefix}.{field.name}"] = np.array(
+                np.nan if value is None else value, dtype=np.float64
+            )
     arrays["state.iteration"] = np.array(float(iteration))
     arrays["state.codes"] = np.asarray(codes, dtype=np.float64)
     save_arrays(path, arrays)
+
+
+def _entry_value(values: np.ndarray, kind, what: str):
+    """A stored entry as a value of the field type ``kind``."""
+    if typing.get_origin(kind) is tuple:
+        if values.ndim != 1:
+            raise FileFormatError(f"{what} has shape {values.shape}, expected a vector")
+        return tuple(_entry_value(item, typing.get_args(kind)[0], what) for item in values)
+    if values.ndim != 0:
+        raise FileFormatError(f"{what} has shape {values.shape}, expected a scalar")
+    value = float(values)
+    if kind == float | None:
+        return None if math.isnan(value) else value
+    if kind is not float and not value.is_integer():
+        raise FileFormatError(f"{what} holds {value}, expected an integer")
+    return kind(value)
 
 
 def load_checkpoint(path) -> TrainState:
@@ -260,30 +262,26 @@ def load_checkpoint(path) -> TrainState:
             raise FileFormatError(f"{path}: checkpoint missing entry {name!r}")
         return arrays[name]
 
-    model_kwargs = {name: int(grab(f"config.model.{name}").item()) for name in _MODEL_SCALARS}
-    model_kwargs["backbone_channels"] = tuple(
-        int(v) for v in grab("config.model.backbone_channels")
-    )
-    model_kwargs["backbone_pools"] = tuple(int(v) for v in grab("config.model.backbone_pools"))
-    model_config = ModelConfig(**model_kwargs)
+    def read(name: str, kind):
+        return _entry_value(grab(name), kind, f"{path}: checkpoint entry {name!r}")
 
-    train_kwargs = {}
-    for name in _TRAIN_SCALARS:
-        value = grab(f"config.train.{name}").item()
-        train_kwargs[name] = int(value) if name in _TRAIN_INTS else value
-    train_kwargs["exchange"] = bool(train_kwargs.pop("exchange"))
-    train_kwargs["lr_drop_points"] = tuple(grab("config.train.lr_drop_points").tolist())
-    for name in _TRAIN_OPTIONAL:
-        value = grab(f"config.train.{name}").item()
-        train_kwargs[name] = None if math.isnan(value) else value
-    train_config = TrainConfig(**train_kwargs)
+    def read_config(cls, prefix: str):
+        types = typing.get_type_hints(cls)
+        return cls(**{field.name: read(f"{prefix}.{field.name}", types[field.name])
+                      for field in fields(cls)})
+
+    model_config = read_config(ModelConfig, "config.model")
+    train_config = read_config(TrainConfig, "config.train")
 
     param_arrays = {
         name: values
         for name, values in arrays.items()
         if not name.startswith(("config.", "state.", "anchors."))
     }
-    params = ModelParams.from_arrays(model_config, param_arrays)
+    try:
+        params = ModelParams.from_arrays(model_config, param_arrays)
+    except KeyError as exc:
+        raise FileFormatError(f"{path}: checkpoint missing entry {exc.args[0]!r}") from None
     codes = grab("state.codes")
     if codes.ndim != 2 or codes.shape[1] != model_config.bits:
         raise FileFormatError(f"{path}: stored codes have shape {codes.shape}")
@@ -293,7 +291,7 @@ def load_checkpoint(path) -> TrainState:
         params=params,
         train_config=train_config,
         codes=codes,
-        iteration=int(grab("state.iteration").item()),
+        iteration=read("state.iteration", int),
         anchors=anchors if len(anchors) else None,
     )
 
@@ -302,6 +300,23 @@ class AlternatingTrainer:
     """Drives the three-phase loop over a dataset with both splits."""
 
     def __init__(self, dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig):
+        self._attach(dataset, model_config, train_config)
+        init_rng = np.random.default_rng([train_config.seed, 0])
+        self.params = ModelParams.initialize(model_config, init_rng)
+        self._refresh_hash_bias()
+        # Per-bit balanced random codes: a zero column mean removes the
+        # class-independent pull that Sum_j sim_ij * code_j otherwise exerts
+        # on every sampled query, which is what lets the first network phase
+        # learn class structure instead of a shared common mode.
+        column = np.repeat([-1.0, 1.0], [self.db_size // 2, self.db_size - self.db_size // 2])
+        self.codes = np.stack(
+            [init_rng.permutation(column) for _ in range(model_config.bits)], axis=1
+        )
+        self.anchors: AnchorBank | None = None
+        self.iteration = 0
+
+    def _attach(self, dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig):
+        """Bind the dataset and both configs; the caller sets the trainer state."""
         dataset.require_both_splits()
         images = dataset.train_images
         if images.shape[1:] != (model_config.image_side, model_config.image_side,
@@ -316,26 +331,15 @@ class AlternatingTrainer:
         self.train_images = images
         self.train_labels = dataset.train_labels
         self.db_size = len(self.train_labels)
-        init_rng = np.random.default_rng([train_config.seed, 0])
-        self.params = ModelParams.initialize(model_config, init_rng)
-        self._refresh_hash_bias()
-        # Per-bit balanced random codes: a zero column mean removes the
-        # class-independent pull that Sum_j sim_ij * code_j otherwise exerts
-        # on every sampled query, which is what lets the first network phase
-        # learn class structure instead of a shared common mode.
-        column = np.repeat([-1.0, 1.0], [self.db_size // 2, self.db_size - self.db_size // 2])
-        self.codes = np.stack(
-            [init_rng.permutation(column) for _ in range(model_config.bits)], axis=1
-        )
-        self.anchors: AnchorBank | None = None
-        self.iteration = 0
         self.history: list[dict] = []
         self._weights = self._resolve_weights()
 
     @classmethod
     def from_checkpoint(cls, path, dataset: Dataset) -> "AlternatingTrainer":
+        """Resume from a checkpoint; nothing is initialized or encoded."""
         state = load_checkpoint(path)
-        trainer = cls(dataset, state.params.config, state.train_config)
+        trainer = cls.__new__(cls)
+        trainer._attach(dataset, state.params.config, state.train_config)
         if state.codes.shape != (trainer.db_size, trainer.model_config.bits):
             raise ContractError(
                 f"from_checkpoint: stored codes {state.codes.shape} do not match "

@@ -7,6 +7,7 @@ import io
 import numpy as np
 import pytest
 
+from finehash.checkpoint import load_arrays, save_arrays
 from finehash.cli import main
 from finehash.data import load_manifest
 from finehash.pq import load_pq
@@ -88,6 +89,12 @@ class TestParser:
             "--codes", workspace["codes"], "--queries", workspace["data"],
             "--topk", "0",
         ])
+        assert code == 2
+
+    @pytest.mark.parametrize("ks", ["1,x", "0"])
+    def test_bad_ks_exits_2(self, workspace, ks):
+        code, _ = run_cli(["eval", "--checkpoints", workspace["checkpoint"],
+                           "--data", workspace["data"], "--ks", ks])
         assert code == 2
 
 
@@ -203,6 +210,22 @@ class TestEncode:
                            "--features", feats, "--split", "query"])
         assert code == 0
         assert load_features(feats).shape == (6, 24)
+
+    @pytest.mark.parametrize("name, value", [
+        ("hash.weight", None),
+        ("config.model.parts", np.array([2.0, 2.0])),
+        ("config.model.bits", np.array(np.nan)),
+    ])
+    def test_malformed_checkpoint_exits_2(self, workspace, tmp_path, name, value):
+        arrays = load_arrays(workspace["checkpoint"])
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+        save_arrays(tmp_path / "bad.fht1", arrays)
+        code, _ = run_cli(["encode", "--checkpoint", tmp_path / "bad.fht1",
+                           "--manifest", workspace["data"], "--out", tmp_path / "q.fhc1"])
+        assert code == 2
 
 
 class TestIndex:

@@ -1,9 +1,15 @@
 """Tests for the flat key = value config parser."""
 
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
-from finehash.config import default_run_config, load_config
+from finehash.config import RunConfig, default_run_config, load_config
+from finehash.data import SynthConfig
 from finehash.errors import ConfigError, ContractError
+from finehash.model import ModelConfig, ModelParams
+from finehash.trainer import TrainConfig, load_checkpoint, save_checkpoint
 
 
 def write(tmp_path, text):
@@ -136,3 +142,65 @@ class TestErrors:
     def test_validation_propagates(self, tmp_path):
         with pytest.raises(ContractError):
             load_config(write(tmp_path, "bits = 0\n"))
+
+
+# every field off its default, so a parser or checkpoint that drops one shows
+NON_DEFAULT = RunConfig(
+    model=ModelConfig(parts=2, bits=16, image_side=16, in_channels=1,
+                      backbone_channels=(8, 12), backbone_pools=(2, 1), refined_channels=12),
+    train=TrainConfig(outer_iters=7, epochs_per_iter=3, batch_size=5, samples_per_epoch=40,
+                      learning_rate=0.002, lr_drop_points=(0.5,), lr_drop_factor=0.5,
+                      weight_decay=0.001, warmup_fraction=0.5, exchange=False, code_sweeps=2,
+                      spatial_weight=0.25, channel_weight=0.125, margin=0.3, seed=11),
+    synth=SynthConfig(num_classes=5, per_class=7, queries_per_class=3, image_side=16,
+                      parts_per_image=2, patch_size=4, position_jitter=0.25, pixel_noise=0.02,
+                      pattern_scale=0.6, seed=13),
+)
+SYNTH_KEYS = {
+    "synth_classes": "num_classes",
+    "synth_per_class": "per_class",
+    "synth_queries_per_class": "queries_per_class",
+    "synth_patch_size": "patch_size",
+    "synth_position_jitter": "position_jitter",
+    "synth_pixel_noise": "pixel_noise",
+    "synth_pattern_scale": "pattern_scale",
+    "synth_seed": "seed",
+}
+
+
+def config_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(item) for item in value)
+    return "auto" if value is None else str(value)
+
+
+class TestFieldRoundTrip:
+    @pytest.mark.parametrize("config", [NON_DEFAULT.model, NON_DEFAULT.train,
+                                        NON_DEFAULT.synth])
+    def test_every_field_is_off_default(self, config):
+        default = type(config)()
+        for field in fields(config):
+            assert getattr(config, field.name) != getattr(default, field.name), field.name
+
+    def test_config_file_round_trip(self, tmp_path):
+        lines = [f"{field.name} = {config_value(getattr(config, field.name))}"
+                 for config in (NON_DEFAULT.model, NON_DEFAULT.train)
+                 for field in fields(config)]
+        lines += [f"{key} = {config_value(getattr(NON_DEFAULT.synth, name))}"
+                  for key, name in SYNTH_KEYS.items()]
+        lines.append("data_dir = data")
+        loaded = load_config(write(tmp_path, "\n".join(lines) + "\n"))
+        assert loaded == RunConfig(model=NON_DEFAULT.model, train=NON_DEFAULT.train,
+                                   synth=NON_DEFAULT.synth, data_dir=tmp_path / "data")
+
+    def test_checkpoint_round_trip(self, tmp_path):
+        model, train = NON_DEFAULT.model, NON_DEFAULT.train
+        params = ModelParams.initialize(model, np.random.default_rng(0))
+        path = tmp_path / "ckpt.fht1"
+        save_checkpoint(path, params, train, np.ones((4, model.bits)), iteration=3)
+        state = load_checkpoint(path)
+        assert state.params.config == model
+        assert state.train_config == train
+        assert state.iteration == 3

@@ -6,10 +6,11 @@ import pytest
 import finehash.autodiff as ad
 import finehash.trainer as trainer_module
 from finehash.anchors import AnchorBank, exchange_features
+from finehash.checkpoint import load_arrays, save_arrays
 from finehash.data import Dataset, SynthConfig, build_similarity, generate_synthetic
 from finehash.errors import ContractError, DimensionError, DomainError, FileFormatError
 from finehash.losses import LossWeights, total_objective
-from finehash.model import ModelConfig, descriptor, forward_features, hash_layer
+from finehash.model import ModelConfig, ModelParams, descriptor, forward_features, hash_layer
 from finehash.trainer import (
     AlternatingTrainer,
     TrainConfig,
@@ -363,8 +364,6 @@ class TestResume:
                                   straight.anchors.get(class_id))
 
     def test_checkpoint_missing_entry(self, tmp_path):
-        from finehash.checkpoint import save_arrays
-
         path = tmp_path / "bad.fht1"
         save_arrays(path, {"config.model.parts": np.array(2.0)})
         with pytest.raises(FileFormatError):
@@ -379,6 +378,92 @@ class TestResume:
                                                parts_per_image=2, patch_size=4, seed=1))
         with pytest.raises(ContractError):
             AlternatingTrainer.from_checkpoint(path, other)
+
+    def test_resume_makes_no_forward_pass(self, small_dataset, tmp_path, monkeypatch):
+        trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train())
+        trainer.run_iteration()
+        path = tmp_path / "ckpt.fht1"
+        trainer.save(path)
+        calls = []
+
+        def counted(params, stack):
+            calls.append(len(stack))
+            return forward_features(params, stack)
+
+        monkeypatch.setattr(trainer_module, "forward_features", counted)
+        resumed = AlternatingTrainer.from_checkpoint(path, small_dataset)
+        assert calls == []
+        assert np.array_equal(resumed.codes, trainer.codes)
+
+    def test_on_disk_config_names(self, tmp_path):
+        # the entry names, shapes and encodings of the checkpoint format
+        params = ModelParams.initialize(SMALL_MODEL, np.random.default_rng(0))
+        entries = {
+            "config.model.parts": 2.0,
+            "config.model.bits": 8.0,
+            "config.model.image_side": 16.0,
+            "config.model.in_channels": 3.0,
+            "config.model.backbone_channels": [6.0, 8.0],
+            "config.model.backbone_pools": [2.0, 2.0],
+            "config.model.refined_channels": 8.0,
+            "config.train.outer_iters": 3.0,
+            "config.train.epochs_per_iter": 1.0,
+            "config.train.batch_size": 6.0,
+            "config.train.samples_per_epoch": 12.0,
+            "config.train.learning_rate": 0.002,
+            "config.train.lr_drop_points": [0.5],
+            "config.train.lr_drop_factor": 0.5,
+            "config.train.weight_decay": 0.0,
+            "config.train.warmup_fraction": 0.34,
+            "config.train.exchange": 0.0,
+            "config.train.code_sweeps": 2.0,
+            "config.train.spatial_weight": np.nan,
+            "config.train.channel_weight": 0.125,
+            "config.train.margin": 0.3,
+            "config.train.seed": 7.0,
+        }
+        arrays = dict(params.arrays())
+        arrays.update({name: np.array(value) for name, value in entries.items()})
+        arrays["state.iteration"] = np.array(2.0)
+        arrays["state.codes"] = np.ones((4, 8))
+        path = tmp_path / "pinned.fht1"
+        save_arrays(path, arrays)
+        state = load_checkpoint(path)
+        expected = small_train(learning_rate=0.002, lr_drop_points=(0.5,), lr_drop_factor=0.5,
+                               weight_decay=0.0, exchange=False, code_sweeps=2,
+                               channel_weight=0.125, margin=0.3)
+        assert state.params.config == SMALL_MODEL
+        assert state.train_config == expected
+        assert state.iteration == 2
+        # and save_checkpoint writes exactly those entries back
+        save_checkpoint(tmp_path / "again.fht1", params, expected, np.ones((4, 8)), 2)
+        written = {name: values for name, values in load_arrays(tmp_path / "again.fht1").items()
+                   if name.startswith("config.")}
+        assert sorted(written) == sorted(entries)
+        for name, value in entries.items():
+            np.testing.assert_array_equal(written[name], np.array(value), err_msg=name)
+
+    @pytest.mark.parametrize("name, value", [
+        ("hash.weight", None),
+        ("config.model.parts", np.array([2.0, 2.0])),
+        ("config.model.bits", np.array(np.nan)),
+        ("config.model.bits", np.array(8.5)),
+        ("config.train.exchange", np.array(np.nan)),
+        ("config.model.backbone_channels", np.array(6.0)),
+        ("state.iteration", np.array(1.5)),
+    ])
+    def test_malformed_checkpoint_names_entry(self, tmp_path, name, value):
+        path = tmp_path / "ckpt.fht1"
+        params = ModelParams.initialize(SMALL_MODEL, np.random.default_rng(0))
+        save_checkpoint(path, params, small_train(), np.ones((4, 8)), 1)
+        arrays = load_arrays(path)
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+        save_arrays(path, arrays)
+        with pytest.raises(FileFormatError, match=name):
+            load_checkpoint(path)
 
 
 class TestInitialization:
