@@ -21,6 +21,7 @@ import argparse
 import csv
 import logging
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -159,7 +160,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     # The database ships the optimizer's discrete codes; queries get encoded
     # by the network, so retrieval stays asymmetric end to end.
     save_packed(out_dir / CODES_NAME, pack_codes(trainer.codes))
-    save_features(out_dir / FEATURES_NAME, trainer.encode_descriptors(dataset.train_images))
+    save_features(out_dir / FEATURES_NAME, trainer.database_descriptors())
     save_labels(out_dir / LABELS_NAME, dataset.train_labels)
     for name in (CHECKPOINT_NAME, CODES_NAME, FEATURES_NAME, LABELS_NAME):
         print(out_dir / name)
@@ -244,14 +245,22 @@ def cmd_query(args: argparse.Namespace) -> int:
     else:
         topn = args.topn if args.topn is not None else topk
 
-    results = [index.search(code, feature if topn is not None else None, topn)[:topk]
-               for code, feature in zip(codes, descriptors)]
+    results = []
+    latencies_ms = []
+    for code, feature in zip(codes, descriptors):
+        started = time.perf_counter()
+        results.append(index.search(code, feature if topn is not None else None, topn)[:topk])
+        latencies_ms.append(1000.0 * (time.perf_counter() - started))
     writer = csv.writer(sys.stdout)
     writer.writerow(["query", "rank", "item"])
     for query_id, order in enumerate(results):
         for rank, item in enumerate(order):
             writer.writerow([query_id, rank, int(item)])
     LOG.info("ranked %d queries against %d items", len(codes), len(index))
+    if latencies_ms:
+        p50, p99 = np.percentile(latencies_ms, [50, 99])
+        LOG.info("search latency over %d queries: p50=%.3f ms p99=%.3f ms",
+                 len(latencies_ms), p50, p99)
     return 0
 
 

@@ -16,7 +16,8 @@ written set, so an interrupted write leaves no manifest to load.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,12 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for config_field in fields(self):
+            value = getattr(self, config_field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ContractError(
+                    f"SynthConfig: {config_field.name} must be finite, got {value}"
+                )
         for name in ("num_classes", "per_class", "queries_per_class", "image_side",
                      "parts_per_image", "patch_size"):
             if getattr(self, name) < 1:

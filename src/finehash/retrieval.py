@@ -6,7 +6,9 @@ whole-database scan is one XOR plus popcount pass per query.  Hamming
 distance relates to the inner product by u . v = bits - 2 * d_H.
 
 Ranking is deterministic: ties are broken by database id, both in the
-coarse Hamming pass and in the Euclidean re-ranking of the head.
+coarse Hamming pass and in the Euclidean re-ranking of the head.  The
+coarse pass radix-sorts the distances, integers in [0, bits], as uint8
+(uint16 above 255 bits); the sort is stable, so ties stay in id order.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def coarse_rank(packed: PackedCodes, query_code: np.ndarray) -> tuple[np.ndarray
     """Full Hamming ranking of the database for one +/-1 query code.
 
     Returns (order, distances); order sorts by distance with ties broken
-    by database id.
+    by database id.  The sort key is a uint8/uint16 copy of the int64
+    distances, which numpy's stable argsort radix-sorts.
     """
     query_code = np.asarray(query_code, dtype=np.float64)
     if query_code.shape != (packed.bits,):
@@ -109,7 +112,8 @@ def coarse_rank(packed: PackedCodes, query_code: np.ndarray) -> tuple[np.ndarray
         )
     query_words = pack_codes(query_code[None, :]).words[0]
     dists = hamming_distances(packed, query_words)
-    return np.argsort(dists, kind="stable"), dists
+    key = dists.astype(np.min_scalar_type(packed.bits))
+    return np.argsort(key, kind="stable"), dists
 
 
 def rerank(order: np.ndarray, features: np.ndarray, query_feature: np.ndarray,

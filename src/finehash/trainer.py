@@ -71,6 +71,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ContractError(f"TrainConfig: {field.name} must be finite, got {value}")
         if self.outer_iters < 1:
             raise ContractError("TrainConfig: outer_iters must be >= 1")
         if self.epochs_per_iter < 0 or self.code_sweeps < 0:
@@ -247,7 +251,11 @@ def _entry_value(values: np.ndarray, kind, what: str):
         raise FileFormatError(f"{what} has shape {values.shape}, expected a scalar")
     value = float(values)
     if kind == float | None:
-        return None if math.isnan(value) else value
+        if math.isnan(value):
+            return None
+        kind = float
+    if not math.isfinite(value):
+        raise FileFormatError(f"{what} holds {value}, expected a finite number")
     if kind is not float and not value.is_integer():
         raise FileFormatError(f"{what} holds {value}, expected an integer")
     return kind(value)
@@ -333,6 +341,7 @@ class AlternatingTrainer:
         self.db_size = len(self.train_labels)
         self.history: list[dict] = []
         self._weights = self._resolve_weights()
+        self._descriptors: np.ndarray | None = None
 
     @classmethod
     def from_checkpoint(cls, path, dataset: Dataset) -> "AlternatingTrainer":
@@ -374,6 +383,7 @@ class AlternatingTrainer:
         descriptors = encode_images(self.params, self.train_images)[1]
         mean = descriptors.mean(axis=0)
         self.params.hash_bias.data[...] = self.params.hash_weight.data @ mean
+        self._descriptors = descriptors
         return descriptors
 
     def _resolve_weights(self) -> LossWeights:
@@ -522,3 +532,11 @@ class AlternatingTrainer:
 
     def encode_descriptors(self, images: np.ndarray) -> np.ndarray:
         return encode_images(self.params, images)[1]
+
+    def database_descriptors(self) -> np.ndarray:
+        """Training database descriptors under the current weights: those of
+        the last bias refresh, encoded afresh only when none ran since this
+        trainer was built, as after a resume at the end of the schedule."""
+        if self._descriptors is None:
+            self._descriptors = self.encode_descriptors(self.train_images)
+        return self._descriptors

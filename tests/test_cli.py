@@ -3,6 +3,9 @@
 import contextlib
 import csv
 import io
+import logging
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -11,11 +14,13 @@ from finehash.checkpoint import load_arrays, save_arrays
 from finehash.cli import main
 from finehash.data import load_manifest
 from finehash.pq import load_pq
+from finehash import trainer as trainer_module
 from finehash.retrieval import (
     RetrievalIndex,
     load_features,
     load_labels,
     load_packed,
+    save_features,
     unpack_codes,
 )
 from finehash.trainer import encode_images, load_checkpoint
@@ -156,6 +161,50 @@ class TestTrain:
         code, _ = run_cli(["train", "--config", config])
         assert code == 2
         assert "bots" in caplog.text
+
+    def test_non_finite_config_value_exits_2(self, tmp_path, caplog):
+        config = tmp_path / "nan.cfg"
+        config.write_text("learning_rate = nan\n")
+        code, _ = run_cli(["train", "--config", config, "--out-dir", tmp_path / "run"])
+        assert code == 2
+        assert "learning_rate must be finite" in caplog.text
+
+    def count_database_passes(self, workspace, monkeypatch):
+        """Record each encode_images call that covers the whole database."""
+        db_size = len(load_labels(workspace["labels"]))
+        passes = []
+
+        def counting(params, images):
+            passes.append(len(images) == db_size)
+            return encode_images(params, images)
+
+        monkeypatch.setattr(trainer_module, "encode_images", counting)
+        return passes
+
+    def test_features_come_from_the_last_bias_refresh(self, workspace, tmp_path, monkeypatch):
+        passes = self.count_database_passes(workspace, monkeypatch)
+        code, _ = run_cli(["train", "--config", workspace["config"],
+                           "--out-dir", tmp_path / "run"])
+        assert code == 0
+        # one at construction, then one refresh before and one after each of
+        # the two weight phases; db.fhf1 takes the last one's descriptors
+        assert passes == [True] * (1 + 2 * 2)
+        state = load_checkpoint(tmp_path / "run" / "model.fht1")
+        dataset = load_manifest(workspace["data"] / "manifest.csv")
+        save_features(tmp_path / "expected.fhf1",
+                      encode_images(state.params, dataset.train_images)[1])
+        assert (tmp_path / "run" / "db.fhf1").read_bytes() == \
+            (tmp_path / "expected.fhf1").read_bytes()
+
+    def test_resume_at_end_encodes_database_once(self, workspace, tmp_path, monkeypatch):
+        (tmp_path / "done").mkdir()
+        shutil.copy(workspace["checkpoint"], tmp_path / "done" / "model.fht1")
+        passes = self.count_database_passes(workspace, monkeypatch)
+        code, _ = run_cli(["train", "--config", workspace["config"],
+                           "--out-dir", tmp_path / "done", "--resume"])
+        assert code == 0
+        assert passes == [True]
+        assert (tmp_path / "done" / "db.fhf1").read_bytes() == workspace["features"].read_bytes()
 
     def test_bits_override_changes_code_length(self, workspace, tmp_path):
         code, _ = run_cli(["train", "--config", workspace["config"],
@@ -307,6 +356,16 @@ class TestQuery:
             expected = index.search(codes[i])[:3]
             got = [int(row[2]) for row in rows if int(row[0]) == i]
             assert got == expected.tolist()
+
+    def test_logs_search_latency(self, workspace, caplog):
+        caplog.set_level(logging.INFO)
+        code, _ = run_cli(self.query_args(workspace, ["--topk", "3"]))
+        assert code == 0
+        match = re.search(r"search latency over (\d+) queries: "
+                          r"p50=([\d.]+) ms p99=([\d.]+) ms", caplog.text)
+        assert match is not None
+        assert int(match[1]) == 6
+        assert 0.0 <= float(match[2]) <= float(match[3])
 
     def test_topk_beyond_database_exits_2(self, workspace):
         code, _ = run_cli(self.query_args(workspace, ["--topk", "99"]))

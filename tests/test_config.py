@@ -143,6 +143,20 @@ class TestErrors:
         with pytest.raises(ContractError):
             load_config(write(tmp_path, "bits = 0\n"))
 
+    @pytest.mark.parametrize("line, name", [
+        ("learning_rate = nan", "learning_rate"),  # float
+        ("weight_decay = nan", "weight_decay"),
+        ("margin = inf", "margin"),
+        ("spatial_weight = nan", "spatial_weight"),  # float | None
+        ("channel_weight = -inf", "channel_weight"),
+        ("lr_drop_points = 0.5,nan", "lr drop point"),  # tuple of floats
+        ("synth_pixel_noise = inf", "pixel_noise"),  # synthetic generator float
+        ("synth_pattern_scale = nan", "pattern_scale"),
+    ])
+    def test_non_finite_float_rejected(self, tmp_path, line, name):
+        with pytest.raises(ContractError, match=name):
+            load_config(write(tmp_path, line + "\n"))
+
 
 # every field off its default, so a parser or checkpoint that drops one shows
 NON_DEFAULT = RunConfig(

@@ -130,6 +130,30 @@ class TestCoarseRank:
         assert dists[order[0]] == 0
 
 
+class TestRadixKey:
+    """coarse_rank sorts on a uint8/uint16 copy of the distances; the order
+    must equal a (distance, id) lexsort, across the uint8/uint16 boundary."""
+
+    @pytest.mark.parametrize("bits", [1, 8, 16, 32, 64, 128, 255, 256])
+    def test_order_equals_lexsort_reference(self, bits):
+        rng = np.random.default_rng(bits)
+        pool = random_codes(rng, 4, bits)  # few distinct codes: many ties
+        queries = np.concatenate([pool[:2], random_codes(rng, 2, bits)])
+        db = np.concatenate([
+            pool[rng.integers(0, len(pool), 300)],
+            random_codes(rng, 60, bits),
+            queries, queries, -queries,  # duplicates, distance 0 and distance bits
+        ])
+        db = db[rng.permutation(len(db))]
+        packed = pack_codes(db)
+        for query in queries:
+            order, dists = coarse_rank(packed, query)
+            assert dists.dtype == np.int64
+            assert np.array_equal(db @ query, bits - 2 * dists)
+            assert dists.min() == 0 and dists.max() == bits
+            assert np.array_equal(order, np.lexsort((np.arange(len(db)), dists)))
+
+
 class TestRerank:
     def test_matches_naive_head_and_keeps_tail(self):
         rng = np.random.default_rng(5)

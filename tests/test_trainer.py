@@ -451,6 +451,10 @@ class TestResume:
         ("config.train.exchange", np.array(np.nan)),
         ("config.model.backbone_channels", np.array(6.0)),
         ("state.iteration", np.array(1.5)),
+        ("config.train.learning_rate", np.array(np.nan)),  # float
+        ("config.train.margin", np.array(np.inf)),
+        ("config.train.channel_weight", np.array(-np.inf)),  # float | None: NaN alone is None
+        ("config.train.lr_drop_points", np.array([0.5, np.inf])),  # tuple of floats
     ])
     def test_malformed_checkpoint_names_entry(self, tmp_path, name, value):
         path = tmp_path / "ckpt.fht1"
