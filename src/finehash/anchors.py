@@ -145,9 +145,11 @@ def exchange_features(
     ``class_anchors`` holds each row's class anchors, shaped like the part
     vectors.  The result is part * keep + anchor * (1 - keep), which
     reproduces both sides exactly; the anchors enter the graph as
-    constants, so gradients flow only through the parts that were kept.
+    constants in the part vectors' dtype, so gradients flow only through
+    the parts that were kept.
     """
-    class_anchors = np.asarray(class_anchors, dtype=np.float64)
+    dtype = part_vecs.data.dtype
+    class_anchors = np.asarray(class_anchors, dtype=dtype)
     keep_mask = np.asarray(keep_mask)
     if class_anchors.shape != part_vecs.shape:
         raise DimensionError(
@@ -159,6 +161,6 @@ def exchange_features(
         )
     if not np.all(np.isin(keep_mask, (0, 1))):
         raise ContractError("exchange_features: mask entries must be 0 or 1")
-    keep = keep_mask[..., None].astype(np.float64)
+    keep = keep_mask[..., None].astype(dtype)
     return ad.add(ad.hadamard(part_vecs, ad.tensor(keep)),
                   ad.tensor(class_anchors * (1.0 - keep)))

@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float32 or float64 arrays.
 
 The engine is deliberately small: a :class:`Tensor` wraps a numpy array and a
 :class:`Tape` records one entry per differentiable operation in execution
@@ -7,8 +7,9 @@ already a topological order of the computation, and ``backward`` simply
 replays it in reverse, visiting every entry exactly once.  A tape is built
 fresh for every forward pass; there is no graph reuse between passes.
 
-Numeric conventions shared by the whole package live here as well: values
-are kept in double precision, ``sign(0)`` is ``+1``, and every forward
+Numeric conventions shared by the whole package live here as well: every
+op computes in the dtype of its inputs (the network runs in float32, a
+float64 graph stays float64), ``sign(0)`` is ``+1``, and every forward
 result is checked to be finite (NaN or Inf anywhere is an error state, not
 a value).
 
@@ -32,21 +33,18 @@ from .errors import DimensionError, DomainError, NumericError
 
 _GradFn = Callable[[np.ndarray], np.ndarray]
 
-_local = threading.local()
+
+class _TapeStack(threading.local):  # this thread's recording tapes, innermost last
+    def __init__(self):
+        self.tapes: list[Tape] = []
 
 
-def _stack() -> list["Tape"]:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = []
-        _local.stack = stack
-    return stack
+_local = _TapeStack()
 
 
 def active_tape() -> "Tape | None":
     """Innermost tape currently recording on this thread, if any."""
-    stack = _stack()
-    return stack[-1] if stack else None
+    return _local.tapes[-1] if _local.tapes else None
 
 
 def sign_pm1(values: np.ndarray | float) -> np.ndarray:
@@ -60,10 +58,11 @@ def _require_finite(values: np.ndarray, op: str) -> None:
 
 
 class Tensor:
-    """A dense float64 array with an optional gradient buffer.
+    """A dense float32 or float64 array with an optional gradient buffer.
 
     Attributes:
-        data: the value, always a float64 ndarray.
+        data: the value; float32 and float64 input is kept as given, any
+            other input becomes float64.
         grad: gradient buffer of the same shape, populated by backward().
         requires_grad: whether gradients should flow into this tensor.
         node: index of the tape record that produced this tensor, or None
@@ -73,7 +72,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.node: int | None = None
@@ -108,14 +108,6 @@ def parameter(values) -> Tensor:
     return tensor(values, requires_grad=True)
 
 
-class _Record:
-    __slots__ = ("out", "inputs")
-
-    def __init__(self, out: Tensor, inputs: list[tuple[Tensor, _GradFn]]):
-        self.out = out
-        self.inputs = inputs
-
-
 class Tape:
     """Execution-ordered record of differentiable operations.
 
@@ -126,42 +118,48 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[_Record] = []
+        # (output, [(input, gradient function), ...]) in execution order
+        self._records: list[tuple[Tensor, list[tuple[Tensor, _GradFn]]]] = []
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __enter__(self) -> "Tape":
-        _stack().append(self)
+        _local.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        _stack().pop()
+        _local.tapes.pop()
         return False
 
     def _add(self, out: Tensor, inputs: list[tuple[Tensor, _GradFn]]) -> None:
         out.requires_grad = True
         out.node = len(self._records)
-        self._records.append(_Record(out, inputs))
+        self._records.append((out, inputs))
 
     def backward(self, loss: Tensor) -> None:
         """Populate .grad with d(loss)/d(tensor) for every recorded tensor.
 
         The seed must be a scalar.  Grad buffers of all tensors touched by
         this tape are reset first, so leaves recorded on the tape but not on
-        any path to the loss end with an all-zero gradient.
+        any path to the loss end with an all-zero gradient.  A first
+        contribution becomes the buffer as is (it may be another tensor's),
+        so later ones are added out of place.
         """
         if loss.data.size != 1:
             raise DimensionError(f"backward: seed must be scalar, got shape {loss.shape}")
-        for rec in self._records:
-            rec.out.grad = np.zeros_like(rec.out.data)
-            for tens, _ in rec.inputs:
-                tens.grad = np.zeros_like(tens.data)
+        touched = [t for out, inputs in self._records for t in (out, *(i for i, _ in inputs))]
+        for tens in touched:
+            tens.grad = None
         loss.grad = np.ones_like(loss.data)
-        for rec in reversed(self._records):
-            out_grad = rec.out.grad
-            for tens, grad_fn in rec.inputs:
-                tens.grad += grad_fn(out_grad)
+        for out, inputs in reversed(self._records):
+            if out.grad is not None:  # else it is off every path to the loss
+                for tens, grad_fn in inputs:
+                    step = grad_fn(out.grad)
+                    tens.grad = step if tens.grad is None else tens.grad + step
+        for tens in touched:
+            if tens.grad is None:
+                tens.grad = np.zeros_like(tens.data)
 
 
 def _result(op: str, data: np.ndarray, inputs: Sequence[tuple[Tensor, _GradFn]]) -> Tensor:
@@ -439,15 +437,16 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     if k_cin != c_in:
         raise DimensionError(f"conv2d: input has {c_in} channels, kernels expect {k_cin}")
     pad_h, pad_w = k_h // 2, k_w // 2
-    padded = np.zeros((*lead, height + k_h - 1, width + k_w - 1, c_in))
-    padded[..., pad_h : pad_h + height, pad_w : pad_w + width, :] = x.data
     k_data = kernels.data
+    dtype = np.result_type(x.data, k_data)
+    padded = np.zeros((*lead, height + k_h - 1, width + k_w - 1, c_in), dtype=dtype)
+    padded[..., pad_h : pad_h + height, pad_w : pad_w + width, :] = x.data
     taps = [(off_i, off_j) for off_i in range(k_h) for off_j in range(k_w)]
 
     def window(off_i: int, off_j: int) -> np.ndarray:
         return padded[..., off_i : off_i + height, off_j : off_j + width, :].reshape(-1, c_in)
 
-    out = np.zeros((*lead, height, width, c_out))
+    out = np.zeros((*lead, height, width, c_out), dtype=dtype)
     for off_i, off_j in taps:
         out += (window(off_i, off_j) @ k_data[off_i, off_j]).reshape(out.shape)
 

@@ -4,7 +4,9 @@ Layout: the 4-byte magic ``FHT1``, then one block per array in insertion
 order.  Each block is a little-endian u32 name length, the UTF-8 name, a
 little-endian u32 rank, one little-endian u64 extent per axis, and the
 values as little-endian float64 in C order.  Blocks repeat until EOF, so
-the container needs no explicit count.
+the container needs no explicit count.  Model weights are float64 on disk
+and float32 in memory: ``trainer.load_checkpoint`` rounds them on load, and
+float32 values survive the round trip bit for bit.
 
 Writes go through :func:`atomic_write`, which every artifact writer of the
 package shares: a sibling temporary file replaces the target only once

@@ -77,7 +77,7 @@ def _mean_pairwise_hellinger(what: str, distributions: ad.Tensor) -> ad.Tensor:
     if count < 2:
         raise ContractError(f"{what}: needs >= 2 parts, got {count}")
     left, right = np.triu_indices(count, k=1)
-    identity = np.eye(count)
+    identity = np.eye(count, dtype=distributions.data.dtype)
     dists = hellinger_term(ad.matmul(ad.tensor(identity[left]), distributions),
                            ad.matmul(ad.tensor(identity[right]), distributions))
     return ad.scale(ad.channel_sum(dists), 2.0 / (count * (count - 1)))
@@ -126,7 +126,8 @@ def batch_similarity_loss(
     """Sum of (u . v - bits * s)^2 over every (sample u, database code v) pair.
 
     Computed as ||relaxed @ db_codes.T - bits * S||_F^2 for the relaxed
-    codes [B, bits] of the batch: one matrix product for all pairs.
+    codes [B, bits] of the batch: one matrix product for all pairs, in the
+    dtype of the relaxed codes.
     """
     db_codes = _check_code_matrix(db_codes, bits, "batch_similarity_loss: db_codes")
     if relaxed.data.ndim != 2 or relaxed.shape[1] != bits:
@@ -143,7 +144,9 @@ def batch_similarity_loss(
         )
     if not np.all(np.abs(sim_rows) == 1.0):
         raise DomainError("batch_similarity_loss: sim entries must be +/-1")
-    resid = ad.sub(ad.matmul(relaxed, ad.tensor(db_codes.T)), ad.tensor(bits * sim_rows))
+    dtype = relaxed.data.dtype
+    resid = ad.sub(ad.matmul(relaxed, ad.tensor(db_codes.T.astype(dtype, copy=False))),
+                   ad.tensor((bits * sim_rows).astype(dtype, copy=False)))
     return ad.sum_all(ad.hadamard(resid, resid))
 
 

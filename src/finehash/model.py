@@ -21,6 +21,9 @@ from . import autodiff as ad
 from .errors import ContractError, DimensionError
 
 REFINE_POOL = 2  # spatial pool factor applied by both refinement stages
+# the dtype initialize and load_checkpoint store weights in; the network
+# computes in the dtype of its parameters, so float64 weights run in float64
+PARAM_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -122,38 +125,38 @@ class ModelParams:
         self.hash_weight = tensors["hash.weight"]
         self.hash_bias = tensors["hash.bias"]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the network computes in: that of its parameters."""
+        return self.hash_weight.data.dtype
+
     @classmethod
     def initialize(cls, config: ModelConfig, rng: np.random.Generator) -> "ModelParams":
-        """Seeded init: He-scaled conv kernels, zero biases, 1/sqrt(d) hash."""
-        tensors: dict[str, ad.Tensor] = {}
+        """Seeded init: He-scaled conv kernels, zero biases, 1/sqrt(d) hash,
+        drawn in float64 and stored as PARAM_DTYPE."""
+        arrays: dict[str, np.ndarray] = {}
         c_in = config.in_channels
         for i, c_out in enumerate(config.backbone_channels):
             std = np.sqrt(2.0 / (9.0 * c_in))
-            tensors[f"backbone.{i}.kernel"] = ad.parameter(
-                rng.normal(0.0, std, size=(3, 3, c_in, c_out))
-            )
-            tensors[f"backbone.{i}.bias"] = ad.parameter(np.zeros(c_out))
+            arrays[f"backbone.{i}.kernel"] = rng.normal(0.0, std, size=(3, 3, c_in, c_out))
+            arrays[f"backbone.{i}.bias"] = np.zeros(c_out)
             c_in = c_out
         feat_c = config.feature_channels
-        tensors["attention.kernel"] = ad.parameter(
-            rng.normal(0.0, np.sqrt(1.0 / feat_c), size=(1, 1, feat_c, config.parts))
+        arrays["attention.kernel"] = rng.normal(
+            0.0, np.sqrt(1.0 / feat_c), size=(1, 1, feat_c, config.parts)
         )
-        tensors["attention.bias"] = ad.parameter(np.zeros(config.parts))
+        arrays["attention.bias"] = np.zeros(config.parts)
         for name in ("local", "global"):
-            tensors[f"{name}.kernel"] = ad.parameter(
-                rng.normal(
-                    0.0,
-                    np.sqrt(2.0 / (9.0 * feat_c)),
-                    size=(3, 3, feat_c, config.refined_channels),
-                )
+            arrays[f"{name}.kernel"] = rng.normal(
+                0.0, np.sqrt(2.0 / (9.0 * feat_c)), size=(3, 3, feat_c, config.refined_channels)
             )
-            tensors[f"{name}.bias"] = ad.parameter(np.zeros(config.refined_channels))
+            arrays[f"{name}.bias"] = np.zeros(config.refined_channels)
         dim = config.descriptor_dim
-        tensors["hash.weight"] = ad.parameter(
-            rng.normal(0.0, 1.0 / np.sqrt(dim), size=(config.bits, dim))
+        arrays["hash.weight"] = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(config.bits, dim))
+        arrays["hash.bias"] = np.zeros(config.bits)
+        return cls.from_arrays(
+            config, {name: values.astype(PARAM_DTYPE) for name, values in arrays.items()}
         )
-        tensors["hash.bias"] = ad.parameter(np.zeros(config.bits))
-        return cls(config, tensors)
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
@@ -169,13 +172,13 @@ class ModelParams:
 def backbone_forward(params: ModelParams, images: np.ndarray) -> ad.Tensor:
     """Run the backbone on a stack of images, returning the base feature maps.
 
-    Images are [..., side, side, in_channels] with values in [0, 1].  Each
-    block is a same-padded 3x3 convolution, a channel bias, a relu, and a
-    spatial mean-pool by the configured factor.
+    Images are [..., side, side, in_channels] with values in [0, 1], cast
+    to the parameters' dtype.  Each block is a same-padded 3x3 convolution,
+    a channel bias, a relu, and a spatial mean-pool by the configured factor.
     """
     config = params.config
     expected = (config.image_side, config.image_side, config.in_channels)
-    images = np.asarray(images, dtype=np.float64)
+    images = np.asarray(images, dtype=params.dtype)
     if images.shape[-3:] != expected:
         raise DimensionError(
             f"backbone_forward: images shape {images.shape}, expected trailing axes {expected}"

@@ -37,7 +37,8 @@ from .checkpoint import load_arrays, save_arrays
 from .data import Dataset, build_similarity
 from .errors import ContractError, DimensionError, DomainError, FileFormatError
 from .losses import LossWeights, auto_weights, total_objective
-from .model import ModelConfig, ModelParams, descriptor, forward_features, hash_layer
+from .model import (PARAM_DTYPE, ModelConfig, ModelParams, descriptor, forward_features,
+                    hash_layer)
 
 logger = logging.getLogger(__name__)
 
@@ -189,14 +190,16 @@ def encode_images(params: ModelParams, images: np.ndarray) -> tuple[np.ndarray, 
     """Discrete codes [n, bits] and refined descriptors [n, descriptor_dim]
     for a stack of n images, encoded ENCODE_CHUNK images at a time.
 
-    An empty stack gives empty arrays whatever its trailing shape.
+    Each chunk is cast to the model's dtype on its own, and the descriptors
+    come back in that dtype.  An empty stack gives empty arrays whatever its
+    trailing shape.
     Encoding never exchanges features: anchors are a training-time device,
     so the codes depend only on the network weights.
     """
-    images = np.asarray(images, dtype=np.float64)
+    images = np.asarray(images)
     count = images.shape[0]
     codes = np.empty((count, params.config.bits))
-    descriptors = np.empty((count, params.config.descriptor_dim))
+    descriptors = np.empty((count, params.config.descriptor_dim), dtype=params.dtype)
     for start in range(0, count, ENCODE_CHUNK):
         rows = slice(start, start + ENCODE_CHUNK)
         features = forward_features(params, images[rows])
@@ -262,7 +265,8 @@ def _entry_value(values: np.ndarray, kind, what: str):
 
 
 def load_checkpoint(path) -> TrainState:
-    """Rebuild a TrainState from a file written by save_checkpoint."""
+    """Rebuild a TrainState from a file written by save_checkpoint; the
+    float64 weights on disk are rounded to PARAM_DTYPE."""
     arrays = load_arrays(path)
 
     def grab(name: str) -> np.ndarray:
@@ -282,7 +286,7 @@ def load_checkpoint(path) -> TrainState:
     train_config = read_config(TrainConfig, "config.train")
 
     param_arrays = {
-        name: values
+        name: values.astype(PARAM_DTYPE)
         for name, values in arrays.items()
         if not name.startswith(("config.", "state.", "anchors."))
     }

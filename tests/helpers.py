@@ -12,6 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from finehash.model import ModelParams
+
 
 def finite_difference(
     func: Callable[..., float], arrays: Sequence[np.ndarray], eps: float = 1e-5
@@ -42,6 +44,16 @@ def finite_difference(
             grad_flat[i] = (hi - lo) / (2.0 * eps)
         grads.append(grad)
     return grads
+
+
+def float64_params(params: ModelParams) -> ModelParams:
+    """The same weights as a network that computes in float64.
+
+    Checks whose tolerance only double precision meets (finite differences,
+    batch-versus-single gradient sums) run on such a copy.
+    """
+    arrays = {name: values.astype(np.float64) for name, values in params.arrays().items()}
+    return ModelParams.from_arrays(params.config, arrays)
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -164,7 +164,7 @@ def test_01_gradients_match_finite_differences():
     # Full training objective on a two-sample toy model, every parameter.
     config = ModelConfig(parts=2, bits=4, image_side=8, backbone_channels=(2, 3),
                          backbone_pools=(2, 1), refined_channels=3)
-    params = ModelParams.initialize(config, rng)
+    params = helpers.float64_params(ModelParams.initialize(config, rng))
     images = rng.uniform(size=(2, 8, 8, 3))
     codes = rng.choice([-1.0, 1.0], size=(6, 4))
     sim = build_similarity(np.array([0, 1]), np.array([0, 1, 0, 1, 0, 1]))
@@ -241,7 +241,8 @@ def test_03_anchors_equal_class_part_means(small_trained):
         stacked = forward_features(trainer.params, image).part_vecs.data
         by_class.setdefault(int(label), []).append(stacked)
     worst = max(
-        float(np.max(np.abs(trainer.anchors.get(c) - np.mean(np.stack(rows), axis=0))))
+        float(np.max(np.abs(trainer.anchors.get(c)
+                            - np.mean(np.stack(rows), axis=0, dtype=np.float64))))
         for c, rows in by_class.items()
     )
     assert report(

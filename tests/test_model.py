@@ -272,7 +272,7 @@ class TestEndToEnd:
 
     def test_full_model_gradient_check(self, rng):
         config = small_config()
-        params = model.ModelParams.initialize(config, rng)
+        params = helpers.float64_params(model.ModelParams.initialize(config, rng))
         image = rng.uniform(size=(8, 8, 3))
         target = rng.standard_normal(config.bits)
         names = list(params.arrays())

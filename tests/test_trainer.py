@@ -1,5 +1,7 @@
 """Tests for the alternating trainer: schedules, code updates, resume."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import finehash.autodiff as ad
 import finehash.trainer as trainer_module
 from finehash.anchors import AnchorBank, exchange_features
 from finehash.checkpoint import load_arrays, save_arrays
+from finehash.config import default_run_config
 from finehash.data import Dataset, SynthConfig, build_similarity, generate_synthetic
 from finehash.errors import ContractError, DimensionError, DomainError, FileFormatError
 from finehash.losses import LossWeights, total_objective
@@ -23,7 +26,8 @@ from finehash.trainer import (
     update_code_column,
     warmup_iters,
 )
-from helpers import enumerate_code_column, naive_frobenius_objective, relative_error
+from helpers import (enumerate_code_column, float64_params, naive_frobenius_objective,
+                     relative_error)
 
 SMALL_MODEL = ModelConfig(parts=2, bits=8, image_side=16, backbone_channels=(6, 8),
                           backbone_pools=(2, 2), refined_channels=8)
@@ -554,7 +558,7 @@ class TestBatchIndependence:
     def test_batch_gradients_equal_sum_of_single_image_gradients(self, small_dataset):
         trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train(warmup_fraction=0.0))
         trainer.run_iteration()  # leaves an anchor bank and moved weights
-        params, labels = trainer.params, trainer.train_labels
+        params, labels = float64_params(trainer.params), trainer.train_labels
         batch = np.array([3, 11, 0, 16, 7])
         mask = np.array([[1, 0], [0, 0], [1, 1], [0, 1], [1, 0]])
         weights = LossWeights(spatial=0.3, channel=0.2, margin=0.9)
@@ -577,3 +581,76 @@ class TestBatchIndependence:
         for name, grad in batched.items():
             summed = sum(single[name] for single in singles)
             assert relative_error(grad, summed) < 1e-10, name
+
+
+class TestFloat32Engine:
+    """The network computes in the dtype of its parameters: float32 as
+    initialized or loaded, float64 for a float64 copy of the weights."""
+
+    @pytest.mark.parametrize("iterations", [0, 1])
+    def test_float32_encoding_within_stated_tolerance(self, iterations):
+        config = default_run_config()
+        dataset = generate_synthetic(config.synth)
+        trainer = AlternatingTrainer(dataset, replace(config.model, bits=16), config.train)
+        for _ in range(iterations):
+            trainer.run_iteration()
+        codes, descriptors = encode_images(trainer.params, dataset.images)
+        codes_64, descriptors_64 = encode_images(float64_params(trainer.params), dataset.images)
+        assert descriptors.dtype == np.float32 and descriptors_64.dtype == np.float64
+        row_error = (np.linalg.norm(descriptors - descriptors_64, axis=1)
+                     / np.linalg.norm(descriptors_64, axis=1))
+        assert row_error.max() <= 1e-5
+        assert np.mean(codes == codes_64) >= 0.99
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_training_step_runs_in_parameter_dtype(self, small_dataset, monkeypatch, dtype):
+        trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train(warmup_fraction=0.0))
+        trainer.run_iteration()  # leaves an anchor bank, so the step exchanges
+        if dtype == np.float64:
+            trainer.params = float64_params(trainer.params)
+        assert trainer.params.dtype == dtype
+        seen = []
+        backward = ad.Tape.backward
+
+        def recorded(tape, loss):
+            backward(tape, loss)
+            for out, inputs in tape._records:
+                seen.extend([out.data.dtype, out.grad.dtype])
+                seen.extend(tens.grad.dtype for tens, _ in inputs)
+            seen.extend(tens.grad.dtype for tens in trainer.params.named().values())
+
+        monkeypatch.setattr(ad.Tape, "backward", recorded)
+        trainer._theta_batch(np.arange(6), 1e-3, np.random.default_rng(0), exchanging=True)
+        assert len(seen) > 100
+        assert set(seen) == {np.dtype(dtype)}
+        assert all(tens.data.dtype == dtype for tens in trainer.params.named().values())
+        assert encode_images(trainer.params, small_dataset.query_images)[1].dtype == dtype
+
+    def test_checkpoint_round_trips_float32_weights_bit_equal(self, small_dataset, tmp_path):
+        trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train())
+        trainer.run_iteration()
+        path = tmp_path / "ckpt.fht1"
+        trainer.save(path)
+        assert all(values.dtype == np.float64 for values in load_arrays(path).values())
+        loaded = load_checkpoint(path).params.arrays()
+        for name, values in trainer.params.arrays().items():
+            assert values.dtype == np.float32 and loaded[name].dtype == np.float32
+            assert np.array_equal(loaded[name], values)
+
+    def test_float64_checkpoint_weights_load_as_float32(self, small_dataset, tmp_path):
+        trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train())
+        rng = np.random.default_rng(3)
+        weights = {name: values + 1e-9 * rng.standard_normal(values.shape)
+                   for name, values in float64_params(trainer.params).arrays().items()}
+        assert any(not np.array_equal(values.astype(np.float32), values)
+                   for values in weights.values())
+        path = tmp_path / "ckpt.fht1"
+        save_checkpoint(path, ModelParams.from_arrays(SMALL_MODEL, weights),
+                        trainer.train_config, trainer.codes, 0)
+        params = load_checkpoint(path).params
+        assert params.dtype == np.float32
+        for name, values in params.arrays().items():
+            assert np.array_equal(values, weights[name].astype(np.float32))
+        codes, descriptors = encode_images(params, small_dataset.query_images)
+        assert np.all(np.abs(codes) == 1.0)
+        assert descriptors.dtype == np.float32 and np.all(np.isfinite(descriptors))
