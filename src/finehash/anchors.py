@@ -4,7 +4,11 @@ An anchor is the mean local feature of one part over all training samples
 of one class.  During training, each part vector of a sample is kept or
 replaced by its class anchor according to a fair coin flip per part, which
 regularizes part features toward class prototypes; a whole batch is
-exchanged at once with a [batch, parts] mask.  Anchors are plain
+exchanged at once with a [batch, parts] mask.
+
+The bank is one [classes, parts, dim] table indexed by the dense class id,
+recomputed whole from the database at every anchor phase; a checkpoint
+stores it as the entries anchors.0 .. anchors.{C-1}.  Anchors are plain
 arrays: wrapped as constants when spliced into the graph, they never
 receive gradients.
 """
@@ -14,115 +18,84 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, FileFormatError
 
 _PREFIX = "anchors."
 
 
 class AnchorBank:
-    """Per-class [parts, dim] anchor matrices keyed by class id."""
+    """The anchors of classes 0..C-1 as one float64 [classes, parts, dim] table."""
 
-    def __init__(self, anchors: dict[int, np.ndarray]):
-        self._anchors: dict[int, np.ndarray] = {}
-        shape: tuple[int, ...] | None = None
-        for class_id, matrix in anchors.items():
-            matrix = np.asarray(matrix, dtype=np.float64)
-            if matrix.ndim != 2:
-                raise DimensionError(
-                    f"AnchorBank: class {class_id} anchors have shape {matrix.shape}, "
-                    "expected [parts, dim]"
-                )
-            if shape is None:
-                shape = matrix.shape
-            elif matrix.shape != shape:
-                raise DimensionError(
-                    f"AnchorBank: class {class_id} anchors {matrix.shape} != {shape}"
-                )
-            self._anchors[int(class_id)] = matrix
-        self._shape = shape
+    def __init__(self, table: np.ndarray):
+        table = np.asarray(table, dtype=np.float64)
+        if table.ndim != 3:
+            raise DimensionError(
+                f"AnchorBank: anchors have shape {table.shape}, expected [classes, parts, dim]"
+            )
+        self.table = table
 
     @property
     def classes(self) -> list[int]:
-        return sorted(self._anchors)
-
-    @property
-    def parts(self) -> int:
-        return self._shape[0] if self._shape else 0
-
-    @property
-    def dim(self) -> int:
-        return self._shape[1] if self._shape else 0
-
-    def __contains__(self, class_id: int) -> bool:
-        return int(class_id) in self._anchors
-
-    def __len__(self) -> int:
-        return len(self._anchors)
+        return list(range(len(self.table)))
 
     def get(self, class_id: int) -> np.ndarray:
-        class_id = int(class_id)
-        if class_id not in self._anchors:
-            raise KeyError(f"no anchors for class {class_id}")
-        return self._anchors[class_id]
+        """Anchors [parts, dim] of one class."""
+        return self.rows(int(class_id))
 
     def rows(self, class_ids: np.ndarray) -> np.ndarray:
         """Stacked anchors [n, parts, dim] of each class id in turn."""
-        classes = np.array(self.classes)
-        slots = np.searchsorted(classes, class_ids).clip(0, len(classes) - 1)
-        if not np.array_equal(classes[slots], class_ids):
-            raise KeyError(f"no anchors for classes {np.setdiff1d(class_ids, classes).tolist()}")
-        return np.stack([self._anchors[c] for c in self.classes])[slots]
+        class_ids = np.asarray(class_ids)
+        outside = class_ids[(class_ids < 0) | (class_ids >= len(self.table))]
+        if outside.size:
+            raise KeyError(f"no anchors for classes {np.unique(outside).tolist()}")
+        return self.table[class_ids]
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Flatten to named arrays for the checkpoint container."""
-        return {f"{_PREFIX}{c}": self._anchors[c].copy() for c in self.classes}
+        """Flatten to the checkpoint entries anchors.0 .. anchors.{C-1}."""
+        return {f"{_PREFIX}{c}": matrix.copy() for c, matrix in enumerate(self.table)}
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "AnchorBank":
-        anchors = {
-            int(name[len(_PREFIX) :]): values
-            for name, values in arrays.items()
-            if name.startswith(_PREFIX)
-        }
-        return cls(anchors)
-
-
-def compute_anchor_bank(
-    samples_by_class: dict[int, np.ndarray], previous: AnchorBank | None = None
-) -> AnchorBank:
-    """Average per-class per-part features into a fresh bank.
-
-    Args:
-        samples_by_class: class id -> stacked part vectors [n_i, parts, dim].
-        previous: bank from the last refresh.  A class with zero samples
-            this round keeps its previous anchors; with no previous bank
-            that situation is a contract error.
-
-    Classes present only in ``previous`` are carried over unchanged.
-    """
-    anchors: dict[int, np.ndarray] = {}
-    class_ids = set(int(c) for c in samples_by_class)
-    if previous is not None:
-        class_ids.update(previous.classes)
-    if not class_ids:
-        raise ContractError("compute_anchor_bank: no classes to anchor")
-    for class_id in sorted(class_ids):
-        stack = samples_by_class.get(class_id)
-        stack = None if stack is None else np.asarray(stack, dtype=np.float64)
-        if stack is None or stack.size == 0:
-            if previous is None or class_id not in previous:
-                raise ContractError(
-                    f"compute_anchor_bank: class {class_id} has no samples and no previous anchors"
-                )
-            anchors[class_id] = previous.get(class_id).copy()
-            continue
-        if stack.ndim != 3:
-            raise DimensionError(
-                f"compute_anchor_bank: class {class_id} stack has shape {stack.shape}, "
-                "expected [n, parts, dim]"
+    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "AnchorBank | None":
+        """Rebuild from exactly the entries anchors.0 .. anchors.{C-1}, all of
+        one [parts, dim] shape; None when there are no anchor entries."""
+        names = {name for name in arrays if name.startswith(_PREFIX)}
+        if not names:
+            return None
+        expected = {f"{_PREFIX}{c}" for c in range(len(names))}
+        if names != expected:
+            raise FileFormatError(
+                f"anchor entries must be {_PREFIX}0..{len(names) - 1}: missing "
+                f"{sorted(expected - names)}, unexpected {sorted(names - expected)}"
             )
-        anchors[class_id] = stack.mean(axis=0)
-    return AnchorBank(anchors)
+        table = [arrays[f"{_PREFIX}{c}"] for c in range(len(names))]
+        for c, matrix in enumerate(table):
+            if matrix.ndim != 2 or matrix.shape != table[0].shape:
+                raise FileFormatError(
+                    f"entry '{_PREFIX}{c}' has shape {matrix.shape}, expected one "
+                    "[parts, dim] shape for every class"
+                )
+        return cls(np.stack(table))
+
+
+def compute_anchor_bank(part_vecs: np.ndarray, labels: np.ndarray) -> AnchorBank:
+    """Average the part vectors [n, parts, dim] of each class in float64.
+
+    The classes are 0..max(labels), and each needs at least one sample.
+    """
+    part_vecs = np.asarray(part_vecs)
+    labels = np.asarray(labels)
+    if part_vecs.ndim != 3 or labels.shape != part_vecs.shape[:1]:
+        raise DimensionError(
+            f"compute_anchor_bank: part vectors {part_vecs.shape} and labels {labels.shape}, "
+            "expected [n, parts, dim] and [n]"
+        )
+    if len(labels) == 0 or labels.min() < 0:
+        raise ContractError("compute_anchor_bank: needs samples with labels >= 0")
+    empty = np.flatnonzero(np.bincount(labels) == 0)
+    if empty.size:
+        raise ContractError(f"compute_anchor_bank: classes {empty.tolist()} have no samples")
+    return AnchorBank(np.stack([part_vecs[labels == c].astype(np.float64).mean(axis=0)
+                                for c in range(labels.max() + 1)]))
 
 
 def draw_keep_mask(rng: np.random.Generator, shape) -> np.ndarray:

@@ -236,7 +236,7 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     """max(0, x); the subgradient at exactly 0 is taken as 0."""
     mask = a.data > 0.0
-    return _result("relu", np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)])
+    return _result("relu", np.maximum(a.data, 0.0), [(a, lambda g: g * mask)])
 
 
 def tanh(a: Tensor) -> Tensor:

@@ -157,9 +157,14 @@ def average_precision(ranked_labels: np.ndarray, query_label) -> float | None:
 
 def mean_average_precision(ranked_label_rows, query_labels) -> float:
     """Mean AP over queries; zero-relevant queries are skipped with a warning."""
+    return _mean_of_aps([average_precision(ranked, label) for ranked, label
+                         in zip(ranked_label_rows, query_labels, strict=True)], query_labels)
+
+
+def _mean_of_aps(aps: list[float | None], query_labels) -> float:
+    """Mean of the per-query APs, skipping with a warning each None (no relevant item)."""
     values = []
-    for ranked, label in zip(ranked_label_rows, query_labels, strict=True):
-        ap = average_precision(ranked, label)
+    for ap, label in zip(aps, query_labels, strict=True):
         if ap is None:
             logger.warning("query with label %r has no relevant database items; skipped", label)
         else:
@@ -322,21 +327,19 @@ def evaluate_queries(index: RetrievalIndex, query_codes: np.ndarray,
     for k in ks:
         if not 1 <= k <= len(index):
             raise ContractError(f"evaluate_queries: k={k} outside [1, {len(index)}]")
-    ranked_rows = []
-    for i in range(len(query_codes)):
+    # each ranking is scored as soon as it is made, so one row is alive at a time
+    aps, precisions = [], {k: [] for k in ks}
+    for i, label in enumerate(query_labels):
         feature = None if query_features is None else query_features[i]
-        order = index.search(query_codes[i], feature, topn)
-        ranked_rows.append(index.labels[order])
-    result = {
-        "map": mean_average_precision(ranked_rows, query_labels),
-        "precision_at": {
-            k: float(np.mean([precision_at_k(row, label, k)
-                              for row, label in zip(ranked_rows, query_labels)]))
-            for k in ks
-        },
+        ranked = index.labels[index.search(query_codes[i], feature, topn)]
+        aps.append(average_precision(ranked, label))
+        for k, values in precisions.items():
+            values.append(precision_at_k(ranked, label, k))
+    return {
+        "map": _mean_of_aps(aps, query_labels),
+        "precision_at": {k: float(np.mean(values)) for k, values in precisions.items()},
         "queries": len(query_codes),
     }
-    return result
 
 
 def bench_scan(codes: np.ndarray, query_codes: np.ndarray, reps: int = 5) -> dict:

@@ -231,7 +231,7 @@ def save_checkpoint(
     """Write weights, codes, anchors, and both configs into one file; each
     config field is the entry ``config.{model,train}.<field>``, None as NaN."""
     arrays = dict(params.arrays())
-    if anchors is not None and len(anchors):
+    if anchors is not None:
         arrays.update(anchors.arrays())
     for prefix, config in (("config.model", params.config), ("config.train", train_config)):
         for field in fields(config):
@@ -298,13 +298,16 @@ def load_checkpoint(path) -> TrainState:
     if codes.ndim != 2 or codes.shape[1] != model_config.bits:
         raise FileFormatError(f"{path}: stored codes have shape {codes.shape}")
     _check_pm1(codes, f"{path}: stored codes")
-    anchors = AnchorBank.from_arrays(arrays)
+    try:
+        anchors = AnchorBank.from_arrays(arrays)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: checkpoint {exc}") from None
     return TrainState(
         params=params,
         train_config=train_config,
         codes=codes,
         iteration=read("state.iteration", int),
-        anchors=anchors if len(anchors) else None,
+        anchors=anchors,
     )
 
 
@@ -357,6 +360,13 @@ class AlternatingTrainer:
             raise ContractError(
                 f"from_checkpoint: stored codes {state.codes.shape} do not match "
                 f"{(trainer.db_size, trainer.model_config.bits)}"
+            )
+        config = trainer.model_config
+        expected = (dataset.num_classes, config.parts, config.refined_channels)
+        if state.anchors is not None and state.anchors.table.shape != expected:
+            raise ContractError(
+                f"from_checkpoint: stored anchors {state.anchors.table.shape} do not match "
+                f"[classes, parts, dim] {expected}"
             )
         trainer.params = state.params
         trainer.codes = state.codes
@@ -468,16 +478,9 @@ class AlternatingTrainer:
         """Refresh the anchors from the part slices of the database descriptors."""
         parts = self.model_config.parts
         part_vecs = descriptors.reshape(self.db_size, parts + 1, -1)[:, :parts]
-        fresh = compute_anchor_bank(
-            {int(c): part_vecs[self.train_labels == c] for c in np.unique(self.train_labels)},
-            self.anchors,
-        )
-        if self.anchors is None:
-            drift = 0.0
-        else:
-            drift = float(np.mean([
-                np.linalg.norm(fresh.get(c) - self.anchors.get(c)) for c in fresh.classes
-            ]))
+        fresh = compute_anchor_bank(part_vecs, self.train_labels)
+        drift = 0.0 if self.anchors is None else float(np.mean(
+            [np.linalg.norm(delta) for delta in fresh.table - self.anchors.table]))
         self.anchors = fresh
         return drift
 

@@ -269,10 +269,7 @@ def test_04_exchange_identity_anchors_and_encode_invariance(small_trained):
     probe = trainer.train_images[:4]
     before = trainer.encode(probe)
     original = trainer.anchors
-    shape = (original.parts, original.dim)
-    trainer.anchors = AnchorBank(
-        {c: rng.standard_normal(shape) for c in original.classes}
-    )
+    trainer.anchors = AnchorBank(rng.standard_normal(original.table.shape))
     after = trainer.encode(probe)
     trainer.anchors = original
     invariant = bool(np.array_equal(before, after))

@@ -5,96 +5,96 @@ import pytest
 
 import finehash.autodiff as ad
 from finehash import anchors
-from finehash.errors import ContractError, DimensionError
+from finehash.errors import ContractError, DimensionError, FileFormatError
 
 
 class TestComputeAnchorBank:
     def test_single_sample_is_its_own_anchor(self):
         rng = np.random.default_rng(0)
         stack = rng.standard_normal((1, 3, 4))
-        bank = anchors.compute_anchor_bank({5: stack})
-        assert np.array_equal(bank.get(5), stack[0])
+        bank = anchors.compute_anchor_bank(stack, np.array([0]))
+        assert np.array_equal(bank.get(0), stack[0])
 
     def test_two_sample_mean(self):
         stack = np.array([[[0.0, 2.0]], [[2.0, 0.0]]])  # two samples, 1 part, dim 2
-        bank = anchors.compute_anchor_bank({0: stack})
+        bank = anchors.compute_anchor_bank(stack, np.array([0, 0]))
         assert np.array_equal(bank.get(0), [[1.0, 1.0]])
 
     def test_matches_loop_mean_exactly(self):
         rng = np.random.default_rng(1)
-        stacks = {c: rng.standard_normal((6, 2, 5)) for c in range(3)}
-        bank = anchors.compute_anchor_bank(stacks)
-        for c, stack in stacks.items():
+        stack = rng.standard_normal((18, 2, 5)).astype(np.float32)
+        labels = rng.permutation(np.repeat(np.arange(3), 6))
+        bank = anchors.compute_anchor_bank(stack, labels)
+        assert bank.table.shape == (3, 2, 5) and bank.table.dtype == np.float64
+        for c in range(3):
             expected = np.zeros((2, 5))
-            for sample in stack:
+            for sample in stack[labels == c]:
                 expected += sample
-            expected /= len(stack)
+            expected /= 6
             assert np.max(np.abs(bank.get(c) - expected)) <= 1e-12
 
     def test_sample_order_invariance(self):
         rng = np.random.default_rng(2)
         stack = rng.standard_normal((5, 2, 3))
-        a = anchors.compute_anchor_bank({0: stack}).get(0)
-        b = anchors.compute_anchor_bank({0: stack[::-1].copy()}).get(0)
+        labels = np.array([0, 1, 0, 1, 1])
+        a = anchors.compute_anchor_bank(stack, labels).table
+        b = anchors.compute_anchor_bank(stack[::-1].copy(), labels[::-1].copy()).table
         assert np.allclose(a, b, atol=1e-12)
 
-    def test_zero_samples_retains_previous(self):
-        rng = np.random.default_rng(3)
-        previous = anchors.compute_anchor_bank({0: rng.standard_normal((2, 2, 3))})
-        bank = anchors.compute_anchor_bank(
-            {0: np.zeros((0, 2, 3)), 1: rng.standard_normal((3, 2, 3))}, previous
-        )
-        assert np.array_equal(bank.get(0), previous.get(0))
-        assert 1 in bank
-
-    def test_absent_class_carried_over(self):
-        rng = np.random.default_rng(4)
-        previous = anchors.compute_anchor_bank(
-            {0: rng.standard_normal((2, 2, 3)), 1: rng.standard_normal((2, 2, 3))}
-        )
-        bank = anchors.compute_anchor_bank({1: rng.standard_normal((4, 2, 3))}, previous)
-        assert np.array_equal(bank.get(0), previous.get(0))
-
-    def test_zero_samples_without_previous_rejected(self):
-        with pytest.raises(ContractError):
-            anchors.compute_anchor_bank({0: np.zeros((0, 2, 3))})
+    def test_class_without_samples_rejected(self):
+        with pytest.raises(ContractError, match=r"\[1\]"):
+            anchors.compute_anchor_bank(np.zeros((2, 2, 3)), np.array([0, 2]))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ContractError):
-            anchors.compute_anchor_bank({})
+            anchors.compute_anchor_bank(np.zeros((0, 2, 3)), np.zeros(0, dtype=int))
 
     def test_bad_rank_rejected(self):
         with pytest.raises(DimensionError):
-            anchors.compute_anchor_bank({0: np.zeros((3, 4))})
+            anchors.compute_anchor_bank(np.zeros((3, 4)), np.zeros(3, dtype=int))
+        with pytest.raises(DimensionError):
+            anchors.compute_anchor_bank(np.zeros((3, 2, 4)), np.zeros(2, dtype=int))
 
     def test_checkpoint_round_trip(self):
         rng = np.random.default_rng(5)
-        bank = anchors.compute_anchor_bank({c: rng.standard_normal((2, 3, 4)) for c in (1, 7)})
-        rebuilt = anchors.AnchorBank.from_arrays(bank.arrays())
-        assert rebuilt.classes == bank.classes
-        for c in bank.classes:
-            assert np.array_equal(rebuilt.get(c), bank.get(c))
+        bank = anchors.AnchorBank(rng.standard_normal((3, 3, 4)))
+        entries = bank.arrays()
+        assert sorted(entries) == ["anchors.0", "anchors.1", "anchors.2"]
+        rebuilt = anchors.AnchorBank.from_arrays({"hash.weight": np.zeros(2), **entries})
+        assert rebuilt.classes == bank.classes == [0, 1, 2]
+        assert np.array_equal(rebuilt.table, bank.table)
+        assert anchors.AnchorBank.from_arrays({"hash.weight": np.zeros(2)}) is None
 
 
 class TestAnchorBank:
     def test_missing_class_is_key_error(self):
-        bank = anchors.AnchorBank({0: np.zeros((2, 3))})
-        with pytest.raises(KeyError):
-            bank.get(9)
+        bank = anchors.AnchorBank(np.zeros((2, 2, 3)))
+        for missing in (2, 9, -1):
+            with pytest.raises(KeyError):
+                bank.get(missing)
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(DimensionError):
-            anchors.AnchorBank({0: np.zeros((2, 3)), 1: np.zeros((2, 4))})
+            anchors.AnchorBank(np.zeros((2, 3)))
+        entries = {"anchors.0": np.zeros((2, 3)), "anchors.1": np.zeros((2, 4))}
+        with pytest.raises(FileFormatError, match="anchors.1"):
+            anchors.AnchorBank.from_arrays(entries)
+
+    def test_sparse_class_ids_rejected(self):
+        for ids in ((0, 2), (1, 2), ("0", "x")):
+            entries = {f"anchors.{c}": np.zeros((2, 3)) for c in ids}
+            with pytest.raises(FileFormatError):
+                anchors.AnchorBank.from_arrays(entries)
 
     def test_rows_stack_each_label_anchors(self):
         rng = np.random.default_rng(6)
-        bank = anchors.AnchorBank({c: rng.standard_normal((2, 3)) for c in (1, 4, 9)})
-        labels = np.array([9, 1, 9, 4])
+        bank = anchors.AnchorBank(rng.standard_normal((5, 2, 3)))
+        labels = np.array([4, 1, 4, 0])
         rows = bank.rows(labels)
         assert rows.shape == (4, 2, 3)
         for row, label in zip(rows, labels):
             assert np.array_equal(row, bank.get(label))
-        for missing in (0, 5, 10):
+        for missing in (-1, 5, 10):
             with pytest.raises(KeyError):
                 bank.rows(np.array([1, missing]))
 

@@ -176,8 +176,16 @@ class TestElementwise:
         assert np.allclose(ad.sigmoid(ad.tensor(np.zeros(3))).data, 0.5, atol=1e-15)
 
     def test_relu_clamps_negatives(self):
-        out = ad.relu(ad.tensor([-2.0, 0.0, 3.0]))
-        assert np.array_equal(out.data, [0.0, 0.0, 3.0])
+        for dtype in (np.float32, np.float64):
+            out = ad.relu(ad.tensor(np.array([-2.0, -0.0, 0.0, 3.0], dtype=dtype)))
+            assert out.data.dtype == dtype
+            # both signed zeros come out as +0.0, byte for byte
+            assert out.data.tobytes() == np.array([0.0, 0.0, 0.0, 3.0], dtype=dtype).tobytes()
+        leaf = ad.parameter(np.array([-2.0, -0.0, 0.0, 3.0]))
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.relu(leaf))
+        tape.backward(loss)
+        assert np.array_equal(leaf.grad, [0.0, 0.0, 0.0, 1.0])  # subgradient 0 at both zeros
 
     def test_sqrt_negative_rejected(self):
         with pytest.raises(DomainError):

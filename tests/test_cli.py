@@ -206,6 +206,27 @@ class TestTrain:
         assert passes == [True]
         assert (tmp_path / "done" / "db.fhf1").read_bytes() == workspace["features"].read_bytes()
 
+    @pytest.mark.parametrize("saved, resumed", [((4, 10), (5, 8)), ((5, 8), (4, 10))])
+    def test_resume_on_other_classes_exits_2(self, tmp_path, caplog, saved, resumed):
+        # both sets hold 40 database images, so only the anchor bank differs
+        def config(classes, per_class):
+            path = tmp_path / f"{classes}x{per_class}.cfg"
+            path.write_text(TINY_CONFIG.replace("data_dir = data\n", "").replace(
+                "synth_classes = 3\nsynth_per_class = 6\n",
+                f"synth_classes = {classes}\nsynth_per_class = {per_class}\n"))
+            return path
+
+        code, _ = run_cli(["train", "--config", config(*saved), "--out-dir", tmp_path])
+        assert code == 0
+        checkpoint = tmp_path / "model.fht1"
+        arrays = load_arrays(checkpoint)
+        arrays["state.iteration"] = np.array(1.0)  # leave an iteration to run
+        save_arrays(checkpoint, arrays)
+        code, _ = run_cli(["train", "--config", config(*resumed), "--out-dir", tmp_path,
+                           "--resume"])
+        assert code == 2
+        assert "stored anchors" in caplog.text
+
     def test_bits_override_changes_code_length(self, workspace, tmp_path):
         code, _ = run_cli(["train", "--config", workspace["config"],
                            "--out-dir", tmp_path / "narrow", "--bits", "4"])

@@ -1,5 +1,7 @@
 """Tests for packing, Hamming search, metrics, file IO, and the benchmark."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,22 @@ class TestIndex:
         assert result["precision_at"][2] == 0.5
         assert result["precision_at"][3] == pytest.approx(2 / 3)
         assert result["queries"] == 1
+
+    def test_evaluate_skips_query_without_relevant_items_in_map_only(self, caplog):
+        db = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+        index = RetrievalIndex(pack_codes(db), labels=np.array([0, 1, 0]))
+        queries = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+        labels = np.array([0, 2, 1])  # label 2 has no database item
+        with caplog.at_level(logging.WARNING):
+            result = evaluate_queries(index, queries, labels, ks=(1, 2))
+        assert "has no relevant database items" in caplog.text
+        # rankings (0, 1, 2), (2, 1, 0) and (1, 0, 2): APs 5/6, none and 1
+        rows = [np.array([0, 1, 0]), np.array([0, 1, 0]), np.array([1, 0, 0])]
+        assert result["map"] == mean_average_precision(rows, labels)
+        assert result["map"] == pytest.approx(np.mean([5 / 6, 1.0]), abs=1e-12)
+        assert result["precision_at"] == {1: np.mean([1.0, 0.0, 1.0]),
+                                          2: np.mean([0.5, 0.0, 0.5])}
+        assert result["queries"] == 3
 
     def test_evaluate_requires_labels(self):
         index = RetrievalIndex(pack_codes(np.ones((3, 4))))

@@ -459,11 +459,14 @@ class TestResume:
         ("config.train.margin", np.array(np.inf)),
         ("config.train.channel_weight", np.array(-np.inf)),  # float | None: NaN alone is None
         ("config.train.lr_drop_points", np.array([0.5, np.inf])),  # tuple of floats
+        ("anchors.1", None),  # class ids with a gap
+        ("anchors.1", np.zeros((2, 7))),  # mixed anchor shapes
     ])
     def test_malformed_checkpoint_names_entry(self, tmp_path, name, value):
         path = tmp_path / "ckpt.fht1"
         params = ModelParams.initialize(SMALL_MODEL, np.random.default_rng(0))
-        save_checkpoint(path, params, small_train(), np.ones((4, 8)), 1)
+        bank = AnchorBank(np.zeros((3, SMALL_MODEL.parts, SMALL_MODEL.refined_channels)))
+        save_checkpoint(path, params, small_train(), np.ones((4, 8)), 1, bank)
         arrays = load_arrays(path)
         if value is None:
             del arrays[name]
@@ -526,8 +529,7 @@ class TestEncoding:
         trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train())
         trainer.train()
         baseline = trainer.encode(small_dataset.query_images)
-        shifted = {c: trainer.anchors.get(c) + 100.0 for c in trainer.anchors.classes}
-        trainer.anchors = AnchorBank(shifted)
+        trainer.anchors = AnchorBank(trainer.anchors.table + 100.0)
         assert np.array_equal(trainer.encode(small_dataset.query_images), baseline)
 
     def test_chunked_encoding_equals_one_image_at_a_time(self, small_dataset):
