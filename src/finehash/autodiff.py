@@ -235,8 +235,8 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     """max(0, x); the subgradient at exactly 0 is taken as 0."""
-    mask = a.data > 0.0
-    return _result("relu", np.maximum(a.data, 0.0), [(a, lambda g: g * mask)])
+    out_data = np.maximum(a.data, 0.0)
+    return _result("relu", out_data, [(a, lambda g: g * (out_data > 0.0))])
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -389,7 +389,13 @@ def avg_pool2(a: Tensor, factor: int = 2) -> Tensor:
     if height % factor or width % factor:
         raise DimensionError(f"avg_pool2: extents {height}x{width} not divisible by {factor}")
     blocks = (*lead, height // factor, factor, width // factor, factor, channels)
-    data = a.data.reshape(blocks).mean(axis=(-4, -2))
+    # the strided slices summed from zero in row-major (i, j) order, then
+    # divided: bit for bit the mean over the block axes of ``blocks``
+    data = np.zeros((*lead, height // factor, width // factor, channels), dtype=a.data.dtype)
+    for i in range(factor):
+        for j in range(factor):
+            data += a.data[..., i::factor, j::factor, :]
+    data /= factor * factor
     inv = 1.0 / (factor * factor)
 
     def back(g: np.ndarray) -> np.ndarray:
@@ -422,9 +428,12 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
 
     Returns:
         Tensor [..., H, W, Cout]; positions outside the frame contribute zero.
-        Each kernel tap is one matrix product whose rows run over every
-        leading index and position, so a map's result does not depend on
-        the other maps stacked with it.
+        The forward pass is one matrix product of the im2col columns (one
+        row per leading index and position, ``kh * kw * Cin`` entries) with
+        the flattened bank; the columns are a forward temporary that the
+        tape does not keep.  Each backward direction is one product per
+        kernel tap.  A map's result does not depend on the other maps
+        stacked with it.
     """
     if x.data.ndim < 3:
         raise DimensionError(f"conv2d: input of rank >= 3 required, got shape {x.shape}")
@@ -446,9 +455,10 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     def window(off_i: int, off_j: int) -> np.ndarray:
         return padded[..., off_i : off_i + height, off_j : off_j + width, :].reshape(-1, c_in)
 
-    out = np.zeros((*lead, height, width, c_out), dtype=dtype)
-    for off_i, off_j in taps:
-        out += (window(off_i, off_j) @ k_data[off_i, off_j]).reshape(out.shape)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k_h, k_w), axis=(-3, -2))
+    columns = np.moveaxis(windows, -3, -1).reshape(-1, k_h * k_w * c_in)  # a copy
+    out = (columns @ k_data.reshape(-1, c_out)).reshape(*lead, height, width, c_out)
+    del columns  # the closures below keep only padded
 
     def back_x(g: np.ndarray) -> np.ndarray:
         grad_pad = np.zeros_like(padded)

@@ -485,42 +485,55 @@ class AlternatingTrainer:
         return drift
 
     def run_iteration(self) -> dict:
-        """One outer iteration: weight phase, code phase, anchor phase."""
+        """One outer iteration: weight phase, code phase, anchor phase.
+
+        The metrics it returns (and appends to ``history``) include the
+        wall seconds of each phase: ``bias_seconds`` sums the database bias
+        refreshes, then ``theta_seconds``, ``code_seconds`` and
+        ``anchor_seconds``; a phase that does not run counts 0.0.
+        """
         t = self.iteration
         if t >= self.train_config.outer_iters:
             raise ContractError(f"run_iteration: iteration {t} beyond schedule")
+        seconds = dict.fromkeys(("bias", "theta", "code", "anchor"), 0.0)
+
+        def timed(phase, step, *args):
+            started = time.perf_counter()
+            result = step(*args)
+            seconds[phase] += time.perf_counter() - started
+            return result
+
         rng = self._iteration_rng(t)
         exchanging = self.exchange_active(t)
-        descriptors = self._refresh_hash_bias()
+        descriptors = timed("bias", self._refresh_hash_bias)
         if exchanging and self.anchors is None:
-            self._anchor_phase(descriptors)  # resumed or hand-built state without a bank
+            # resumed or hand-built state without a bank
+            timed("anchor", self._anchor_phase, descriptors)
         subset = rng.choice(self.db_size, size=min(self.train_config.samples_per_epoch,
                                                    self.db_size), replace=False)
 
-        started = time.perf_counter()
-        theta_loss, rate = self._theta_phase(t, rng, subset, exchanging)
+        theta_loss, rate = timed("theta", self._theta_phase, t, rng, subset, exchanging)
         if theta_loss is not None:
             logger.info("iter=%d phase=theta loss=%.6f seconds=%.3f",
-                        t, theta_loss, time.perf_counter() - started)
+                        t, theta_loss, seconds["theta"])
             # the weights moved, so re-center the thresholds and re-encode
             # the database before the code and anchor phases read it
-            descriptors = self._refresh_hash_bias()
+            descriptors = timed("bias", self._refresh_hash_bias)
 
-        started = time.perf_counter()
-        code_objective = self._code_phase(subset, descriptors)
+        code_objective = timed("code", self._code_phase, subset, descriptors)
         if code_objective is not None:
             logger.info("iter=%d phase=v loss=%.6f seconds=%.3f",
-                        t, code_objective, time.perf_counter() - started)
+                        t, code_objective, seconds["code"])
 
         anchor_drift = None
         if self.train_config.exchange:
-            started = time.perf_counter()
-            anchor_drift = self._anchor_phase(descriptors)
+            anchor_drift = timed("anchor", self._anchor_phase, descriptors)
             logger.info("iter=%d phase=anchor loss=%.6f seconds=%.3f",
-                        t, anchor_drift, time.perf_counter() - started)
+                        t, anchor_drift, seconds["anchor"])
 
         metrics = {"iteration": t, "lr": rate, "theta_loss": theta_loss,
-                   "code_objective": code_objective, "anchor_drift": anchor_drift}
+                   "code_objective": code_objective, "anchor_drift": anchor_drift,
+                   **{f"{phase}_seconds": spent for phase, spent in seconds.items()}}
         self.history.append(metrics)
         self.iteration = t + 1
         return metrics

@@ -87,6 +87,71 @@ class TestConv2d:
             ad.conv2d(ad.tensor(np.ones((4, 4, 2))), ad.tensor(np.ones((3, 3, 3, 1))))
 
 
+def naive_conv2d(x, kernels, weights):
+    """Same-padding conv forward and the gradients of sum(out * weights), one
+    output position and one kernel tap at a time, in float64."""
+    *lead, height, width, _ = x.shape
+    k_h, k_w, _, c_out = kernels.shape
+    out = np.zeros((*lead, height, width, c_out))
+    grad_x = np.zeros(x.shape)
+    grad_k = np.zeros(kernels.shape)
+    for i in range(height):
+        for j in range(width):
+            for di in range(k_h):
+                for dj in range(k_w):
+                    src_i, src_j = i + di - k_h // 2, j + dj - k_w // 2
+                    if 0 <= src_i < height and 0 <= src_j < width:
+                        tap = kernels[di, dj]
+                        pixel = x[..., src_i, src_j, :]
+                        out[..., i, j, :] += pixel @ tap
+                        grad_x[..., src_i, src_j, :] += weights[..., i, j, :] @ tap.T
+                        grad_k[di, dj] += (pixel.reshape(-1, pixel.shape[-1]).T
+                                           @ weights[..., i, j, :].reshape(-1, c_out))
+    return out, grad_x, grad_k
+
+
+def conv2d_with_grads(x, kernels, weights):
+    with ad.Tape() as tape:
+        x_leaf, k_leaf = ad.parameter(x), ad.parameter(kernels)
+        out = ad.conv2d(x_leaf, k_leaf)
+        loss = ad.sum_all(ad.hadamard(out, ad.tensor(weights)))
+    tape.backward(loss)
+    return out.data, x_leaf.grad, k_leaf.grad
+
+
+def scaled_error(got, expected):
+    """Largest entrywise error over the largest reference magnitude."""
+    return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
+
+
+class TestConv2dAgainstNaiveLoop:
+    KERNELS = [(1, 1), (3, 3), (5, 5), (3, 5)]
+
+    @staticmethod
+    def _case(k_h, k_w):
+        rng = np.random.default_rng(100 * k_h + k_w)
+        x = rng.standard_normal((2, 3, 6, 7, 3))  # stacked leading axes, H != W
+        kernels = rng.standard_normal((k_h, k_w, 3, 4))
+        weights = rng.standard_normal((2, 3, 6, 7, 4))
+        return x, kernels, weights
+
+    @pytest.mark.parametrize("k_h,k_w", KERNELS)
+    def test_float64_matches_loop(self, k_h, k_w):
+        x, kernels, weights = self._case(k_h, k_w)
+        expected = naive_conv2d(x, kernels, weights)
+        for got, want in zip(conv2d_with_grads(x, kernels, weights), expected):
+            assert got.dtype == np.float64
+            assert scaled_error(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("k_h,k_w", KERNELS)
+    def test_float32_within_stated_tolerance(self, k_h, k_w):
+        x, kernels, weights = (a.astype(np.float32) for a in self._case(k_h, k_w))
+        expected = naive_conv2d(*(a.astype(np.float64) for a in (x, kernels, weights)))
+        for got, want in zip(conv2d_with_grads(x, kernels, weights), expected):
+            assert got.dtype == np.float32
+            assert scaled_error(got, want) <= 1e-5
+
+
 class TestSoftmax:
     def test_uniform_on_equal_scores(self):
         out = ad.softmax(ad.tensor(np.zeros(4)))
@@ -134,6 +199,18 @@ class TestPoolingAndReductions:
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
         out = ad.avg_pool2(ad.tensor(x), 2)
         assert np.array_equal(out.data, np.array([[[2.5]]]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("factor", [1, 2, 4])
+    def test_avg_pool2_equals_block_mean_bit_for_bit(self, dtype, factor):
+        rng = np.random.default_rng(factor)
+        x = rng.standard_normal((2, 3, 8, 12, 5)).astype(dtype)
+        x[..., :factor, :factor, 0] = -0.0  # an all negative-zero block
+        blocks = (2, 3, 8 // factor, factor, 12 // factor, factor, 5)
+        expected = x.reshape(blocks).mean(axis=(-4, -2))
+        out = ad.avg_pool2(ad.tensor(x), factor)
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == expected.tobytes()
 
     def test_avg_pool2_indivisible_rejected(self):
         with pytest.raises(DimensionError):

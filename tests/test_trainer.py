@@ -212,6 +212,22 @@ class TestTrainerLoop:
         second = trainer.run_iteration()
         assert second["anchor_drift"] > 0.0
 
+    def test_metrics_carry_phase_seconds(self, small_dataset):
+        trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train(outer_iters=2))
+        trainer.train()
+        phases = ("bias_seconds", "theta_seconds", "code_seconds", "anchor_seconds")
+        assert len(trainer.history) == 2
+        for metrics in trainer.history:
+            for field in phases:
+                assert isinstance(metrics[field], float)
+                # each phase ran: two bias refreshes, a network, code and anchor phase
+                assert metrics[field] > 0.0
+        untrained = AlternatingTrainer(small_dataset, SMALL_MODEL,
+                                       small_train(epochs_per_iter=0, exchange=False))
+        metrics = untrained.run_iteration()
+        assert metrics["anchor_seconds"] == 0.0
+        assert metrics["bias_seconds"] > 0.0
+
     def test_theta_loss_decreases(self, small_dataset):
         trainer = AlternatingTrainer(small_dataset, SMALL_MODEL,
                                      small_train(outer_iters=4, epochs_per_iter=2))
