@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import logging
 import sys
 import time
@@ -27,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .config import RunConfig, default_run_config, load_config
 from .data import Dataset, generate_synthetic, load_manifest, write_dataset
 from .errors import ConfigError, ContractError, FineHashError, NumericError
@@ -156,6 +158,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         trainer = AlternatingTrainer(dataset, config.model, config.train)
     trainer.train(checkpoint_path=checkpoint)
+    if args.metrics_out:
+        with atomic_write(args.metrics_out, "w") as fh:
+            fh.writelines(json.dumps(metrics) + "\n" for metrics in trainer.history)
 
     # The database ships the optimizer's discrete codes; queries get encoded
     # by the network, so retrieval stays asymmetric end to end.
@@ -392,6 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable training-time feature exchanging")
     train.add_argument("--resume", action="store_true",
                        help="continue from an existing checkpoint in --out-dir")
+    train.add_argument("--metrics-out", metavar="FILE",
+                       help="once training ends, write one JSON line per iteration with "
+                            "the learning rate, phase losses and phase seconds; after "
+                            "--resume it holds only the iterations this invocation ran")
     train.set_defaults(func=cmd_train)
 
     encode = sub.add_parser("encode", help="hash manifest images with a checkpoint")

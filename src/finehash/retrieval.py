@@ -64,11 +64,22 @@ class PackedCodes:
 
 
 def pack_codes(codes: np.ndarray) -> PackedCodes:
-    """Pack a [n, bits] +/-1 matrix, least significant bit first."""
-    codes = np.asarray(codes, dtype=np.float64)
+    """Pack a [n, bits] +/-1 matrix, least significant bit first.
+
+    The matrix may have any signed-integer or real floating dtype; it is
+    checked and packed in that dtype, with no float copy, so the scratch
+    memory is a few bool matrices of one byte per entry.  Any other dtype
+    (bool, unsigned, complex, strings, objects) raises DomainError naming
+    it, and so does any entry other than -1 or +1.
+    """
+    codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[1] < 1:
         raise DimensionError(f"pack_codes: codes shape {codes.shape}, expected [n, bits]")
-    if not np.all(np.abs(codes) == 1.0):
+    if codes.dtype.kind not in "if":
+        raise DomainError(
+            f"pack_codes: codes dtype {codes.dtype}, expected signed integers or real floats"
+        )
+    if not np.all((codes == 1) | (codes == -1)):
         raise DomainError("pack_codes: entries must be +/-1")
     count, bits = codes.shape
     packed = np.packbits(codes > 0, axis=1, bitorder="little")
@@ -105,7 +116,7 @@ def coarse_rank(packed: PackedCodes, query_code: np.ndarray) -> tuple[np.ndarray
     by database id.  The sort key is a uint8/uint16 copy of the int64
     distances, which numpy's stable argsort radix-sorts.
     """
-    query_code = np.asarray(query_code, dtype=np.float64)
+    query_code = np.asarray(query_code)
     if query_code.shape != (packed.bits,):
         raise DimensionError(
             f"coarse_rank: query shape {query_code.shape}, expected ({packed.bits},)"

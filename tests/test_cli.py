@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import json
 import logging
 import re
 import shutil
@@ -12,6 +13,7 @@ import pytest
 
 from finehash.checkpoint import load_arrays, save_arrays
 from finehash.cli import main
+from finehash.config import load_config
 from finehash.data import load_manifest
 from finehash.pq import load_pq
 from finehash import trainer as trainer_module
@@ -23,7 +25,7 @@ from finehash.retrieval import (
     save_features,
     unpack_codes,
 )
-from finehash.trainer import encode_images, load_checkpoint
+from finehash.trainer import AlternatingTrainer, encode_images, load_checkpoint
 
 TINY_CONFIG = """\
 parts = 2
@@ -226,6 +228,42 @@ class TestTrain:
                            "--resume"])
         assert code == 2
         assert "stored anchors" in caplog.text
+
+    def test_metrics_out_writes_every_iteration(self, workspace, tmp_path):
+        metrics = tmp_path / "run.jsonl"
+        code, _ = run_cli(["train", "--config", workspace["config"],
+                           "--out-dir", tmp_path / "run", "--metrics-out", metrics])
+        assert code == 0
+        lines = [json.loads(line) for line in metrics.read_text().splitlines()]
+        config = load_config(workspace["config"])
+        trainer = AlternatingTrainer(load_manifest(workspace["data"] / "manifest.csv"),
+                                     config.model, config.train)
+        history = trainer.train()
+        assert len(lines) == len(history) == 2
+        phases = ("bias_seconds", "theta_seconds", "code_seconds", "anchor_seconds")
+        for line, expected in zip(lines, history):
+            assert line.keys() == expected.keys()
+            for field in ("iteration", "lr", "theta_loss", "code_objective", "anchor_drift"):
+                assert line[field] == expected[field]
+            assert all(isinstance(line[field], float) and line[field] > 0.0
+                       for field in phases)
+
+        # a resume writes only the iterations it ran
+        checkpoint = tmp_path / "run" / "model.fht1"
+        arrays = load_arrays(checkpoint)
+        arrays["state.iteration"] = np.array(1.0)
+        save_arrays(checkpoint, arrays)
+        code, _ = run_cli(["train", "--config", workspace["config"], "--out-dir",
+                           tmp_path / "run", "--resume", "--metrics-out", metrics])
+        assert code == 0
+        assert [json.loads(line)["iteration"] for line in metrics.read_text().splitlines()] \
+            == [1]
+
+    def test_metrics_out_leaves_database_file_unchanged(self, workspace, tmp_path):
+        code, _ = run_cli(["train", "--config", workspace["config"],
+                           "--out-dir", tmp_path / "run", "--metrics-out", tmp_path / "m.jsonl"])
+        assert code == 0
+        assert (tmp_path / "run" / "db.fhc1").read_bytes() == workspace["codes"].read_bytes()
 
     def test_bits_override_changes_code_length(self, workspace, tmp_path):
         code, _ = run_cli(["train", "--config", workspace["config"],

@@ -1,6 +1,7 @@
 """Tests for packing, Hamming search, metrics, file IO, and the benchmark."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,43 @@ class TestPacking:
     def test_non_binary_rejected(self):
         with pytest.raises(DomainError):
             pack_codes(np.array([[0.5, -1.0]]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int8, np.int64])
+    @pytest.mark.parametrize("bits", [1, 7, 8, 63, 64, 65, 200])
+    def test_words_equal_float64_path(self, dtype, bits):
+        codes = random_codes(np.random.default_rng(bits), 33, bits)
+        reference = pack_codes(codes)
+        packed = pack_codes(codes.astype(dtype))
+        assert packed.bits == reference.bits == bits
+        assert packed.words.dtype == np.uint64
+        assert packed.words.tobytes() == reference.words.tobytes()
+
+    @pytest.mark.parametrize("value", [0.0, 0.5, np.nan, np.inf, -np.inf])
+    def test_non_pm1_value_rejected(self, value):
+        with pytest.raises(DomainError, match=r"\+/-1"):
+            pack_codes(np.array([[1.0, -1.0], [value, 1.0]]))
+
+    @pytest.mark.parametrize("codes", [
+        np.ones((2, 3), dtype=bool),
+        np.ones((2, 3), dtype=np.uint8),
+        np.array([["1", "-1"]]),
+        np.array([[1 + 2j, -1]]),
+        np.array([[1, -1]], dtype=object),
+    ], ids=["bool", "uint8", "numeric-strings", "complex", "object"])
+    def test_other_dtypes_rejected(self, codes):
+        with pytest.raises(DomainError, match=f"dtype {codes.dtype}"):
+            pack_codes(codes)
+
+    def test_no_float_copy_of_the_matrix(self):
+        # one float64 copy would be twice the float32 input's bytes
+        codes = random_codes(np.random.default_rng(0), 200_000, 32).astype(np.float32)
+        tracemalloc.start()
+        try:
+            pack_codes(codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < codes.nbytes
 
     def test_rank_rejected(self):
         with pytest.raises(DimensionError):
