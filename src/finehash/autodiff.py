@@ -65,18 +65,15 @@ class Tensor:
             other input becomes float64.
         grad: gradient buffer of the same shape, populated by backward().
         requires_grad: whether gradients should flow into this tensor.
-        node: index of the tape record that produced this tensor, or None
-            for leaves and constants.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.node: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -134,7 +131,6 @@ class Tape:
 
     def _add(self, out: Tensor, inputs: list[tuple[Tensor, _GradFn]]) -> None:
         out.requires_grad = True
-        out.node = len(self._records)
         self._records.append((out, inputs))
 
     def backward(self, loss: Tensor) -> None:

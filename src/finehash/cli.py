@@ -5,7 +5,7 @@ One executable with a subcommand per pipeline stage:
 * ``synth``   render the synthetic part-based dataset to disk
 * ``train``   run the alternating optimizer and write model plus database files
 * ``encode``  hash manifest images with a trained checkpoint
-* ``index``   inspect a packed code file, optionally build a quantizer on top
+* ``index``   validate a packed code file against labels and features, print stats
 * ``query``   rank database items for each query image, CSV on stdout
 * ``eval``    mean average precision report for one or more checkpoints
 * ``bench``   timing and memory table for the packed distance scan
@@ -32,7 +32,6 @@ from .checkpoint import atomic_write
 from .config import RunConfig, default_run_config, load_config
 from .data import Dataset, generate_synthetic, load_manifest, write_dataset
 from .errors import ConfigError, ContractError, FineHashError, NumericError
-from .pq import encode_pq, save_pq, train_pq
 from .retrieval import (
     RetrievalIndex,
     bench_scan,
@@ -202,21 +201,6 @@ def cmd_index(args: argparse.Namespace) -> int:
         print(f"classes  {len(np.unique(labels))}")
     if features is not None:
         print(f"features {features.shape[1]}")
-
-    if args.pq_out:
-        if features is None:
-            raise ContractError("index: building a quantizer needs --features")
-        codebook = train_pq(
-            features, subspaces=args.subspaces, centroids=args.centroids,
-            iters=args.pq_iters, seed=args.seed,
-        )
-        pq_codes = encode_pq(codebook, features)
-        save_pq(args.pq_out, codebook, pq_codes)
-        LOG.info(
-            "trained %d x %d codebook on %d features", args.subspaces,
-            args.centroids, features.shape[0],
-        )
-        print(f"pq       {args.pq_out}")
     return 0
 
 
@@ -350,7 +334,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"speedup  {result['speedup']:.2f}x")
 
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        with atomic_write(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             header = ["database", "bits", "queries", "reps", "packed_seconds",
                       "packed_spread", "float_seconds", "float_spread", "speedup",
@@ -415,15 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="encode only this manifest split")
     encode.set_defaults(func=cmd_encode)
 
-    index = sub.add_parser("index", help="inspect packed codes, optionally quantize")
+    index = sub.add_parser("index", help="validate packed codes and print their stats")
     index.add_argument("--codes", required=True, help="packed code file")
     index.add_argument("--labels", help="database label CSV")
     index.add_argument("--features", help="database descriptor file")
-    index.add_argument("--pq-out", help="write a product quantizer file here")
-    index.add_argument("--subspaces", type=_positive(int, "--subspaces"), default=8)
-    index.add_argument("--centroids", type=_positive(int, "--centroids"), default=256)
-    index.add_argument("--pq-iters", type=_positive(int, "--pq-iters"), default=25)
-    index.add_argument("--seed", type=int, default=0, help="quantizer training seed")
     index.set_defaults(func=cmd_index)
 
     query = sub.add_parser("query", help="rank database items for query images")

@@ -84,10 +84,6 @@ class ModelConfig:
         return self.backbone_channels[-1]
 
     @property
-    def refined_side(self) -> int:
-        return self.feature_side // REFINE_POOL
-
-    @property
     def descriptor_dim(self) -> int:
         return (self.parts + 1) * self.refined_channels
 

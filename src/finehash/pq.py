@@ -6,20 +6,18 @@ byte per subspace.  Query distances come from an asymmetric distance
 computation (ADC): per-subspace lookup tables of squared distances summed
 across subspaces, which equals the squared Euclidean distance between the
 query and the reconstruction.
+
+It is a library baseline with no file format: a comparison fits the
+codebook in-process on the descriptors it ranks.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_write
-from .errors import ContractError, DimensionError, FileFormatError
-
-PQ_MAGIC = b"FHQ1"
+from .errors import ContractError, DimensionError
 
 
 def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
@@ -206,41 +204,3 @@ def pq_rank(codebook: PQCodebook, codes: np.ndarray, query: np.ndarray) -> np.nd
     """Database order by ADC distance, ties broken by id."""
     dists = adc_distances(codebook, codes, query)
     return np.argsort(dists, kind="stable")
-
-
-def save_pq(path: str | Path, codebook: PQCodebook, codes: np.ndarray) -> None:
-    """FHQ1 file: magic, u64 subspaces/centroids/dim, centroid table, codes."""
-    codes = _check_codes(codebook, codes)
-    with atomic_write(path) as fh:
-        fh.write(PQ_MAGIC)
-        fh.write(struct.pack("<QQQ", codebook.subspaces, codebook.centroids_per_space,
-                             codebook.dim))
-        fh.write(codebook.centroids.astype("<f8").tobytes(order="C"))
-        fh.write(codes.tobytes(order="C"))
-
-
-def load_pq(path: str | Path) -> tuple[PQCodebook, np.ndarray]:
-    """Read back (codebook, codes); the item count comes from the file size."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != PQ_MAGIC:
-        raise FileFormatError(f"{path}: bad quantizer file magic {blob[:4]!r}")
-    if len(blob) < 28:
-        raise FileFormatError(f"{path}: truncated quantizer header")
-    subspaces, centroids, dim = struct.unpack("<QQQ", blob[4:28])
-    if subspaces < 1 or dim % subspaces != 0 or not 1 <= centroids <= 256:
-        raise FileFormatError(
-            f"{path}: invalid geometry subspaces={subspaces} centroids={centroids} dim={dim}"
-        )
-    table_bytes = subspaces * centroids * (dim // subspaces) * 8
-    if len(blob) < 28 + table_bytes:
-        raise FileFormatError(f"{path}: truncated centroid table")
-    table = np.frombuffer(blob[28 : 28 + table_bytes], dtype="<f8").reshape(
-        int(subspaces), int(centroids), int(dim // subspaces)
-    )
-    code_bytes = len(blob) - 28 - table_bytes
-    if code_bytes % subspaces != 0:
-        raise FileFormatError(f"{path}: {code_bytes} code bytes not divisible by {subspaces}")
-    codes = np.frombuffer(blob[28 + table_bytes :], dtype=np.uint8).reshape(
-        -1, int(subspaces)
-    )
-    return PQCodebook(centroids=table.copy()), codes.copy()

@@ -253,7 +253,12 @@ def load_features(path: str | Path) -> np.ndarray:
     expected = 20 + count * dim * 4
     if len(blob) != expected:
         raise FileFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    return np.frombuffer(blob[20:], dtype="<f4").reshape(int(count), int(dim)).copy()
+    features = np.frombuffer(blob[20:], dtype="<f4").reshape(int(count), int(dim))
+    finite = np.isfinite(features)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise FileFormatError(f"{path}: feature row {row} holds NaN or Inf")
+    return features.copy()
 
 
 def save_labels(path: str | Path, labels: np.ndarray) -> None:

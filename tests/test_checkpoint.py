@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from finehash import checkpoint
+from finehash import checkpoint, cli
 from finehash.checkpoint import MAGIC, load_arrays, save_arrays
 from finehash.data import Dataset, write_dataset
 from finehash.errors import FileFormatError
-from finehash.pq import PQCodebook, save_pq
 from finehash.retrieval import pack_codes, save_features, save_labels, save_packed
 
 
@@ -99,6 +98,13 @@ class _FailingWrites:
         return self._fh.__exit__(*exc)
 
 
+def _write_bench_csv(path, value):
+    args = cli.build_parser().parse_args(
+        ["bench", "--items", "64" if value > 0 else "32", "--queries", "1",
+         "--reps", "1", "--csv", str(path)])
+    args.func(args)
+
+
 def _write_manifest(path, value):
     names = ["a", "b"] if value > 0 else ["c", "d"]
     dataset = Dataset(images=np.zeros((2, 4, 4, 3)), labels=np.array([0, 1]),
@@ -111,8 +117,7 @@ WRITERS = {
     "save_packed": lambda path, v: save_packed(path, pack_codes(np.full((3, 8), v))),
     "save_features": lambda path, v: save_features(path, np.full((3, 4), v)),
     "save_labels": lambda path, v: save_labels(path, np.full(3, int(v))),
-    "save_pq": lambda path, v: save_pq(path, PQCodebook(np.full((2, 1, 2), v)),
-                                       np.zeros((3, 2), dtype=np.uint8)),
+    "bench_csv": _write_bench_csv,
     "write_dataset": _write_manifest,
 }
 

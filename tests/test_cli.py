@@ -15,7 +15,6 @@ from finehash.checkpoint import load_arrays, save_arrays
 from finehash.cli import main
 from finehash.config import load_config
 from finehash.data import load_manifest
-from finehash.pq import load_pq
 from finehash import trainer as trainer_module
 from finehash.retrieval import (
     RetrievalIndex,
@@ -353,20 +352,16 @@ class TestIndex:
         code, _ = run_cli(["index", "--codes", workspace["codes"], "--labels", labels])
         assert code == 2
 
-    def test_quantizer_requires_features(self, workspace, tmp_path):
-        code, _ = run_cli(["index", "--codes", workspace["codes"],
-                           "--pq-out", tmp_path / "pq.fhq1"])
-        assert code == 2
-
-    def test_quantizer_file_round_trips(self, workspace, tmp_path):
+    @pytest.mark.parametrize("option", ["--pq-out", "--subspaces", "--centroids",
+                                        "--pq-iters", "--seed"])
+    def test_quantizer_options_exit_2(self, workspace, tmp_path, option):
         out = tmp_path / "pq.fhq1"
-        code, _ = run_cli(["index", "--codes", workspace["codes"],
-                           "--features", workspace["features"],
-                           "--pq-out", out, "--subspaces", "4", "--centroids", "8"])
-        assert code == 0
-        codebook, codes = load_pq(out)
-        assert codebook.centroids.shape == (4, 8, 6)
-        assert codes.shape == (18, 4)
+        value = out if option == "--pq-out" else "4"
+        code, stdout = run_cli(["index", "--codes", workspace["codes"],
+                                "--features", workspace["features"], option, value])
+        assert code == 2
+        assert stdout == ""
+        assert not out.exists()
 
 
 class TestQuery:
@@ -429,6 +424,17 @@ class TestQuery:
     def test_topk_beyond_database_exits_2(self, workspace):
         code, _ = run_cli(self.query_args(workspace, ["--topk", "99"]))
         assert code == 2
+
+    def test_non_finite_features_exit_2(self, workspace, tmp_path, caplog):
+        features = load_features(workspace["features"])
+        features[1, 0] = np.nan
+        features[2, 3] = np.inf
+        path = tmp_path / "bad.fhf1"
+        save_features(path, features)
+        code, stdout = run_cli(self.query_args(workspace, ["--features", path]))
+        assert code == 2
+        assert stdout == ""
+        assert "bad.fhf1: feature row 1 holds NaN or Inf" in caplog.text
 
 
 class TestEval:

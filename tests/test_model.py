@@ -34,7 +34,6 @@ class TestModelConfig:
         config = model.ModelConfig()
         assert config.feature_side == 8
         assert config.feature_channels == 32
-        assert config.refined_side == 4
         assert config.descriptor_dim == (config.parts + 1) * config.refined_channels
 
     def test_invalid_parts(self):
@@ -135,7 +134,8 @@ class TestRefinement:
         params = model.ModelParams.initialize(config, rng)
         attended = ad.tensor(rng.uniform(size=(4, 4, 4)))
         refined_map, refined_vec = model.local_refine(params, attended)
-        assert refined_map.shape == (config.refined_side, config.refined_side, 4)
+        side = config.feature_side // model.REFINE_POOL
+        assert refined_map.shape == (side, side, 4)
         assert np.allclose(refined_vec.data, refined_map.data.mean(axis=(0, 1)), atol=1e-15)
 
     def test_identity_kernel_pools_the_input(self, rng):

@@ -1,18 +1,16 @@
-"""Tests for k-means, product quantization, ADC ranking, and the file format."""
+"""Tests for k-means, product quantization, and ADC ranking."""
 
 import numpy as np
 import pytest
 
-from finehash.errors import ContractError, DimensionError, FileFormatError
+from finehash.errors import ContractError, DimensionError
 from finehash.pq import (
     PQCodebook,
     adc_distances,
     decode_pq,
     encode_pq,
     kmeans,
-    load_pq,
     pq_rank,
-    save_pq,
     train_pq,
 )
 from helpers import naive_euclidean_order
@@ -185,45 +183,3 @@ class TestAdc:
             adc_distances(codebook, bad, np.zeros(12))
         with pytest.raises(ContractError):
             decode_pq(codebook, np.zeros((3, 4), dtype=np.int64))
-
-
-class TestMemoryAndFiles:
-    def test_round_trip(self, trained, tmp_path):
-        features, codebook = trained
-        codes = encode_pq(codebook, features)
-        path = tmp_path / "db.fhq1"
-        save_pq(path, codebook, codes)
-        loaded_book, loaded_codes = load_pq(path)
-        assert np.array_equal(loaded_book.centroids, codebook.centroids)
-        assert np.array_equal(loaded_codes, codes)
-        assert loaded_codes.dtype == np.uint8
-
-    def test_item_count_derived_from_size(self, trained, tmp_path):
-        features, codebook = trained
-        codes = encode_pq(codebook, features[:7])
-        path = tmp_path / "db.fhq1"
-        save_pq(path, codebook, codes)
-        _, loaded_codes = load_pq(path)
-        assert loaded_codes.shape == (7, 4)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "db.fhq1"
-        path.write_bytes(b"FHC1" + bytes(24))
-        with pytest.raises(FileFormatError):
-            load_pq(path)
-
-    def test_truncated_table(self, trained, tmp_path):
-        features, codebook = trained
-        path = tmp_path / "db.fhq1"
-        save_pq(path, codebook, encode_pq(codebook, features[:3]))
-        path.write_bytes(path.read_bytes()[:100])
-        with pytest.raises(FileFormatError):
-            load_pq(path)
-
-    def test_misaligned_code_bytes(self, trained, tmp_path):
-        features, codebook = trained
-        path = tmp_path / "db.fhq1"
-        save_pq(path, codebook, encode_pq(codebook, features[:3]))
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(FileFormatError):
-            load_pq(path)

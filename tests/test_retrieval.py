@@ -330,6 +330,15 @@ class TestFiles:
         with pytest.raises(FileFormatError):
             load_features(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_feature_file_non_finite_rejected(self, tmp_path, value):
+        features = np.ones((4, 3))
+        features[2, 1] = value
+        path = tmp_path / "db.fhf1"
+        save_features(path, features)
+        with pytest.raises(FileFormatError, match=r"db\.fhf1: feature row 2"):
+            load_features(path)
+
     def test_labels_round_trip(self, tmp_path):
         path = tmp_path / "labels.csv"
         save_labels(path, np.array([4, 4, 2, 0]))
