@@ -383,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="continue from an existing checkpoint in --out-dir")
     train.add_argument("--metrics-out", metavar="FILE",
                        help="once training ends, write one JSON line per iteration with "
-                            "the learning rate, phase losses and phase seconds; after "
-                            "--resume it holds only the iterations this invocation ran")
+                            "the learning rate, phase losses, codes flipped and phase "
+                            "seconds; after --resume it holds only the iterations this "
+                            "invocation ran")
     train.set_defaults(func=cmd_train)
 
     encode = sub.add_parser("encode", help="hash manifest images with a checkpoint")

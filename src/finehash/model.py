@@ -7,8 +7,11 @@ features which are then refined into a compact part vector, and a final
 linear hash layer turns the concatenated part and global vectors into a
 code.  Every stage takes a stack of images ``[..., side, side, C]`` and runs
 on the whole stack at once, with one op call per stage, on the autodiff tape
-so the trainer can differentiate straight through them.  Each image's
-result does not depend on the images stacked with it.
+so the trainer can differentiate straight through them.  An image's result
+is bit-equal to its one-image result only as far as the BLAS keeps each
+product's rows apart: measured on OpenBLAS 0.3.31 (Haswell kernels, one
+thread) for float32 stacks of up to 122 images, with the attention conv
+differing by about 1e-6 from 123 on (see ``autodiff.conv2d``).
 """
 
 from __future__ import annotations

@@ -225,7 +225,7 @@ def load_packed(path: str | Path) -> PackedCodes:
     expected = 20 + count * words * 8
     if len(blob) != expected:
         raise FileFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    data = np.frombuffer(blob[20:], dtype="<u8").reshape(int(count), words)
+    data = np.frombuffer(blob, dtype="<u8", offset=20).reshape(int(count), words)
     try:
         return PackedCodes(words=data.copy(), bits=int(bits))
     except ContractError as exc:
@@ -253,7 +253,7 @@ def load_features(path: str | Path) -> np.ndarray:
     expected = 20 + count * dim * 4
     if len(blob) != expected:
         raise FileFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    features = np.frombuffer(blob[20:], dtype="<f4").reshape(int(count), int(dim))
+    features = np.frombuffer(blob, dtype="<f4", offset=20).reshape(int(count), int(dim))
     finite = np.isfinite(features)
     if not finite.all():
         row = int(np.argmin(finite.all(axis=1)))

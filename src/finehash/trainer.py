@@ -43,7 +43,10 @@ from .model import (PARAM_DTYPE, ModelConfig, ModelParams, descriptor, forward_f
 logger = logging.getLogger(__name__)
 
 # images per forward pass of encode_images: bounds the memory that encoding
-# the training database takes, without changing any code or descriptor
+# the training database takes.  The serve path relies on stacks this small
+# encoding bit-equal to one image at a time (see autodiff.conv2d): query
+# encodes one image and compares it with database descriptors train encoded
+# 8 at a time
 ENCODE_CHUNK = 8
 
 
@@ -464,15 +467,20 @@ class AlternatingTrainer:
         the stored codes stand in for the database items at query time, so
         they track what encoding each item would produce, not an
         anchor-blended variant of it.
+
+        Returns the code objective (None when no sweep runs) and the number
+        of code entries the sweeps changed.
         """
         config = self.train_config
         if config.code_sweeps == 0:
-            return None
+            return None, 0
         relaxed = hash_layer(self.params, ad.tensor(descriptors[subset]), mode="relaxed").data
         sim = build_similarity(self.train_labels[subset], self.train_labels)
-        self.codes = sweep_codes(relaxed, self.codes, sim, self.model_config.bits,
+        before = self.codes
+        self.codes = sweep_codes(relaxed, before, sim, self.model_config.bits,
                                  config.code_sweeps)
-        return frobenius_objective(relaxed, self.codes, sim, self.model_config.bits)
+        flipped = int(np.count_nonzero(self.codes != before))
+        return frobenius_objective(relaxed, self.codes, sim, self.model_config.bits), flipped
 
     def _anchor_phase(self, descriptors: np.ndarray):
         """Refresh the anchors from the part slices of the database descriptors."""
@@ -491,6 +499,8 @@ class AlternatingTrainer:
         wall seconds of each phase: ``bias_seconds`` sums the database bias
         refreshes, then ``theta_seconds``, ``code_seconds`` and
         ``anchor_seconds``; a phase that does not run counts 0.0.
+        ``codes_flipped`` counts the database code entries the code phase
+        changed (0 when it does not run).
         """
         t = self.iteration
         if t >= self.train_config.outer_iters:
@@ -520,7 +530,7 @@ class AlternatingTrainer:
             # the database before the code and anchor phases read it
             descriptors = timed("bias", self._refresh_hash_bias)
 
-        code_objective = timed("code", self._code_phase, subset, descriptors)
+        code_objective, codes_flipped = timed("code", self._code_phase, subset, descriptors)
         if code_objective is not None:
             logger.info("iter=%d phase=v loss=%.6f seconds=%.3f",
                         t, code_objective, seconds["code"])
@@ -532,7 +542,8 @@ class AlternatingTrainer:
                         t, anchor_drift, seconds["anchor"])
 
         metrics = {"iteration": t, "lr": rate, "theta_loss": theta_loss,
-                   "code_objective": code_objective, "anchor_drift": anchor_drift,
+                   "code_objective": code_objective, "codes_flipped": codes_flipped,
+                   "anchor_drift": anchor_drift,
                    **{f"{phase}_seconds": spent for phase, spent in seconds.items()}}
         self.history.append(metrics)
         self.iteration = t + 1

@@ -124,6 +124,41 @@ def scaled_error(got, expected):
     return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
 
 
+def sliding_window_conv2d(x, kernels):
+    """The conv forward with im2col columns from sliding_window_view plus
+    moveaxis: the reference for the engine's single strided view."""
+    *lead, height, width, c_in = x.shape
+    k_h, k_w, _, c_out = kernels.shape
+    padded = np.zeros((*lead, height + k_h - 1, width + k_w - 1, c_in),
+                      dtype=np.result_type(x, kernels))
+    padded[..., k_h // 2 : k_h // 2 + height, k_w // 2 : k_w // 2 + width, :] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k_h, k_w), axis=(-3, -2))
+    columns = np.moveaxis(windows, -3, -1).reshape(-1, k_h * k_w * c_in)
+    return (columns @ kernels.reshape(-1, c_out)).reshape(*lead, height, width, c_out)
+
+
+class TestIm2colColumns:
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    @pytest.mark.parametrize("k_h,k_w", [(1, 1), (3, 3), (1, 3), (5, 3)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equal_to_sliding_window_columns(self, dtype, k_h, k_w, lead):
+        rng = np.random.default_rng(10 * k_h + k_w + len(lead))
+        x = rng.standard_normal((*lead, 6, 7, 3)).astype(dtype)
+        kernels = rng.standard_normal((k_h, k_w, 3, 4)).astype(dtype)
+        out = ad.conv2d(ad.tensor(x), ad.tensor(kernels)).data
+        assert out.dtype == dtype
+        assert np.array_equal(out, sliding_window_conv2d(x, kernels))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_contiguous_input(self, dtype):
+        rng = np.random.default_rng(12)
+        x = np.moveaxis(rng.standard_normal((2, 3, 6, 7)).astype(dtype), 1, -1)
+        assert not x.flags.c_contiguous
+        kernels = rng.standard_normal((3, 5, 3, 4)).astype(dtype)
+        out = ad.conv2d(ad.tensor(x), ad.tensor(kernels)).data
+        assert np.array_equal(out, sliding_window_conv2d(x, kernels))
+
+
 class TestConv2dAgainstNaiveLoop:
     KERNELS = [(1, 1), (3, 3), (5, 5), (3, 5)]
 
@@ -288,6 +323,52 @@ class TestElementwise:
         a = ad.conv2d(ad.tensor(x), ad.tensor(k)).data
         b = ad.conv2d(ad.tensor(x), ad.tensor(k)).data
         assert np.array_equal(a, b)
+
+
+# one call per op that computes values: finite input that overflows, or a
+# non-finite input passed in through a raw, unchecked Tensor
+NON_FINITE_CASES = {
+    "add": lambda: ad.add(ad.tensor([1e308]), ad.tensor([1e308])),
+    "sub": lambda: ad.sub(ad.tensor([1e308]), ad.tensor([-1e308])),
+    "scale": lambda: ad.scale(ad.tensor([1e308]), 10.0),
+    "add_scalar": lambda: ad.add_scalar(ad.tensor([1e308]), 1e308),
+    "hadamard": lambda: ad.hadamard(ad.tensor([1e200]), ad.tensor([1e200])),
+    "relu": lambda: ad.relu(ad.Tensor([1.0, np.nan])),
+    "tanh": lambda: ad.tanh(ad.Tensor([np.nan])),
+    "sigmoid": lambda: ad.sigmoid(ad.Tensor([np.nan])),
+    "sqrt": lambda: ad.sqrt(ad.Tensor([np.inf])),
+    "matmul": lambda: ad.matmul(ad.tensor([[1e200]]), ad.tensor([[1e200]])),
+    "sum_all": lambda: ad.sum_all(ad.tensor([1e308, 1e308])),
+    "channel_sum": lambda: ad.channel_sum(ad.tensor([[1e308, 1e308]])),
+    "softmax": lambda: ad.softmax(ad.Tensor([0.0, np.nan])),
+    "global_avg_pool": lambda: ad.global_avg_pool(ad.tensor(np.full((2, 1, 1), 1e308))),
+    "avg_pool2": lambda: ad.avg_pool2(ad.tensor(np.full((2, 2, 1), 1e308))),
+    "bias_add": lambda: ad.bias_add(ad.tensor([[1e308]]), ad.tensor([1e308])),
+    "conv2d": lambda: ad.conv2d(ad.tensor(np.full((1, 1, 1), 1e20, np.float32)),
+                                ad.tensor(np.full((1, 1, 1, 1), 1e20, np.float32))),
+}
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("op", sorted(NON_FINITE_CASES))
+    def test_computing_op_rejects_non_finite_result(self, op):
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=rf"^{op}: "):
+            NON_FINITE_CASES[op]()
+
+    def test_rearranging_ops_equal_numpy(self):
+        x = np.random.default_rng(5).standard_normal((2, 3, 4)).astype(np.float32)
+        assert np.array_equal(ad.reshape(ad.tensor(x), (6, 4)).data, x.reshape(6, 4))
+        assert np.array_equal(ad.moveaxis(ad.tensor(x), 0, -1).data, np.moveaxis(x, 0, -1))
+        assert np.array_equal(ad.concat([ad.tensor(x), ad.tensor(x[..., :1])]).data,
+                              np.concatenate([x, x[..., :1]], axis=-1))
+
+    def test_rearranged_nan_raises_at_the_next_computing_op(self):
+        # reshape, moveaxis and concat only move entries, so they leave the
+        # check to the first op that computes from them
+        moved = ad.moveaxis(ad.concat([ad.reshape(ad.Tensor([np.nan, 1.0]), (2, 1)),
+                                       ad.tensor([[2.0], [3.0]])]), 0, 1)
+        with pytest.raises(NumericError, match="^tanh: "):
+            ad.tanh(moved)
 
 
 class TestBackward:

@@ -242,7 +242,8 @@ class TestTrain:
         phases = ("bias_seconds", "theta_seconds", "code_seconds", "anchor_seconds")
         for line, expected in zip(lines, history):
             assert line.keys() == expected.keys()
-            for field in ("iteration", "lr", "theta_loss", "code_objective", "anchor_drift"):
+            for field in ("iteration", "lr", "theta_loss", "code_objective", "codes_flipped",
+                          "anchor_drift"):
                 assert line[field] == expected[field]
             assert all(isinstance(line[field], float) and line[field] > 0.0
                        for field in phases)
@@ -424,6 +425,23 @@ class TestQuery:
     def test_topk_beyond_database_exits_2(self, workspace):
         code, _ = run_cli(self.query_args(workspace, ["--topk", "99"]))
         assert code == 2
+
+    def test_overflowing_weights_exit_3(self, workspace, tmp_path, caplog):
+        # finite on disk and in float32, but the second conv overflows float32
+        arrays = load_arrays(workspace["checkpoint"])
+        for name in arrays:
+            if name.endswith(".kernel"):
+                arrays[name] = arrays[name] * 1e20
+        checkpoint = tmp_path / "scaled.fht1"
+        save_arrays(checkpoint, arrays)
+        load_checkpoint(checkpoint)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, stdout = run_cli(["query", "--checkpoint", checkpoint,
+                                    "--codes", workspace["codes"],
+                                    "--queries", workspace["data"], "--split", "query"])
+        assert code == 3
+        assert stdout == ""
+        assert "numeric failure: conv2d" in caplog.text
 
     def test_non_finite_features_exit_2(self, workspace, tmp_path, caplog):
         features = load_features(workspace["features"])

@@ -339,6 +339,19 @@ class TestFiles:
         with pytest.raises(FileFormatError, match=r"db\.fhf1: feature row 2"):
             load_features(path)
 
+    def test_feature_file_loads_without_a_slice_copy(self, tmp_path):
+        # the file's bytes plus the returned copy is 2x its size; slicing the
+        # bytes before parsing them added a third copy
+        path = tmp_path / "db.fhf1"
+        save_features(path, np.random.default_rng(11).random((100_000, 160), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            load_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * path.stat().st_size
+
     def test_labels_round_trip(self, tmp_path):
         path = tmp_path / "labels.csv"
         save_labels(path, np.array([4, 4, 2, 0]))

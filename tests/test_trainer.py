@@ -11,7 +11,8 @@ from finehash.anchors import AnchorBank, exchange_features
 from finehash.checkpoint import load_arrays, save_arrays
 from finehash.config import default_run_config
 from finehash.data import Dataset, SynthConfig, build_similarity, generate_synthetic
-from finehash.errors import ContractError, DimensionError, DomainError, FileFormatError
+from finehash.errors import (ContractError, DimensionError, DomainError, FileFormatError,
+                             NumericError)
 from finehash.losses import LossWeights, total_objective
 from finehash.model import ModelConfig, ModelParams, descriptor, forward_features, hash_layer
 from finehash.trainer import (
@@ -227,6 +228,19 @@ class TestTrainerLoop:
         metrics = untrained.run_iteration()
         assert metrics["anchor_seconds"] == 0.0
         assert metrics["bias_seconds"] > 0.0
+
+    def test_metrics_count_codes_flipped(self, small_dataset):
+        trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train(outer_iters=2))
+        for _ in range(2):
+            before = trainer.codes.copy()
+            metrics = trainer.run_iteration()
+            assert type(metrics["codes_flipped"]) is int
+            assert metrics["codes_flipped"] == np.count_nonzero(trainer.codes != before)
+        assert trainer.history[0]["codes_flipped"] > 0
+        idle = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train(code_sweeps=0))
+        before = idle.codes.copy()
+        assert idle.run_iteration()["codes_flipped"] == 0
+        assert np.array_equal(idle.codes, before)
 
     def test_theta_loss_decreases(self, small_dataset):
         trainer = AlternatingTrainer(small_dataset, SMALL_MODEL,
@@ -553,11 +567,27 @@ class TestEncoding:
         trainer.run_iteration()
         images = small_dataset.images
         assert len(images) > trainer_module.ENCODE_CHUNK  # more than one chunk
-        codes, descriptors = encode_images(trainer.params, images)
-        for i in range(len(images)):
-            row_codes, row_descriptors = encode_images(trainer.params, images[i : i + 1])
-            assert np.array_equal(row_codes[0], codes[i])
-            assert np.array_equal(row_descriptors[0], descriptors[i])
+        # the default architecture too, whose stacks of ENCODE_CHUNK images
+        # are what query (one image) compares against
+        default = ModelConfig(bits=16)
+        default_images = np.random.default_rng(3).random(
+            (2 * trainer_module.ENCODE_CHUNK + 3, default.image_side, default.image_side,
+             default.in_channels))
+        for params, images in ((trainer.params, images),
+                               (ModelParams.initialize(default, np.random.default_rng(4)),
+                                default_images)):
+            codes, descriptors = encode_images(params, images)
+            for i in range(len(images)):
+                row_codes, row_descriptors = encode_images(params, images[i : i + 1])
+                assert np.array_equal(row_codes[0], codes[i])
+                assert np.array_equal(row_descriptors[0], descriptors[i])
+
+    def test_nan_written_into_weights_raises_at_next_encode(self, small_dataset):
+        # as a diverging SGD step would write it: in place, past tensor()'s check
+        trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train())
+        trainer.params.hash_weight.data[0, 0] = np.nan
+        with pytest.raises(NumericError, match="^matmul: "):
+            encode_images(trainer.params, small_dataset.query_images[:2])
 
     def test_empty_stack_gives_empty_arrays(self, small_dataset):
         trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train())
