@@ -87,18 +87,17 @@ def _manifest_path(path: str | Path) -> Path:
 
 
 def _resolve_dataset(config: RunConfig) -> Dataset:
-    """Load the configured dataset, generating the synthetic set if absent."""
-    if config.data_dir is not None:
-        manifest = config.data_dir / "manifest.csv"
-        if manifest.exists():
-            LOG.info("loading dataset from %s", manifest)
-            return load_manifest(manifest)
+    """Load the configured dataset, rendering the synthetic set there first if
+    absent, so that the first run trains on the same 8-bit files as later ones."""
+    if config.data_dir is None:
+        LOG.info("no data_dir configured, generating the synthetic set in memory")
+        return generate_synthetic(config.synth)
+    manifest = config.data_dir / "manifest.csv"
+    if not manifest.exists():
         LOG.info("no manifest under %s, rendering the synthetic set there", config.data_dir)
-        dataset = generate_synthetic(config.synth)
-        write_dataset(dataset, config.data_dir)
-        return dataset
-    LOG.info("no data_dir configured, generating the synthetic set in memory")
-    return generate_synthetic(config.synth)
+        manifest = write_dataset(generate_synthetic(config.synth), config.data_dir)
+    LOG.info("loading dataset from %s", manifest)
+    return load_manifest(manifest)
 
 
 def _select_images(dataset: Dataset, split: str) -> np.ndarray:
@@ -264,29 +263,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     writer = csv.writer(sys.stdout)
     writer.writerow(["bits", "exchange", "map"] + [f"p@{k}" for k in args.ks] + ["queries"])
-
-    def emit(state_params, codes: np.ndarray, train_config) -> None:
-        metrics = _evaluate_checkpoint(state_params, codes, dataset, args.ks, args.topn)
+    for path in args.checkpoints:
+        state = load_checkpoint(path)
+        metrics = _evaluate_checkpoint(state.params, state.codes, dataset, args.ks, args.topn)
         writer.writerow(
-            [state_params.config.bits, "on" if train_config.exchange else "off",
+            [state.params.config.bits, "on" if state.train_config.exchange else "off",
              f"{metrics['map']:.4f}"]
             + [f"{metrics['precision_at'][k]:.4f}" for k in args.ks]
             + [metrics["queries"]]
         )
-
-    for path in args.checkpoints:
-        state = load_checkpoint(path)
-        emit(state.params, state.codes, state.train_config)
-        if args.no_exchange:
-            # Ablation: retrain the same schedule with exchanging disabled so
-            # the two rows differ only in that switch.
-            ablation = replace(state.train_config, exchange=False)
-            if args.seed is not None:
-                ablation = replace(ablation, seed=args.seed)
-            LOG.info("retraining %s with exchanging disabled", path)
-            trainer = AlternatingTrainer(dataset, state.params.config, ablation)
-            trainer.train()
-            emit(trainer.params, trainer.codes, ablation)
     return 0
 
 
@@ -429,9 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="precision cutoffs, comma separated")
     evaluate.add_argument("--topn", type=_positive(int, "--topn"),
                           help="re-rank shortlist size; omit for Hamming-only")
-    evaluate.add_argument("--no-exchange", action="store_true",
-                          help="also retrain each checkpoint without exchanging")
-    evaluate.add_argument("--seed", type=int, help="seed for the ablation retraining")
     evaluate.set_defaults(func=cmd_eval)
 
     bench = sub.add_parser("bench", help="time the packed scan against float32")

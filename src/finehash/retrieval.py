@@ -250,6 +250,8 @@ def load_features(path: str | Path) -> np.ndarray:
     if len(blob) < 20:
         raise FileFormatError(f"{path}: truncated feature file header")
     count, dim = struct.unpack("<QQ", blob[4:20])
+    if dim < 1:
+        raise FileFormatError(f"{path}: stored dimension must be >= 1")
     expected = 20 + count * dim * 4
     if len(blob) != expected:
         raise FileFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")

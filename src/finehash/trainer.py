@@ -301,6 +301,10 @@ def load_checkpoint(path) -> TrainState:
     if codes.ndim != 2 or codes.shape[1] != model_config.bits:
         raise FileFormatError(f"{path}: stored codes have shape {codes.shape}")
     _check_pm1(codes, f"{path}: stored codes")
+    iteration = read("state.iteration", int)
+    if not 0 <= iteration <= train_config.outer_iters:
+        raise FileFormatError(f"{path}: checkpoint entry 'state.iteration' holds {iteration}, "
+                              f"outside 0..{train_config.outer_iters}")
     try:
         anchors = AnchorBank.from_arrays(arrays)
     except FileFormatError as exc:
@@ -309,7 +313,7 @@ def load_checkpoint(path) -> TrainState:
         params=params,
         train_config=train_config,
         codes=codes,
-        iteration=read("state.iteration", int),
+        iteration=iteration,
         anchors=anchors,
     )
 
@@ -343,7 +347,6 @@ class AlternatingTrainer:
                 f"AlternatingTrainer: dataset images {images.shape[1:]} do not match "
                 f"model input {(model_config.image_side,) * 2 + (model_config.in_channels,)}"
             )
-        self.dataset = dataset
         self.model_config = model_config
         self.train_config = train_config
         self.train_images = images
@@ -381,7 +384,7 @@ class AlternatingTrainer:
         save_checkpoint(path, self.params, self.train_config, self.codes,
                         self.iteration, self.anchors)
 
-    def _refresh_hash_bias(self) -> np.ndarray:
+    def _refresh_hash_bias(self) -> None:
         """Reset each bit's threshold to the mean training projection.
 
         Pooled relu descriptors are entrywise positive, so raw projections
@@ -393,15 +396,13 @@ class AlternatingTrainer:
         The reset is idempotent while the weights are unchanged, and the
         bias still receives ordinary gradients inside the network phase.
 
-        Returns the training descriptors [db_size, descriptor_dim] it
-        encoded.  They do not depend on the hash bias, so until the weights
-        move again they also feed the code phase and the anchor phase.
+        Keeps the training descriptors [db_size, descriptor_dim] it encodes.
+        They do not depend on the hash bias, so until the weights move again
+        they also feed the code phase and the anchor phase.
         """
-        descriptors = encode_images(self.params, self.train_images)[1]
-        mean = descriptors.mean(axis=0)
+        self._descriptors = encode_images(self.params, self.train_images)[1]
+        mean = self._descriptors.mean(axis=0)
         self.params.hash_bias.data[...] = self.params.hash_weight.data @ mean
-        self._descriptors = descriptors
-        return descriptors
 
     def _resolve_weights(self) -> LossWeights:
         config = self.train_config
@@ -459,7 +460,7 @@ class AlternatingTrainer:
                 losses.append(self._theta_batch(batch, rate, rng, exchanging))
         return (float(np.mean(losses)) if losses else None), rate
 
-    def _code_phase(self, subset: np.ndarray, descriptors: np.ndarray):
+    def _code_phase(self, subset: np.ndarray):
         """Fit the discrete codes to the subset's own relaxed codes.
 
         The relaxed codes are tanh(W d - b) on the subset rows of the
@@ -474,7 +475,7 @@ class AlternatingTrainer:
         config = self.train_config
         if config.code_sweeps == 0:
             return None, 0
-        relaxed = hash_layer(self.params, ad.tensor(descriptors[subset]), mode="relaxed").data
+        relaxed = hash_layer(self.params, ad.tensor(self._descriptors[subset]), mode="relaxed").data
         sim = build_similarity(self.train_labels[subset], self.train_labels)
         before = self.codes
         self.codes = sweep_codes(relaxed, before, sim, self.model_config.bits,
@@ -482,10 +483,10 @@ class AlternatingTrainer:
         flipped = int(np.count_nonzero(self.codes != before))
         return frobenius_objective(relaxed, self.codes, sim, self.model_config.bits), flipped
 
-    def _anchor_phase(self, descriptors: np.ndarray):
+    def _anchor_phase(self):
         """Refresh the anchors from the part slices of the database descriptors."""
         parts = self.model_config.parts
-        part_vecs = descriptors.reshape(self.db_size, parts + 1, -1)[:, :parts]
+        part_vecs = self._descriptors.reshape(self.db_size, parts + 1, -1)[:, :parts]
         fresh = compute_anchor_bank(part_vecs, self.train_labels)
         drift = 0.0 if self.anchors is None else float(np.mean(
             [np.linalg.norm(delta) for delta in fresh.table - self.anchors.table]))
@@ -515,10 +516,10 @@ class AlternatingTrainer:
 
         rng = self._iteration_rng(t)
         exchanging = self.exchange_active(t)
-        descriptors = timed("bias", self._refresh_hash_bias)
+        timed("bias", self._refresh_hash_bias)
         if exchanging and self.anchors is None:
             # resumed or hand-built state without a bank
-            timed("anchor", self._anchor_phase, descriptors)
+            timed("anchor", self._anchor_phase)
         subset = rng.choice(self.db_size, size=min(self.train_config.samples_per_epoch,
                                                    self.db_size), replace=False)
 
@@ -528,16 +529,16 @@ class AlternatingTrainer:
                         t, theta_loss, seconds["theta"])
             # the weights moved, so re-center the thresholds and re-encode
             # the database before the code and anchor phases read it
-            descriptors = timed("bias", self._refresh_hash_bias)
+            timed("bias", self._refresh_hash_bias)
 
-        code_objective, codes_flipped = timed("code", self._code_phase, subset, descriptors)
+        code_objective, codes_flipped = timed("code", self._code_phase, subset)
         if code_objective is not None:
             logger.info("iter=%d phase=v loss=%.6f seconds=%.3f",
                         t, code_objective, seconds["code"])
 
         anchor_drift = None
         if self.train_config.exchange:
-            anchor_drift = timed("anchor", self._anchor_phase, descriptors)
+            anchor_drift = timed("anchor", self._anchor_phase)
             logger.info("iter=%d phase=anchor loss=%.6f seconds=%.3f",
                         t, anchor_drift, seconds["anchor"])
 

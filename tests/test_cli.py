@@ -1,7 +1,9 @@
 """Tests for the command line front end."""
 
+import argparse
 import contextlib
 import csv
+import filecmp
 import io
 import json
 import logging
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from finehash.checkpoint import load_arrays, save_arrays
-from finehash.cli import main
+from finehash.cli import build_parser, main
 from finehash.config import load_config
 from finehash.data import load_manifest
 from finehash import trainer as trainer_module
@@ -80,7 +82,31 @@ def workspace(tmp_path_factory):
     }
 
 
+# every option string of each subcommand; a flag added or removed shows here
+OPTIONS = {
+    "synth": ["--config", "--out", "--seed", "--parts"],
+    "train": ["--config", "--out-dir", "--seed", "--bits", "--parts", "--no-exchange",
+              "--resume", "--metrics-out"],
+    "encode": ["--checkpoint", "--manifest", "--out", "--features", "--bits", "--split"],
+    "index": ["--codes", "--labels", "--features"],
+    "query": ["--checkpoint", "--codes", "--queries", "--features", "--topk", "--topn",
+              "--split"],
+    "eval": ["--checkpoints", "--data", "--config", "--ks", "--topn"],
+    "bench": ["--codes", "--items", "--bits", "--queries", "--reps", "--seed", "--csv"],
+}
+
+
 class TestParser:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_option_surface(self, command):
+        parser = build_parser()
+        commands = next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert sorted(commands) == sorted(OPTIONS)
+        options = [option for action in commands[command]._actions
+                   for option in action.option_strings if option not in ("-h", "--help")]
+        assert options == OPTIONS[command]
+
     def test_unknown_subcommand_exits_2(self):
         code, _ = run_cli(["nonsense"])
         assert code == 2
@@ -146,6 +172,21 @@ class TestTrain:
         assert (tmp_path / "again" / "db.fhc1").read_bytes() == workspace["codes"].read_bytes()
         assert (tmp_path / "again" / "model.fht1").read_bytes() == \
             workspace["checkpoint"].read_bytes()
+
+    def test_first_run_into_empty_data_dir_reproduces_bytes(self, tmp_path):
+        # the first run renders the set, then trains on the 8-bit files it
+        # wrote, as every later run does
+        config = tmp_path / "tiny.cfg"
+        config.write_text(TINY_CONFIG)
+        for run in ("first", "second"):
+            code, _ = run_cli(["train", "--config", config, "--out-dir", tmp_path / run])
+            assert code == 0
+        assert filecmp.cmp(tmp_path / "first" / "model.fht1", tmp_path / "second" / "model.fht1",
+                           shallow=False)
+        reports = [run_cli(["eval", "--checkpoints", tmp_path / "first" / "model.fht1"] + source)
+                   for source in (["--config", config], ["--data", tmp_path / "data"])]
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0
 
     def test_seed_override_changes_codes_only(self, workspace, tmp_path):
         code, _ = run_cli(["train", "--config", workspace["config"],
@@ -227,6 +268,18 @@ class TestTrain:
                            "--resume"])
         assert code == 2
         assert "stored anchors" in caplog.text
+
+    @pytest.mark.parametrize("iteration", [-3.0, 1e30])
+    def test_resume_from_iteration_outside_schedule_exits_2(self, workspace, tmp_path, caplog,
+                                                            iteration):
+        arrays = load_arrays(workspace["checkpoint"])
+        arrays["state.iteration"] = np.array(iteration)
+        save_arrays(tmp_path / "model.fht1", arrays)
+        code, _ = run_cli(["train", "--config", workspace["config"], "--out-dir", tmp_path,
+                           "--resume"])
+        assert code == 2
+        assert "'state.iteration'" in caplog.text
+        assert not (tmp_path / "db.fhc1").exists()
 
     def test_metrics_out_writes_every_iteration(self, workspace, tmp_path):
         metrics = tmp_path / "run.jsonl"
@@ -479,13 +532,27 @@ class TestEval:
         rows = list(csv.reader(io.StringIO(stdout)))
         assert [row[0] for row in rows[1:]] == ["8", "4"]
 
-    def test_ablation_adds_no_exchange_row(self, workspace):
-        code, stdout = run_cli(["eval", "--checkpoints", workspace["checkpoint"],
-                                "--data", workspace["data"], "--ks", "1",
-                                "--no-exchange"])
+    def test_exchange_ablation_is_train_no_exchange_then_eval(self, workspace, tmp_path):
+        # a rate and warm-up at which the two arms end up ranking differently
+        config = tmp_path / "ablation.cfg"
+        config.write_text(TINY_CONFIG.replace("data_dir = data", f"data_dir = {workspace['data']}")
+                          + "warmup_fraction = 0\nlearning_rate = 0.05\n")
+        for arm, extra in (("on", []), ("off", ["--no-exchange"])):
+            code, _ = run_cli(["train", "--config", config, "--out-dir", tmp_path / arm] + extra)
+            assert code == 0
+        code, stdout = run_cli(["eval", "--checkpoints", tmp_path / "on" / "model.fht1",
+                                tmp_path / "off" / "model.fht1", "--data", workspace["data"]])
         assert code == 0
         rows = list(csv.reader(io.StringIO(stdout)))
         assert [row[1] for row in rows[1:]] == ["on", "off"]
+        assert rows[1][2] != rows[2][2]
+
+    @pytest.mark.parametrize("option", [["--no-exchange"], ["--seed", "3"]])
+    def test_training_options_exit_2(self, workspace, option):
+        code, stdout = run_cli(["eval", "--checkpoints", workspace["checkpoint"],
+                                "--data", workspace["data"]] + option)
+        assert code == 2
+        assert stdout == ""
 
     def test_needs_a_dataset_source(self, workspace):
         code, _ = run_cli(["eval", "--checkpoints", workspace["checkpoint"]])

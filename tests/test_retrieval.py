@@ -1,6 +1,7 @@
 """Tests for packing, Hamming search, metrics, file IO, and the benchmark."""
 
 import logging
+import struct
 import tracemalloc
 
 import numpy as np
@@ -328,6 +329,13 @@ class TestFiles:
         path = tmp_path / "db.fhf1"
         path.write_bytes(b"FHQ1" + bytes(16))
         with pytest.raises(FileFormatError):
+            load_features(path)
+
+    @pytest.mark.parametrize("count", [2**64 - 1, 3])
+    def test_feature_file_zero_dimension_rejected(self, tmp_path, count):
+        path = tmp_path / "db.fhf1"
+        path.write_bytes(b"FHF1" + struct.pack("<QQ", count, 0))
+        with pytest.raises(FileFormatError, match="dimension"):
             load_features(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
