@@ -82,10 +82,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise DimensionError(f"item: tensor of shape {self.shape} is not scalar")
@@ -409,39 +405,27 @@ def avg_pool2(a: Tensor, factor: int = 2) -> Tensor:
     return _result("avg_pool2", data, [(a, back)])
 
 
-def bias_add(a: Tensor, bias: Tensor) -> Tensor:
-    """Add a per-channel bias vector [C] to a tensor [..., C]."""
-    if a.data.ndim < 1 or bias.data.ndim != 1:
-        raise DimensionError(
-            f"bias_add: expected tensor [..., C] and rank-1 bias, got {a.shape} and {bias.shape}"
-        )
-    if a.shape[-1] != bias.size:
-        raise DimensionError(f"bias_add: {a.shape[-1]} channels vs bias length {bias.size}")
-    return _result(
-        "bias_add",
-        a.data + bias.data,
-        [(a, lambda g: g), (bias, lambda g: g.reshape(-1, bias.size).sum(axis=0))],
-    )
-
-
-def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
-    """Same-padding stride-1 2-D convolution (ML convention, no kernel flip).
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """Same-padding stride-1 2-D convolution (ML convention, no kernel flip)
+    plus a per-channel bias.
 
     Args:
         x: input maps [..., H, W, Cin].
         kernels: filter bank [kh, kw, Cin, Cout] with odd kh and kw.
+        bias: one value per output channel, [Cout].
 
     Returns:
-        Tensor [..., H, W, Cout]; positions outside the frame contribute zero.
-        The forward pass is one matrix product of the im2col columns (one
-        row per leading index and position, ``kh * kw * Cin`` entries) with
-        the flattened bank; the columns are a forward temporary that the
-        tape does not keep.  Each backward direction is one product per
-        kernel tap.  Whether a map's result depends on the other maps
-        stacked with it is up to how the BLAS blocks the product.  On
-        OpenBLAS 0.3.31 (Haswell kernels, one thread) every conv of the
-        default model gave float32 results bit-equal to one-map calls for
-        stacks of up to 122 8x8 maps; the 1x1 attention conv from 32 to 4
+        Tensor [..., H, W, Cout] in the result dtype of the three inputs;
+        positions outside the frame contribute zero.  The forward pass is one
+        matrix product of the im2col columns (one row per leading index and
+        position, ``kh * kw * Cin`` entries) with the flattened bank, with the
+        bias added to the product in place; the columns are a forward temporary
+        that the tape does not keep.  Each backward direction for x and the
+        kernels is one product per kernel tap.  Whether a map's result depends
+        on the other maps stacked with it is up to how the BLAS blocks the
+        product.  On OpenBLAS 0.3.31 (Haswell kernels, one thread) every conv
+        of the default model gave float32 results bit-equal to one-map calls
+        for stacks of up to 122 8x8 maps; the 1x1 attention conv from 32 to 4
         channels differed, by about 1e-6, from 123 maps on.
     """
     if x.data.ndim < 3:
@@ -454,6 +438,8 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
         raise DimensionError(f"conv2d: kernel extents {k_h}x{k_w} must be odd")
     if k_cin != c_in:
         raise DimensionError(f"conv2d: input has {c_in} channels, kernels expect {k_cin}")
+    if bias.shape != (c_out,):
+        raise DimensionError(f"conv2d: bias of shape {bias.shape} for {c_out} output channels")
     pad_h, pad_w = k_h // 2, k_w // 2
     k_data = kernels.data
     dtype = np.result_type(x.data, k_data)
@@ -471,8 +457,10 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
         padded, (*lead, height, width, k_h, k_w, c_in),
         (*lead_strides, row, col, row, col, chan), writeable=False)
     columns = windows.reshape(-1, k_h * k_w * c_in)
-    out = (columns @ k_data.reshape(-1, c_out)).reshape(*lead, height, width, c_out)
+    out = (columns @ k_data.reshape(-1, c_out)).astype(
+        np.result_type(dtype, bias.data), copy=False)
     del columns  # the closures below keep only padded
+    out += bias.data
 
     def back_x(g: np.ndarray) -> np.ndarray:
         grad_pad = np.zeros_like(padded)
@@ -490,4 +478,8 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
             grad_k[off_i, off_j] = window(off_i, off_j).T @ g_mat
         return grad_k
 
-    return _result("conv2d", out, [(x, back_x), (kernels, back_k)])
+    return _result(
+        "conv2d",
+        out.reshape(*lead, height, width, c_out),
+        [(x, back_x), (kernels, back_k), (bias, lambda g: g.reshape(-1, c_out).sum(axis=0))],
+    )

@@ -23,7 +23,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +153,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.resume and checkpoint.exists():
         LOG.info("resuming from %s", checkpoint)
         trainer = AlternatingTrainer.from_checkpoint(checkpoint, dataset)
+        # the run keeps the checkpoint's settings, so any other would be silently
+        # ignored; model and schedule field names share one config namespace
+        ran = {**asdict(config.model), **asdict(config.train)}
+        kept = {**asdict(trainer.model_config), **asdict(trainer.train_config)}
+        differing = [f"{key} (run {ran[key]!r}, checkpoint {kept[key]!r})"
+                     for key in ran if ran[key] != kept[key]]
+        if differing:
+            raise ConfigError(f"train --resume: settings differ from {checkpoint}: "
+                              + "; ".join(differing))
     else:
         trainer = AlternatingTrainer(dataset, config.model, config.train)
     trainer.train(checkpoint_path=checkpoint)

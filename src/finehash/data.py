@@ -194,7 +194,8 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
         images=np.stack(images),
         labels=np.array(labels),
         splits=np.array(splits),
-        label_names=[str(c) for c in range(classes)],
+        # zero-padded, so that load_manifest's string order is class order
+        label_names=[str(c).zfill(len(str(classes - 1))) for c in range(classes)],
     )
 
 

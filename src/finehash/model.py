@@ -172,8 +172,8 @@ def backbone_forward(params: ModelParams, images: np.ndarray) -> ad.Tensor:
     """Run the backbone on a stack of images, returning the base feature maps.
 
     Images are [..., side, side, in_channels] with values in [0, 1], cast
-    to the parameters' dtype.  Each block is a same-padded 3x3 convolution,
-    a channel bias, a relu, and a spatial mean-pool by the configured factor.
+    to the parameters' dtype.  Each block is a same-padded 3x3 convolution
+    with a channel bias, a relu, and a mean-pool by the configured factor.
     """
     config = params.config
     expected = (config.image_side, config.image_side, config.in_channels)
@@ -186,7 +186,7 @@ def backbone_forward(params: ModelParams, images: np.ndarray) -> ad.Tensor:
     for kernel, bias, factor in zip(
         params.backbone_kernels, params.backbone_biases, config.backbone_pools
     ):
-        out = ad.relu(ad.bias_add(ad.conv2d(out, kernel), bias))
+        out = ad.relu(ad.conv2d(out, kernel, bias))
         if factor > 1:
             out = ad.avg_pool2(out, factor)
     return out
@@ -201,7 +201,7 @@ def attention_maps(params: ModelParams, feature_map: ad.Tensor) -> ad.Tensor:
             f"attention_maps: feature map shape {feature_map.shape}, "
             f"expected trailing axes {expected}"
         )
-    scores = ad.bias_add(ad.conv2d(feature_map, params.attention_kernel), params.attention_bias)
+    scores = ad.conv2d(feature_map, params.attention_kernel, params.attention_bias)
     return ad.moveaxis(ad.sigmoid(scores), -1, -3)
 
 
@@ -226,8 +226,7 @@ def local_refine(params: ModelParams, attended: ad.Tensor) -> tuple[ad.Tensor, a
     never touch the features of any other part.
     """
     refined = ad.avg_pool2(
-        ad.relu(ad.bias_add(ad.conv2d(attended, params.local_kernel), params.local_bias)),
-        REFINE_POOL,
+        ad.relu(ad.conv2d(attended, params.local_kernel, params.local_bias)), REFINE_POOL
     )
     return refined, ad.global_avg_pool(refined)
 
@@ -235,8 +234,7 @@ def local_refine(params: ModelParams, attended: ad.Tensor) -> tuple[ad.Tensor, a
 def global_refine(params: ModelParams, feature_map: ad.Tensor) -> ad.Tensor:
     """Independent refinement branch over the ungated feature maps."""
     refined = ad.avg_pool2(
-        ad.relu(ad.bias_add(ad.conv2d(feature_map, params.global_kernel), params.global_bias)),
-        REFINE_POOL,
+        ad.relu(ad.conv2d(feature_map, params.global_kernel, params.global_bias)), REFINE_POOL
     )
     return ad.global_avg_pool(refined)
 
@@ -261,12 +259,13 @@ def descriptor(part_vecs: ad.Tensor, global_vec: ad.Tensor) -> ad.Tensor:
     return ad.concat([flat, global_vec])
 
 
-def hash_layer(params: ModelParams, descriptors: ad.Tensor, mode: str = "relaxed"):
-    """Map descriptors [..., descriptor_dim] to codes [..., bits].
+def hash_layer(params: ModelParams, descriptors: ad.Tensor) -> ad.Tensor:
+    """Map descriptors [..., descriptor_dim] to relaxed codes [..., bits].
 
-    In ``relaxed`` mode the result is a differentiable tanh code in
-    (-1, 1)^q; in ``discrete`` mode it is a plain +/-1 ndarray using the
-    package-wide convention sign(0) = +1, so a zero score row yields +1.
+    The result is the differentiable tanh code tanh(W d - b) in (-1, 1)^q.
+    The discrete code is ``ad.sign_pm1`` of its values, with the package-wide
+    convention sign(0) = +1: tanh keeps the sign of every float, -0.0 and
+    subnormals included, so this equals the sign of the scores W d - b.
 
     The per-bit bias acts as the threshold of each hash function.  It
     starts at zero; the trainer keeps it at the mean projection of the
@@ -277,13 +276,8 @@ def hash_layer(params: ModelParams, descriptors: ad.Tensor, mode: str = "relaxed
 
     Each descriptor is projected as its own matrix-vector product, so a
     code does not depend on the descriptors stacked with it.
-
-    Returns:
-        A Tensor in relaxed mode, an ndarray in discrete mode.
     """
     config = params.config
-    if mode not in ("relaxed", "discrete"):
-        raise ContractError(f"hash_layer: unknown mode {mode!r}")
     if descriptors.data.ndim < 1 or descriptors.shape[-1] != config.descriptor_dim:
         raise DimensionError(
             f"hash_layer: descriptor shape {descriptors.shape}, "
@@ -292,7 +286,4 @@ def hash_layer(params: ModelParams, descriptors: ad.Tensor, mode: str = "relaxed
     lead = descriptors.shape[:-1]
     column = ad.reshape(descriptors, (*lead, config.descriptor_dim, 1))
     projected = ad.reshape(ad.matmul(params.hash_weight, column), (*lead, config.bits))
-    scores = ad.sub(projected, params.hash_bias)
-    if mode == "relaxed":
-        return ad.tanh(scores)
-    return ad.sign_pm1(scores.data)
+    return ad.tanh(ad.sub(projected, params.hash_bias))

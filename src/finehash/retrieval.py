@@ -193,13 +193,15 @@ def code_memory_bytes(count: int, bits: int) -> float:
 
 
 def format_bytes(size: float) -> str:
-    """Decimal units with one fractional digit: 404000 -> '404.0KB'."""
+    """Decimal units with one fractional digit, the unit chosen after rounding:
+    404000 -> '404.0KB', 999950 -> '1.0MB'."""
     if size < 0:
         raise ContractError(f"format_bytes: size must be >= 0, got {size}")
     value = float(size)
     for unit in ("B", "KB", "MB", "GB"):
-        if value < 1000.0 or unit == "GB":
-            return f"{value:.1f}{unit}"
+        text = f"{value:.1f}"
+        if float(text) < 1000.0 or unit == "GB":
+            return text + unit
         value /= 1000.0
     raise AssertionError("unreachable")
 

@@ -190,8 +190,8 @@ def frobenius_objective(
 
 
 def encode_images(params: ModelParams, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete codes [n, bits] and refined descriptors [n, descriptor_dim]
-    for a stack of n images, encoded ENCODE_CHUNK images at a time.
+    """Discrete codes [n, bits] (signs of the relaxed hash output) and refined
+    descriptors [n, descriptor_dim] of n images, ENCODE_CHUNK images at a time.
 
     Each chunk is cast to the model's dtype on its own, and the descriptors
     come back in that dtype.  An empty stack gives empty arrays whatever its
@@ -207,7 +207,7 @@ def encode_images(params: ModelParams, images: np.ndarray) -> tuple[np.ndarray, 
         rows = slice(start, start + ENCODE_CHUNK)
         features = forward_features(params, images[rows])
         described = descriptor(features.part_vecs, features.global_vec)
-        codes[rows] = hash_layer(params, described, mode="discrete")
+        codes[rows] = ad.sign_pm1(hash_layer(params, described).data)
         descriptors[rows] = described.data
     return codes, descriptors
 
@@ -432,8 +432,7 @@ class AlternatingTrainer:
                 labels = self.train_labels[batch]
                 mask = draw_keep_mask(rng, (len(batch), self.model_config.parts))
                 part_vecs = exchange_features(part_vecs, self.anchors.rows(labels), mask)
-            relaxed = hash_layer(self.params, descriptor(part_vecs, features.global_vec),
-                                 mode="relaxed")
+            relaxed = hash_layer(self.params, descriptor(part_vecs, features.global_vec))
             sim_rows = build_similarity(self.train_labels[batch], self.train_labels)
             total = total_objective(relaxed, features, self.codes, sim_rows,
                                     self.model_config.bits, self._weights)
@@ -475,7 +474,7 @@ class AlternatingTrainer:
         config = self.train_config
         if config.code_sweeps == 0:
             return None, 0
-        relaxed = hash_layer(self.params, ad.tensor(self._descriptors[subset]), mode="relaxed").data
+        relaxed = hash_layer(self.params, ad.tensor(self._descriptors[subset])).data
         sim = build_similarity(self.train_labels[subset], self.train_labels)
         before = self.codes
         self.codes = sweep_codes(relaxed, before, sim, self.model_config.bits,

@@ -131,13 +131,13 @@ def _op_cases(rng):
         ("softmax", ad.softmax, [rng.standard_normal(6)]),
         ("global_avg_pool", ad.global_avg_pool, [rng.standard_normal((4, 4, 3))]),
         ("avg_pool2", lambda a: ad.avg_pool2(a, 2), [rng.standard_normal((4, 4, 2))]),
-        ("bias_add", ad.bias_add, [rng.standard_normal((3, 3, 2)), rng.standard_normal(2)]),
         ("conv2d", ad.conv2d, [rng.standard_normal((5, 5, 2)),
-                               rng.standard_normal((3, 3, 2, 3)) * 0.5]),
+                               rng.standard_normal((3, 3, 2, 3)) * 0.5, rng.standard_normal(3)]),
         ("moveaxis", lambda a: ad.moveaxis(a, -1, -3), [rng.standard_normal((2, 3, 4, 5))]),
         # leading axes: a stack of maps or vectors in one call
         ("conv2d_stacked", ad.conv2d, [rng.standard_normal((2, 3, 4, 4, 2)),
-                                       rng.standard_normal((3, 3, 2, 3)) * 0.5]),
+                                       rng.standard_normal((3, 3, 2, 3)) * 0.5,
+                                       rng.standard_normal(3)]),
         ("global_avg_pool_stacked", ad.global_avg_pool, [rng.standard_normal((2, 3, 4, 4, 3))]),
         ("avg_pool2_stacked", lambda a: ad.avg_pool2(a, 2), [rng.standard_normal((3, 4, 4, 2))]),
         ("softmax_stacked", ad.softmax, [rng.standard_normal((2, 3, 6))]),
@@ -150,8 +150,7 @@ def _op_cases(rng):
 
 def _toy_batch_loss(params, images, codes, sim, bits, weights):
     features = forward_features(params, images)
-    relaxed = hash_layer(params, descriptor(features.part_vecs, features.global_vec),
-                         mode="relaxed")
+    relaxed = hash_layer(params, descriptor(features.part_vecs, features.global_vec))
     return total_objective(relaxed, features, codes, sim, bits, weights)
 
 

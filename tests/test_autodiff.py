@@ -55,24 +55,40 @@ class TestMatmul:
             ad.matmul(ad.tensor(np.ones(3)), ad.tensor(np.ones((3, 2))))
 
 
+def zero_bias(channels, dtype=np.float64):
+    return ad.tensor(np.zeros(channels, dtype))
+
+
 class TestConv2d:
     def test_one_by_one_identity_bank(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(size=(4, 5, 3))
         kernels = np.eye(3).reshape(1, 1, 3, 3)
-        out = ad.conv2d(ad.tensor(x), ad.tensor(kernels))
+        out = ad.conv2d(ad.tensor(x), ad.tensor(kernels), zero_bias(3))
         assert np.array_equal(out.data, x)
 
     def test_zero_kernels(self):
-        out = ad.conv2d(ad.tensor(np.ones((4, 4, 2))), ad.tensor(np.zeros((3, 3, 2, 5))))
-        assert np.array_equal(out.data, np.zeros((4, 4, 5)))
+        bias = np.arange(5.0) - 2.0
+        out = ad.conv2d(ad.tensor(np.ones((2, 4, 4, 2))), ad.tensor(np.zeros((3, 3, 2, 5))),
+                        ad.tensor(bias))
+        assert np.array_equal(out.data, np.broadcast_to(bias, (2, 4, 4, 5)))
+
+    def test_output_dtype_follows_all_three_inputs(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((4, 4, 2)).astype(np.float32)
+        kernels = rng.standard_normal((3, 3, 2, 3)).astype(np.float32)
+        bias = rng.standard_normal(3)
+        out = ad.conv2d(ad.tensor(x), ad.tensor(kernels), ad.tensor(bias)).data
+        product = ad.conv2d(ad.tensor(x), ad.tensor(kernels), zero_bias(3, np.float32)).data
+        assert out.dtype == np.float64
+        assert np.array_equal(out, product.astype(np.float64) + bias)
 
     def test_ones_kernel_counts_valid_neighbors(self):
         # Constant input c with a 3x3 all-ones kernel sums the valid part of
         # each neighborhood: 4 cells at corners, 6 at edges, 9 inside.
         c = 2.0
         x = np.full((5, 5, 1), c)
-        out = ad.conv2d(ad.tensor(x), ad.tensor(np.ones((3, 3, 1, 1)))).data[:, :, 0]
+        out = ad.conv2d(ad.tensor(x), ad.tensor(np.ones((3, 3, 1, 1))), zero_bias(1)).data[..., 0]
         assert out[0, 0] == 4 * c
         assert out[0, 2] == 6 * c
         assert out[2, 2] == 9 * c
@@ -80,19 +96,27 @@ class TestConv2d:
 
     def test_even_kernel_rejected(self):
         with pytest.raises(DimensionError):
-            ad.conv2d(ad.tensor(np.ones((4, 4, 1))), ad.tensor(np.ones((2, 2, 1, 1))))
+            ad.conv2d(ad.tensor(np.ones((4, 4, 1))), ad.tensor(np.ones((2, 2, 1, 1))),
+                      zero_bias(1))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            ad.conv2d(ad.tensor(np.ones((4, 4, 2))), ad.tensor(np.ones((3, 3, 3, 1))))
+            ad.conv2d(ad.tensor(np.ones((4, 4, 2))), ad.tensor(np.ones((3, 3, 3, 1))),
+                      zero_bias(1))
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (1, 3), ()])
+    def test_bias_shape_mismatch_rejected(self, shape):
+        with pytest.raises(DimensionError, match="^conv2d: bias"):
+            ad.conv2d(ad.tensor(np.ones((4, 4, 2))), ad.tensor(np.ones((3, 3, 2, 3))),
+                      ad.tensor(np.zeros(shape)))
 
 
-def naive_conv2d(x, kernels, weights):
+def naive_conv2d(x, kernels, bias, weights):
     """Same-padding conv forward and the gradients of sum(out * weights), one
     output position and one kernel tap at a time, in float64."""
     *lead, height, width, _ = x.shape
     k_h, k_w, _, c_out = kernels.shape
-    out = np.zeros((*lead, height, width, c_out))
+    out = np.zeros((*lead, height, width, c_out)) + bias
     grad_x = np.zeros(x.shape)
     grad_k = np.zeros(kernels.shape)
     for i in range(height):
@@ -107,16 +131,17 @@ def naive_conv2d(x, kernels, weights):
                         grad_x[..., src_i, src_j, :] += weights[..., i, j, :] @ tap.T
                         grad_k[di, dj] += (pixel.reshape(-1, pixel.shape[-1]).T
                                            @ weights[..., i, j, :].reshape(-1, c_out))
-    return out, grad_x, grad_k
+    grad_b = weights.reshape(-1, c_out).sum(axis=0)
+    return out, grad_x, grad_k, grad_b
 
 
-def conv2d_with_grads(x, kernels, weights):
+def conv2d_with_grads(x, kernels, bias, weights):
     with ad.Tape() as tape:
-        x_leaf, k_leaf = ad.parameter(x), ad.parameter(kernels)
-        out = ad.conv2d(x_leaf, k_leaf)
+        leaves = [ad.parameter(a) for a in (x, kernels, bias)]
+        out = ad.conv2d(*leaves)
         loss = ad.sum_all(ad.hadamard(out, ad.tensor(weights)))
     tape.backward(loss)
-    return out.data, x_leaf.grad, k_leaf.grad
+    return (out.data, *(leaf.grad for leaf in leaves))
 
 
 def scaled_error(got, expected):
@@ -124,7 +149,7 @@ def scaled_error(got, expected):
     return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
 
 
-def sliding_window_conv2d(x, kernels):
+def sliding_window_conv2d(x, kernels, bias):
     """The conv forward with im2col columns from sliding_window_view plus
     moveaxis: the reference for the engine's single strided view."""
     *lead, height, width, c_in = x.shape
@@ -134,7 +159,7 @@ def sliding_window_conv2d(x, kernels):
     padded[..., k_h // 2 : k_h // 2 + height, k_w // 2 : k_w // 2 + width, :] = x
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k_h, k_w), axis=(-3, -2))
     columns = np.moveaxis(windows, -3, -1).reshape(-1, k_h * k_w * c_in)
-    return (columns @ kernels.reshape(-1, c_out)).reshape(*lead, height, width, c_out)
+    return (columns @ kernels.reshape(-1, c_out) + bias).reshape(*lead, height, width, c_out)
 
 
 class TestIm2colColumns:
@@ -145,9 +170,10 @@ class TestIm2colColumns:
         rng = np.random.default_rng(10 * k_h + k_w + len(lead))
         x = rng.standard_normal((*lead, 6, 7, 3)).astype(dtype)
         kernels = rng.standard_normal((k_h, k_w, 3, 4)).astype(dtype)
-        out = ad.conv2d(ad.tensor(x), ad.tensor(kernels)).data
+        bias = rng.standard_normal(4).astype(dtype)
+        out = ad.conv2d(ad.tensor(x), ad.tensor(kernels), ad.tensor(bias)).data
         assert out.dtype == dtype
-        assert np.array_equal(out, sliding_window_conv2d(x, kernels))
+        assert np.array_equal(out, sliding_window_conv2d(x, kernels, bias))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_non_contiguous_input(self, dtype):
@@ -155,8 +181,9 @@ class TestIm2colColumns:
         x = np.moveaxis(rng.standard_normal((2, 3, 6, 7)).astype(dtype), 1, -1)
         assert not x.flags.c_contiguous
         kernels = rng.standard_normal((3, 5, 3, 4)).astype(dtype)
-        out = ad.conv2d(ad.tensor(x), ad.tensor(kernels)).data
-        assert np.array_equal(out, sliding_window_conv2d(x, kernels))
+        bias = rng.standard_normal(4).astype(dtype)
+        out = ad.conv2d(ad.tensor(x), ad.tensor(kernels), ad.tensor(bias)).data
+        assert np.array_equal(out, sliding_window_conv2d(x, kernels, bias))
 
 
 class TestConv2dAgainstNaiveLoop:
@@ -167,22 +194,23 @@ class TestConv2dAgainstNaiveLoop:
         rng = np.random.default_rng(100 * k_h + k_w)
         x = rng.standard_normal((2, 3, 6, 7, 3))  # stacked leading axes, H != W
         kernels = rng.standard_normal((k_h, k_w, 3, 4))
+        bias = rng.standard_normal(4)
         weights = rng.standard_normal((2, 3, 6, 7, 4))
-        return x, kernels, weights
+        return x, kernels, bias, weights
 
     @pytest.mark.parametrize("k_h,k_w", KERNELS)
     def test_float64_matches_loop(self, k_h, k_w):
-        x, kernels, weights = self._case(k_h, k_w)
-        expected = naive_conv2d(x, kernels, weights)
-        for got, want in zip(conv2d_with_grads(x, kernels, weights), expected):
+        case = self._case(k_h, k_w)
+        expected = naive_conv2d(*case)
+        for got, want in zip(conv2d_with_grads(*case), expected, strict=True):
             assert got.dtype == np.float64
             assert scaled_error(got, want) <= 1e-12
 
     @pytest.mark.parametrize("k_h,k_w", KERNELS)
     def test_float32_within_stated_tolerance(self, k_h, k_w):
-        x, kernels, weights = (a.astype(np.float32) for a in self._case(k_h, k_w))
-        expected = naive_conv2d(*(a.astype(np.float64) for a in (x, kernels, weights)))
-        for got, want in zip(conv2d_with_grads(x, kernels, weights), expected):
+        case = [a.astype(np.float32) for a in self._case(k_h, k_w)]
+        expected = naive_conv2d(*(a.astype(np.float64) for a in case))
+        for got, want in zip(conv2d_with_grads(*case), expected, strict=True):
             assert got.dtype == np.float32
             assert scaled_error(got, want) <= 1e-5
 
@@ -320,8 +348,9 @@ class TestElementwise:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((6, 6, 3))
         k = rng.standard_normal((3, 3, 3, 4))
-        a = ad.conv2d(ad.tensor(x), ad.tensor(k)).data
-        b = ad.conv2d(ad.tensor(x), ad.tensor(k)).data
+        bias = rng.standard_normal(4)
+        a = ad.conv2d(ad.tensor(x), ad.tensor(k), ad.tensor(bias)).data
+        b = ad.conv2d(ad.tensor(x), ad.tensor(k), ad.tensor(bias)).data
         assert np.array_equal(a, b)
 
 
@@ -343,17 +372,21 @@ NON_FINITE_CASES = {
     "softmax": lambda: ad.softmax(ad.Tensor([0.0, np.nan])),
     "global_avg_pool": lambda: ad.global_avg_pool(ad.tensor(np.full((2, 1, 1), 1e308))),
     "avg_pool2": lambda: ad.avg_pool2(ad.tensor(np.full((2, 2, 1), 1e308))),
-    "bias_add": lambda: ad.bias_add(ad.tensor([[1e308]]), ad.tensor([1e308])),
     "conv2d": lambda: ad.conv2d(ad.tensor(np.full((1, 1, 1), 1e20, np.float32)),
-                                ad.tensor(np.full((1, 1, 1, 1), 1e20, np.float32))),
+                                ad.tensor(np.full((1, 1, 1, 1), 1e20, np.float32)),
+                                zero_bias(1, np.float32)),
+    # a finite product that the bias pushes past the largest float64
+    "conv2d-bias": lambda: ad.conv2d(ad.tensor(np.full((1, 1, 1), 1e308)),
+                                     ad.tensor(np.ones((1, 1, 1, 1))), ad.tensor([1e308])),
 }
 
 
 class TestFiniteness:
-    @pytest.mark.parametrize("op", sorted(NON_FINITE_CASES))
-    def test_computing_op_rejects_non_finite_result(self, op):
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+    def test_computing_op_rejects_non_finite_result(self, case):
+        op = case.split("-")[0]  # a case id is the op's name, or the name and a variant
         with np.errstate(all="ignore"), pytest.raises(NumericError, match=rf"^{op}: "):
-            NON_FINITE_CASES[op]()
+            NON_FINITE_CASES[case]()
 
     def test_rearranging_ops_equal_numpy(self):
         x = np.random.default_rng(5).standard_normal((2, 3, 4)).astype(np.float32)
@@ -465,13 +498,22 @@ GRAD_CASES = [
     ),
     (
         "conv2d_3x3",
-        lambda rng: [rng.standard_normal((5, 6, 3)), rng.standard_normal((3, 3, 3, 4))],
-        lambda x, k: ad.conv2d(x, k),
+        lambda rng: [rng.standard_normal((5, 6, 3)), rng.standard_normal((3, 3, 3, 4)),
+                     rng.standard_normal(4)],
+        lambda x, k, b: ad.conv2d(x, k, b),
     ),
     (
         "conv2d_1x1",
-        lambda rng: [rng.standard_normal((4, 4, 2)), rng.standard_normal((1, 1, 2, 3))],
-        lambda x, k: ad.conv2d(x, k),
+        lambda rng: [rng.standard_normal((4, 4, 2)), rng.standard_normal((1, 1, 2, 3)),
+                     rng.standard_normal(3)],
+        lambda x, k, b: ad.conv2d(x, k, b),
+    ),
+    (
+        # leading axes: the bias gradient sums over every map and position
+        "conv2d_stacked",
+        lambda rng: [rng.standard_normal((2, 3, 4, 5, 2)), rng.standard_normal((3, 3, 2, 3)),
+                     rng.standard_normal(3)],
+        lambda x, k, b: ad.conv2d(x, k, b),
     ),
     ("softmax", lambda rng: [rng.standard_normal(7)], lambda x: ad.softmax(x)),
     (
@@ -485,11 +527,6 @@ GRAD_CASES = [
         lambda x: ad.avg_pool2(x, 2),
     ),
     ("channel_sum", lambda rng: [rng.standard_normal((3, 4, 5))], lambda x: ad.channel_sum(x)),
-    (
-        "bias_add",
-        lambda rng: [rng.standard_normal((3, 4, 5)), rng.standard_normal(5)],
-        lambda x, b: ad.bias_add(x, b),
-    ),
     (
         "add",
         lambda rng: [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))],
@@ -547,7 +584,7 @@ class TestGradientChecks:
         b0 = rng.standard_normal(3)
 
         def network(x, k, b):
-            h = ad.relu(ad.bias_add(ad.conv2d(x, k), b))
+            h = ad.relu(ad.conv2d(x, k, b))
             pooled = ad.global_avg_pool(ad.avg_pool2(h, 2))
             return ad.softmax(ad.tanh(pooled))
 

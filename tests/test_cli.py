@@ -169,9 +169,9 @@ class TestTrain:
         code, _ = run_cli(["train", "--config", workspace["config"],
                            "--out-dir", tmp_path / "again"])
         assert code == 0
-        assert (tmp_path / "again" / "db.fhc1").read_bytes() == workspace["codes"].read_bytes()
-        assert (tmp_path / "again" / "model.fht1").read_bytes() == \
-            workspace["checkpoint"].read_bytes()
+        assert filecmp.cmp(tmp_path / "again" / "db.fhc1", workspace["codes"], shallow=False)
+        assert filecmp.cmp(tmp_path / "again" / "model.fht1", workspace["checkpoint"],
+                           shallow=False)
 
     def test_first_run_into_empty_data_dir_reproduces_bytes(self, tmp_path):
         # the first run renders the set, then trains on the 8-bit files it
@@ -192,10 +192,10 @@ class TestTrain:
         code, _ = run_cli(["train", "--config", workspace["config"],
                            "--out-dir", tmp_path / "other", "--seed", "8"])
         assert code == 0
-        assert (tmp_path / "other" / "db.fhc1").read_bytes() != workspace["codes"].read_bytes()
+        assert not filecmp.cmp(tmp_path / "other" / "db.fhc1", workspace["codes"], shallow=False)
         # outputs that do not flow through the generators stay put
-        assert (tmp_path / "other" / "db_labels.csv").read_bytes() == \
-            workspace["labels"].read_bytes()
+        assert filecmp.cmp(tmp_path / "other" / "db_labels.csv", workspace["labels"],
+                           shallow=False)
 
     def test_unknown_config_key_exits_2(self, tmp_path, caplog):
         config = tmp_path / "bad.cfg"
@@ -235,8 +235,8 @@ class TestTrain:
         dataset = load_manifest(workspace["data"] / "manifest.csv")
         save_features(tmp_path / "expected.fhf1",
                       encode_images(state.params, dataset.train_images)[1])
-        assert (tmp_path / "run" / "db.fhf1").read_bytes() == \
-            (tmp_path / "expected.fhf1").read_bytes()
+        assert filecmp.cmp(tmp_path / "run" / "db.fhf1", tmp_path / "expected.fhf1",
+                           shallow=False)
 
     def test_resume_at_end_encodes_database_once(self, workspace, tmp_path, monkeypatch):
         (tmp_path / "done").mkdir()
@@ -246,7 +246,7 @@ class TestTrain:
                            "--out-dir", tmp_path / "done", "--resume"])
         assert code == 0
         assert passes == [True]
-        assert (tmp_path / "done" / "db.fhf1").read_bytes() == workspace["features"].read_bytes()
+        assert filecmp.cmp(tmp_path / "done" / "db.fhf1", workspace["features"], shallow=False)
 
     @pytest.mark.parametrize("saved, resumed", [((4, 10), (5, 8)), ((5, 8), (4, 10))])
     def test_resume_on_other_classes_exits_2(self, tmp_path, caplog, saved, resumed):
@@ -279,6 +279,22 @@ class TestTrain:
                            "--resume"])
         assert code == 2
         assert "'state.iteration'" in caplog.text
+        assert not (tmp_path / "db.fhc1").exists()
+
+    @pytest.mark.parametrize("option, field", [(["--bits", "4"], "bits"),
+                                               (["--seed", "9"], "seed"),
+                                               (["--no-exchange"], "exchange")])
+    def test_resume_with_other_settings_exits_2(self, workspace, tmp_path, caplog, option,
+                                                field):
+        arrays = load_arrays(workspace["checkpoint"])
+        arrays["state.iteration"] = np.array(1.0)  # leave an iteration to run
+        save_arrays(tmp_path / "model.fht1", arrays)
+        shutil.copy(tmp_path / "model.fht1", tmp_path / "saved.fht1")
+        code, _ = run_cli(["train", "--config", workspace["config"], "--out-dir", tmp_path,
+                           "--resume", *option])
+        assert code == 2
+        assert re.search(rf"settings differ .*\b{field} \(run ", caplog.text)
+        assert filecmp.cmp(tmp_path / "model.fht1", tmp_path / "saved.fht1", shallow=False)
         assert not (tmp_path / "db.fhc1").exists()
 
     def test_metrics_out_writes_every_iteration(self, workspace, tmp_path):
@@ -316,7 +332,7 @@ class TestTrain:
         code, _ = run_cli(["train", "--config", workspace["config"],
                            "--out-dir", tmp_path / "run", "--metrics-out", tmp_path / "m.jsonl"])
         assert code == 0
-        assert (tmp_path / "run" / "db.fhc1").read_bytes() == workspace["codes"].read_bytes()
+        assert filecmp.cmp(tmp_path / "run" / "db.fhc1", workspace["codes"], shallow=False)
 
     def test_bits_override_changes_code_length(self, workspace, tmp_path):
         code, _ = run_cli(["train", "--config", workspace["config"],

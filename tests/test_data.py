@@ -1,5 +1,7 @@
 """Tests for the synthetic generator, PPM IO, and manifest ingestion."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,16 @@ class TestManifest:
         assert np.array_equal(loaded.splits, data.splits)
         assert np.max(np.abs(loaded.images - data.images)) <= 0.5 / 255.0 + 1e-12
         loaded.require_both_splits()
+
+    def test_class_ids_survive_round_trip_past_ten_classes(self, tmp_path):
+        # load_manifest numbers tokens in string order, where '10' sorts before '2'
+        data = generate_synthetic(replace(SMALL, num_classes=12, per_class=1,
+                                          queries_per_class=1))
+        loaded = load_manifest(write_dataset(data, tmp_path / "set"))
+        assert loaded.label_names[:3] == ["00", "01", "02"]
+        assert np.array_equal(loaded.labels, data.labels)
+        # ten classes or fewer keep their unpadded names
+        assert generate_synthetic(SMALL).label_names == ["0", "1", "2"]
 
     def test_label_tokens_remap_dense_sorted(self, tmp_path):
         root = tmp_path / "set"

@@ -191,35 +191,30 @@ class TestHashLayer:
         config = small_config()
         params = model.ModelParams.initialize(config, rng)
         desc = self._descriptor(params, rng)
-        relaxed = model.hash_layer(params, desc, "relaxed")
-        discrete = model.hash_layer(params, desc, "discrete")
+        relaxed = model.hash_layer(params, desc)
         assert relaxed.shape == (config.bits,)
         assert np.all(np.abs(relaxed.data) < 1.0)
-        assert set(np.unique(discrete)) <= {-1.0, 1.0}
+        assert set(np.unique(ad.sign_pm1(relaxed.data))) <= {-1.0, 1.0}
 
     def test_sign_consistency_between_modes(self, rng):
         config = small_config()
         params = model.ModelParams.initialize(config, rng)
-        desc = self._descriptor(params, rng)
-        relaxed = model.hash_layer(params, desc, "relaxed")
-        discrete = model.hash_layer(params, desc, "discrete")
-        assert np.array_equal(ad.sign_pm1(relaxed.data), discrete)
+        feats = model.forward_features(params, rng.uniform(size=(6, 8, 8, 3)))
+        desc = model.descriptor(feats.part_vecs, feats.global_vec)
+        relaxed = model.hash_layer(params, desc)
+        # the discrete code is the sign of the scores W d - b, before tanh
+        scores = (np.matmul(params.hash_weight.data, desc.data[..., None])[..., 0]
+                  - params.hash_bias.data)
+        assert np.array_equal(ad.sign_pm1(relaxed.data), ad.sign_pm1(scores))
 
     def test_zero_weight_row_convention(self, rng):
         config = small_config()
         params = model.ModelParams.initialize(config, rng)
         params.hash_weight.data[0, :] = 0.0
         desc = self._descriptor(params, rng)
-        relaxed = model.hash_layer(params, desc, "relaxed")
-        discrete = model.hash_layer(params, desc, "discrete")
+        relaxed = model.hash_layer(params, desc)
         assert relaxed.data[0] == 0.0
-        assert discrete[0] == 1.0
-
-    def test_bad_mode_rejected(self, rng):
-        params = model.ModelParams.initialize(small_config(), rng)
-        desc = self._descriptor(params, rng)
-        with pytest.raises(ContractError):
-            model.hash_layer(params, desc, "binary")
+        assert ad.sign_pm1(relaxed.data)[0] == 1.0
 
     def test_part_count_mismatch_rejected(self, rng):
         params = model.ModelParams.initialize(small_config(), rng)
@@ -253,8 +248,19 @@ class TestEndToEnd:
             params = model.ModelParams.initialize(config, np.random.default_rng(77))
             feats = model.forward_features(params, image)
             desc = model.descriptor(feats.part_vecs, feats.global_vec)
-            codes.append(model.hash_layer(params, desc, "discrete"))
+            codes.append(ad.sign_pm1(model.hash_layer(params, desc).data))
         assert np.array_equal(codes[0], codes[1])
+
+    def test_one_image_forward_records_29_ops(self, rng):
+        # every op call pays a tape lookup, and every computing op a
+        # finiteness check; a change to the op count per forward shows here
+        config = model.ModelConfig(bits=16)
+        params = model.ModelParams.initialize(config, rng)
+        image = rng.uniform(size=(config.image_side, config.image_side, config.in_channels))
+        with ad.Tape() as tape:
+            feats = model.forward_features(params, image)
+            model.hash_layer(params, model.descriptor(feats.part_vecs, feats.global_vec))
+        assert len(tape) == 29
 
     def test_gradients_reach_every_stage(self, rng):
         config = small_config()
@@ -263,7 +269,7 @@ class TestEndToEnd:
         with ad.Tape() as tape:
             feats = model.forward_features(params, image)
             desc = model.descriptor(feats.part_vecs, feats.global_vec)
-            relaxed = model.hash_layer(params, desc, "relaxed")
+            relaxed = model.hash_layer(params, desc)
             loss = ad.sum_all(ad.hadamard(relaxed, relaxed))
         tape.backward(loss)
         for name, tens in params.named().items():
@@ -281,13 +287,13 @@ class TestEndToEnd:
             trial = model.ModelParams.from_arrays(config, dict(zip(names, arrays)))
             feats = model.forward_features(trial, image)
             desc = model.descriptor(feats.part_vecs, feats.global_vec)
-            relaxed = model.hash_layer(trial, desc, "relaxed")
+            relaxed = model.hash_layer(trial, desc)
             return ad.sum_all(ad.hadamard(relaxed, ad.tensor(target))).item()
 
         with ad.Tape() as tape:
             feats = model.forward_features(params, image)
             desc = model.descriptor(feats.part_vecs, feats.global_vec)
-            relaxed = model.hash_layer(params, desc, "relaxed")
+            relaxed = model.hash_layer(params, desc)
             loss = ad.sum_all(ad.hadamard(relaxed, ad.tensor(target)))
         tape.backward(loss)
         arrays = [values.copy() for values in params.arrays().values()]

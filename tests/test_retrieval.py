@@ -278,6 +278,11 @@ class TestMemory:
         assert format_bytes(2_500_000_000) == "2.5GB"
         assert format_bytes(0) == "0.0B"
 
+    @pytest.mark.parametrize("size, text", [(999_949, "999.9KB"), (999_950, "1.0MB"),
+                                            (999_999_999, "1.0GB"), (404_000, "404.0KB")])
+    def test_unit_chosen_after_rounding(self, size, text):
+        assert format_bytes(size) == text
+
     def test_negative_rejected(self):
         with pytest.raises(ContractError):
             format_bytes(-1)

@@ -321,8 +321,7 @@ class TestSharedEncoding:
         for row, index in enumerate(subset):
             features = forward_features(trainer.params, small_dataset.train_images[index])
             relaxed_ref[row] = hash_layer(trainer.params,
-                                          descriptor(features.part_vecs, features.global_vec),
-                                          mode="relaxed").data
+                                          descriptor(features.part_vecs, features.global_vec)).data
         labels = small_dataset.train_labels
         sim = build_similarity(labels[subset], labels)
         expected = sweep_codes(relaxed_ref, codes_before, sim, SMALL_MODEL.bits,
