@@ -241,12 +241,15 @@ def cmd_query(args: argparse.Namespace) -> int:
         topn = None
     else:
         topn = args.topn if args.topn is not None else topk
+        if topn < topk:
+            # search returns only the re-ranked shortlist, so it must hold topk rows
+            raise ContractError(f"query: --topn {topn} is below --topk {topk}")
 
     results = []
     latencies_ms = []
     for code, feature in zip(codes, descriptors):
         started = time.perf_counter()
-        results.append(index.search(code, feature if topn is not None else None, topn)[:topk])
+        results.append(index.search(code, feature, topn)[:topk])
         latencies_ms.append(1000.0 * (time.perf_counter() - started))
     writer = csv.writer(sys.stdout)
     writer.writerow(["query", "rank", "item"])

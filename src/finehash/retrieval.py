@@ -7,13 +7,18 @@ distance relates to the inner product by u . v = bits - 2 * d_H.
 
 Ranking is deterministic: ties are broken by database id, both in the
 coarse Hamming pass and in the Euclidean re-ranking of the head.  The
-coarse pass radix-sorts the distances, integers in [0, bits], as uint8
-(uint16 above 255 bits); the sort is stable, so ties stay in id order.
+distances, integers in [0, bits], are summed one word column at a time
+into uint8 (uint16 above 255 bits).  The full coarse ranking radix-sorts
+them with a stable sort, so ties stay in id order.  A re-ranked search
+sorts no more than it returns: it finds the smallest distance t within
+which at least topn items lie, and orders only those items, which gives
+exactly the first topn of the full (distance, id) order.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import struct
 import time
@@ -37,6 +42,12 @@ def _words_per_code(bits: int) -> int:
     return -(-bits // 64)
 
 
+def _stray_bits(last_words: np.ndarray, bits: int) -> bool:
+    """Whether any last code word has a bit set past the code length."""
+    used = bits - 64 * (_words_per_code(bits) - 1)
+    return used < 64 and bool(np.any(last_words >> np.uint64(used)))
+
+
 @dataclass
 class PackedCodes:
     """Database codes packed into [n, ceil(bits / 64)] uint64 words."""
@@ -53,11 +64,8 @@ class PackedCodes:
                 f"PackedCodes: words shape {self.words.shape}, expected "
                 f"[n, {_words_per_code(self.bits)}] for {self.bits} bits"
             )
-        used = self.bits - 64 * (self.words.shape[1] - 1)
-        if used < 64:
-            mask = np.uint64(~((1 << used) - 1) & 0xFFFFFFFFFFFFFFFF)
-            if np.any(self.words[:, -1] & mask):
-                raise ContractError("PackedCodes: bits beyond the code length must be zero")
+        if _stray_bits(self.words[:, -1], self.bits):
+            raise ContractError("PackedCodes: bits beyond the code length must be zero")
 
     def __len__(self) -> int:
         return self.words.shape[0]
@@ -98,6 +106,44 @@ def unpack_codes(packed: PackedCodes) -> np.ndarray:
     return np.where(bits01 > 0, 1.0, -1.0)
 
 
+def _distance_key(packed: PackedCodes, query_words: np.ndarray) -> np.ndarray:
+    """Hamming distance from one packed query to every database row, as
+    uint8 (uint16 above 255 bits), accumulated one word column at a time."""
+    words = packed.words
+    key = np.bitwise_count(words[:, 0] ^ query_words[0]).astype(
+        np.min_scalar_type(packed.bits), copy=False)
+    for j in range(1, words.shape[1]):
+        key += np.bitwise_count(words[:, j] ^ query_words[j])
+    return key
+
+
+def _shortlist(key: np.ndarray, topn: int) -> np.ndarray:
+    """The first min(topn, n) ids of the (distance, id) order of key.
+
+    Only the items within the smallest distance t that holds at least that
+    many are sorted; the stable sort keeps ties in id order.
+    """
+    size = min(topn, len(key))
+    if size == 0:
+        return np.zeros(0, dtype=np.intp)
+    for t in itertools.count():  # ends by t = key.max(), where every item is within
+        within = key <= t
+        if np.count_nonzero(within) >= size:
+            break
+    ids = np.flatnonzero(within)
+    return ids[np.argsort(key[ids], kind="stable")[:size]]
+
+
+def _query_key(packed: PackedCodes, query_code: np.ndarray) -> np.ndarray:
+    """The distance key of one +/-1 query code against the database."""
+    query_code = np.asarray(query_code)
+    if query_code.shape != (packed.bits,):
+        raise DimensionError(
+            f"query code shape {query_code.shape}, expected ({packed.bits},)"
+        )
+    return _distance_key(packed, pack_codes(query_code[None, :]).words[0])
+
+
 def hamming_distances(packed: PackedCodes, query_words: np.ndarray) -> np.ndarray:
     """Hamming distance from one packed query to every database row."""
     query_words = np.asarray(query_words, dtype=np.uint64)
@@ -106,25 +152,22 @@ def hamming_distances(packed: PackedCodes, query_words: np.ndarray) -> np.ndarra
             f"hamming_distances: query words shape {query_words.shape}, expected "
             f"({packed.words.shape[1]},)"
         )
-    return np.bitwise_count(packed.words ^ query_words[None, :]).sum(axis=1, dtype=np.int64)
+    if _stray_bits(query_words[-1], packed.bits):
+        raise ContractError(
+            f"hamming_distances: query bits beyond the {packed.bits}-bit code length must be zero"
+        )
+    return _distance_key(packed, query_words).astype(np.int64)
 
 
 def coarse_rank(packed: PackedCodes, query_code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full Hamming ranking of the database for one +/-1 query code.
 
     Returns (order, distances); order sorts by distance with ties broken
-    by database id.  The sort key is a uint8/uint16 copy of the int64
-    distances, which numpy's stable argsort radix-sorts.
+    by database id.  numpy's stable argsort radix-sorts the uint8/uint16
+    distances; the returned distances are int64.
     """
-    query_code = np.asarray(query_code)
-    if query_code.shape != (packed.bits,):
-        raise DimensionError(
-            f"coarse_rank: query shape {query_code.shape}, expected ({packed.bits},)"
-        )
-    query_words = pack_codes(query_code[None, :]).words[0]
-    dists = hamming_distances(packed, query_words)
-    key = dists.astype(np.min_scalar_type(packed.bits))
-    return np.argsort(key, kind="stable"), dists
+    key = _query_key(packed, query_code)
+    return np.argsort(key, kind="stable"), key.astype(np.int64)
 
 
 def rerank(order: np.ndarray, features: np.ndarray, query_feature: np.ndarray,
@@ -325,13 +368,15 @@ class RetrievalIndex:
 
     def search(self, query_code: np.ndarray, query_feature: np.ndarray | None = None,
                topn: int | None = None) -> np.ndarray:
-        """Coarse Hamming ranking, then feature re-ranking of the head."""
-        order, _ = coarse_rank(self.packed, query_code)
+        """The full coarse Hamming ranking, or with topn only the re-ranked
+        shortlist: the first min(topn, n) ids of that ranking, re-sorted by
+        feature distance."""
         if topn is None:
-            return order
+            return coarse_rank(self.packed, query_code)[0]
         if self.features is None or query_feature is None:
             raise ContractError("search: re-ranking requested without features")
-        return rerank(order, self.features, query_feature, topn)
+        shortlist = _shortlist(_query_key(self.packed, query_code), topn)
+        return rerank(shortlist, self.features, query_feature, topn)
 
 
 def evaluate_queries(index: RetrievalIndex, query_codes: np.ndarray,
@@ -347,11 +392,15 @@ def evaluate_queries(index: RetrievalIndex, query_codes: np.ndarray,
     for k in ks:
         if not 1 <= k <= len(index):
             raise ContractError(f"evaluate_queries: k={k} outside [1, {len(index)}]")
+    if topn is not None and (index.features is None or query_features is None):
+        raise ContractError("evaluate_queries: re-ranking requested without features")
     # each ranking is scored as soon as it is made, so one row is alive at a time
     aps, precisions = [], {k: [] for k in ks}
     for i, label in enumerate(query_labels):
-        feature = None if query_features is None else query_features[i]
-        ranked = index.labels[index.search(query_codes[i], feature, topn)]
+        order = coarse_rank(index.packed, query_codes[i])[0]
+        if topn is not None:
+            order = rerank(order, index.features, query_features[i], topn)
+        ranked = index.labels[order]
         aps.append(average_precision(ranked, label))
         for k, values in precisions.items():
             values.append(precision_at_k(ranked, label, k))

@@ -20,9 +20,11 @@ from finehash.data import load_manifest
 from finehash import trainer as trainer_module
 from finehash.retrieval import (
     RetrievalIndex,
+    coarse_rank,
     load_features,
     load_labels,
     load_packed,
+    rerank,
     save_features,
     unpack_codes,
 )
@@ -451,21 +453,32 @@ class TestQuery:
         assert len(self.parse(stdout)) == 6 * 5
 
     def test_matches_library_ranking(self, workspace):
-        code, stdout = run_cli(self.query_args(
-            workspace, ["--topk", "4", "--topn", "9",
-                        "--features", workspace["features"]]))
-        assert code == 0
-        rows = self.parse(stdout)
-
         state = load_checkpoint(workspace["checkpoint"])
         dataset = load_manifest(workspace["data"] / "manifest.csv")
         codes, descriptors = encode_images(state.params, dataset.query_images)
-        index = RetrievalIndex(load_packed(workspace["codes"]),
-                               features=load_features(workspace["features"]))
-        for i in range(6):
-            expected = index.search(codes[i], descriptors[i], topn=9)[:4]
-            got = [int(row[2]) for row in rows if int(row[0]) == i]
-            assert got == expected.tolist()
+        features = load_features(workspace["features"])
+        index = RetrievalIndex(load_packed(workspace["codes"]), features=features)
+        for topn in (None, 4, 9):  # the default is --topn = --topk
+            extra = [] if topn is None else ["--topn", topn]
+            code, stdout = run_cli(self.query_args(
+                workspace, ["--topk", "4", "--features", workspace["features"]] + extra))
+            assert code == 0
+            rows = self.parse(stdout)
+            topn = 4 if topn is None else topn
+            for i in range(6):
+                expected = index.search(codes[i], descriptors[i], topn=topn)[:4]
+                # the first topk of the re-ranked full ranking
+                full = rerank(coarse_rank(index.packed, codes[i])[0], features, descriptors[i],
+                              topn)
+                got = [int(row[2]) for row in rows if int(row[0]) == i]
+                assert got == expected.tolist() == full[:4].tolist()
+
+    def test_topn_below_topk_exits_2(self, workspace, caplog):
+        code, stdout = run_cli(self.query_args(
+            workspace, ["--topk", "5", "--topn", "3", "--features", workspace["features"]]))
+        assert code == 2
+        assert stdout == ""
+        assert "--topn 3 is below --topk 5" in caplog.text
 
     def test_no_features_skips_rerank(self, workspace):
         code, stdout = run_cli(self.query_args(workspace, ["--topk", "3", "--topn", "9"]))

@@ -148,6 +148,20 @@ class TestHamming:
         with pytest.raises(DimensionError):
             hamming_distances(packed, np.zeros(1, dtype=np.uint64))
 
+    @pytest.mark.parametrize("bits", [8, 255])
+    def test_query_bits_past_code_length_rejected(self, bits):
+        # a stray high bit would count as a mismatch beyond `bits`, and at
+        # 255 bits it would wrap the uint8 distance
+        rng = np.random.default_rng(bits)
+        db = random_codes(rng, 5, bits)
+        packed = pack_codes(db)
+        query = pack_codes(-db[:1]).words[0]
+        assert np.array_equal(hamming_distances(packed, query)[:1], [bits])
+        stray = query.copy()
+        stray[-1] |= np.uint64(1 << (bits % 64))
+        with pytest.raises(ContractError, match="beyond"):
+            hamming_distances(packed, stray)
+
 
 class TestCoarseRank:
     def test_matches_naive_with_ties(self):
@@ -193,6 +207,61 @@ class TestRadixKey:
             assert np.array_equal(db @ query, bits - 2 * dists)
             assert dists.min() == 0 and dists.max() == bits
             assert np.array_equal(order, np.lexsort((np.arange(len(db)), dists)))
+
+
+class TestShortlist:
+    """A re-ranked search sorts only the items within its distance
+    threshold; it must return exactly the head of the full ranking."""
+
+    @staticmethod
+    def full_head(packed, features, query, query_feature, topn):
+        return rerank(coarse_rank(packed, query)[0], features, query_feature, topn)[:topn]
+
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64, 65, 256, 300])
+    def test_equals_head_of_full_ranking(self, bits):
+        rng = np.random.default_rng(bits)
+        pool = random_codes(rng, 3, bits)  # few distinct codes: heavy ties
+        db = np.concatenate([pool[rng.integers(0, len(pool), 150)], random_codes(rng, 30, bits)])
+        db = db[rng.permutation(len(db))]
+        n = len(db)
+        features = rng.normal(size=(n, 4)).astype(np.float32)
+        features[rng.integers(0, n, 40)] = features[0]  # feature ties fall back to id
+        index = RetrievalIndex(pack_codes(db), features=features)
+        queries = np.concatenate([pool[:2], random_codes(rng, 2, bits)])
+        for query in queries:
+            query_feature = rng.normal(size=4).astype(np.float32)
+            for topn in (0, 1, 7, n - 1, n, n + 5):
+                got = index.search(query, query_feature, topn)
+                assert len(got) == min(topn, n)
+                assert np.array_equal(
+                    got, self.full_head(index.packed, features, query, query_feature, topn))
+
+    @pytest.mark.parametrize("bits", [8, 65, 256, 300])
+    def test_threshold_at_bits(self, bits):
+        # the query is the complement of every code, so every distance is bits
+        rng = np.random.default_rng(bits)
+        code = random_codes(rng, 1, bits)
+        db = np.repeat(code, 20, axis=0)
+        features = rng.normal(size=(20, 3)).astype(np.float32)
+        index = RetrievalIndex(pack_codes(db), features=features)
+        query_feature = np.zeros(3, dtype=np.float32)
+        for topn in (1, 19, 20, 25):
+            got = index.search(-code[0], query_feature, topn)
+            assert np.array_equal(
+                got, self.full_head(index.packed, features, -code[0], query_feature, topn))
+            # all tie at distance bits, so the shortlist is ids 0..topn-1
+            head = np.arange(min(topn, 20))
+            assert np.array_equal(got, naive_euclidean_order(features, head, query_feature, 20))
+
+    def test_empty_database(self):
+        index = RetrievalIndex(pack_codes(np.ones((0, 9))), features=np.zeros((0, 2)))
+        assert len(index.search(np.ones(9), np.zeros(2), 3)) == 0
+        assert len(index.search(np.ones(9))) == 0
+
+    def test_negative_topn_rejected(self):
+        index = RetrievalIndex(pack_codes(np.ones((3, 4))), features=np.zeros((3, 2)))
+        with pytest.raises(ContractError):
+            index.search(np.ones(4), np.zeros(2), topn=-1)
 
 
 class TestRerank:
@@ -393,10 +462,14 @@ class TestIndex:
         query = random_codes(rng, 1, 6)[0]
         query_feature = rng.normal(size=3).astype(np.float32)
         coarse = index.search(query)
-        refined = index.search(query, query_feature, topn=10)
         expect, _ = coarse_rank(index.packed, query)
         assert np.array_equal(coarse, expect)
-        assert np.array_equal(refined, rerank(expect, features, query_feature, 10))
+        for topn in (10, 40, 45):
+            # only the re-ranked head is returned, with no coarse tail
+            refined = index.search(query, query_feature, topn)
+            assert len(refined) == min(topn, 40)
+            assert np.array_equal(refined, rerank(expect, features, query_feature, topn)[:topn])
+        assert len(index.search(query, query_feature, 0)) == 0
 
     def test_rerank_without_features_rejected(self):
         index = RetrievalIndex(pack_codes(np.ones((3, 4))))
@@ -416,7 +489,7 @@ class TestIndex:
         assert np.array_equal(coarse, [0, 1, 2])
         refined = index.search(np.array([1.0, 1.0]),
                                np.array([0.1], dtype=np.float32), topn=2)
-        assert np.array_equal(refined, [1, 0, 2])
+        assert np.array_equal(refined, [1, 0])
 
     def test_evaluate_hand_built(self):
         db = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
@@ -446,6 +519,33 @@ class TestIndex:
         assert result["precision_at"] == {1: np.mean([1.0, 0.0, 1.0]),
                                           2: np.mean([0.5, 0.0, 0.5])}
         assert result["queries"] == 3
+
+    def test_evaluate_reranked_scores_the_full_ranking(self):
+        # mAP with topn ranks every item: the re-ranked head, then the coarse tail
+        rng = np.random.default_rng(12)
+        db = random_codes(rng, 60, 8)
+        labels = rng.integers(0, 3, 60)
+        features = rng.normal(size=(60, 4))
+        queries = random_codes(rng, 5, 8)
+        query_labels = rng.integers(0, 3, 5)
+        query_features = rng.normal(size=(5, 4))
+        index = RetrievalIndex(pack_codes(db), labels=labels, features=features)
+        for topn in (0, 10, 70):
+            rows = [labels[rerank(coarse_rank(index.packed, q)[0], features, f, topn)]
+                    for q, f in zip(queries, query_features)]
+            assert all(len(row) == 60 for row in rows)
+            for i in range(len(queries)):
+                one = evaluate_queries(index, queries[i : i + 1], query_labels[i : i + 1],
+                                       query_features[i : i + 1], topn, ks=(1, 5, 10))
+                assert one["map"] == average_precision(rows[i], query_labels[i])
+                assert one["precision_at"] == {
+                    k: precision_at_k(rows[i], query_labels[i], k) for k in (1, 5, 10)}
+
+    def test_evaluate_reranked_requires_features(self):
+        index = RetrievalIndex(pack_codes(np.ones((3, 4))), labels=np.zeros(3))
+        with pytest.raises(ContractError, match="without features"):
+            evaluate_queries(index, np.ones((1, 4)), np.zeros(1), np.zeros((1, 2)), topn=2,
+                             ks=(1,))
 
     def test_evaluate_requires_labels(self):
         index = RetrievalIndex(pack_codes(np.ones((3, 4))))
