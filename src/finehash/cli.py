@@ -34,6 +34,8 @@ from .data import Dataset, generate_synthetic, load_manifest, write_dataset
 from .errors import ConfigError, ContractError, FineHashError, NumericError
 from .retrieval import (
     RetrievalIndex,
+    _query_key,
+    _shortlist,
     bench_scan,
     code_memory_bytes,
     evaluate_queries,
@@ -235,7 +237,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise ContractError(f"query: --topk {topk} outside [1, {len(index)}]")
     if features is None:
         # Hamming ranking only: without stored features there is nothing to
-        # re-rank with, so any --topn shortlist is moot.
+        # re-rank with, so any --topn shortlist is moot, and only the first
+        # topk of the (distance, id) order are sorted.
         if args.topn is not None:
             LOG.info("no --features given, skipping the re-rank stage")
         topn = None
@@ -249,7 +252,10 @@ def cmd_query(args: argparse.Namespace) -> int:
     latencies_ms = []
     for code, feature in zip(codes, descriptors):
         started = time.perf_counter()
-        results.append(index.search(code, feature, topn)[:topk])
+        if topn is None:
+            results.append(_shortlist(_query_key(packed, code), topk))
+        else:
+            results.append(index.search(code, feature, topn)[:topk])
         latencies_ms.append(1000.0 * (time.perf_counter() - started))
     writer = csv.writer(sys.stdout)
     writer.writerow(["query", "rank", "item"])

@@ -9,7 +9,7 @@ distributions derived from the part features.
 
 Differentiable Hellinger factors shift their square roots by 1e-12 so the
 gradient stays finite at zero-mass cells (and is exactly zero for identical
-inputs); the standalone metric :func:`hellinger_distance` is exact.
+inputs).
 """
 
 from __future__ import annotations
@@ -24,27 +24,6 @@ from .model import RefinedFeatures
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _SQRT_SHIFT = 1e-12
-
-
-def hellinger_distance(p: np.ndarray, r: np.ndarray) -> float:
-    """Exact Hellinger distance between two probability vectors.
-
-    Symmetric, bounded by 1, and zero iff the arguments are equal.  Inputs
-    must be nonnegative rank-1 arrays of equal length summing to 1 within
-    1e-9.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    if p.ndim != 1 or r.ndim != 1:
-        raise DimensionError("hellinger_distance: rank-1 inputs required")
-    if p.size != r.size:
-        raise DimensionError(f"hellinger_distance: lengths {p.size} and {r.size} differ")
-    for name, vec in (("p", p), ("r", r)):
-        if np.any(vec < 0.0):
-            raise DomainError(f"hellinger_distance: {name} has negative entries")
-        if abs(vec.sum() - 1.0) > 1e-9:
-            raise DomainError(f"hellinger_distance: {name} sums to {vec.sum()}, not 1")
-    return float(_INV_SQRT2 * np.linalg.norm(np.sqrt(p) - np.sqrt(r)))
 
 
 def hellinger_term(p: ad.Tensor, r: ad.Tensor) -> ad.Tensor:

@@ -179,13 +179,6 @@ def _check_codes(codebook: PQCodebook, codes: np.ndarray) -> np.ndarray:
     return codes
 
 
-def decode_pq(codebook: PQCodebook, codes: np.ndarray) -> np.ndarray:
-    """Concatenated centroid reconstruction of each coded vector."""
-    codes = _check_codes(codebook, codes)
-    parts = [codebook.centroids[j][codes[:, j]] for j in range(codebook.subspaces)]
-    return np.concatenate(parts, axis=1)
-
-
 def adc_distances(codebook: PQCodebook, codes: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Squared distance from the query to every reconstruction, via lookup."""
     codes = _check_codes(codebook, codes)

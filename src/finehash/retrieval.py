@@ -8,11 +8,17 @@ distance relates to the inner product by u . v = bits - 2 * d_H.
 Ranking is deterministic: ties are broken by database id, both in the
 coarse Hamming pass and in the Euclidean re-ranking of the head.  The
 distances, integers in [0, bits], are summed one word column at a time
-into uint8 (uint16 above 255 bits).  The full coarse ranking radix-sorts
-them with a stable sort, so ties stay in id order.  A re-ranked search
-sorts no more than it returns: it finds the smallest distance t within
-which at least topn items lie, and orders only those items, which gives
-exactly the first topn of the full (distance, id) order.
+into uint8 (uint16 above 255 bits), over blocks of 64k rows that reuse one
+XOR buffer, so the temporaries stay in cache.  The full coarse ranking
+radix-sorts them with a stable sort, so ties stay in id order.  A
+re-ranked search sorts no more than it returns: it finds the smallest
+distance t within which at least topn items lie, and orders only those
+items, which gives exactly the first topn of the full (distance, id) order.
+
+Evaluation scores each full ranking from the positions of its relevant
+items alone: it gathers the query's label mask through the ranking, takes
+AP as the mean over those hits of (hits so far) / (1-based rank), and
+precision@k as the number of hits in the first k ranks over k.
 """
 
 from __future__ import annotations
@@ -106,14 +112,26 @@ def unpack_codes(packed: PackedCodes) -> np.ndarray:
     return np.where(bits01 > 0, 1.0, -1.0)
 
 
+# rows per block of the distance scan: the XOR scratch and the key block
+# (about 0.6 MB) stay in cache between the word columns
+_SCAN_BLOCK = 1 << 16
+
+
 def _distance_key(packed: PackedCodes, query_words: np.ndarray) -> np.ndarray:
     """Hamming distance from one packed query to every database row, as
-    uint8 (uint16 above 255 bits), accumulated one word column at a time."""
+    uint8 (uint16 above 255 bits), accumulated one word column at a time
+    over blocks of _SCAN_BLOCK rows."""
     words = packed.words
-    key = np.bitwise_count(words[:, 0] ^ query_words[0]).astype(
-        np.min_scalar_type(packed.bits), copy=False)
-    for j in range(1, words.shape[1]):
-        key += np.bitwise_count(words[:, j] ^ query_words[j])
+    key = np.empty(len(words), dtype=np.min_scalar_type(packed.bits))
+    xor = np.empty(min(len(words), _SCAN_BLOCK), dtype=np.uint64)
+    count = np.empty(len(xor), dtype=np.uint8)
+    for start in range(0, len(words), _SCAN_BLOCK):
+        block = words[start:start + _SCAN_BLOCK]
+        out = key[start:start + _SCAN_BLOCK]
+        x, c = xor[:len(block)], count[:len(block)]
+        np.bitwise_count(np.bitwise_xor(block[:, 0], query_words[0], out=x), out=out)
+        for j in range(1, words.shape[1]):
+            out += np.bitwise_count(np.bitwise_xor(block[:, j], query_words[j], out=x), out=c)
     return key
 
 
@@ -189,43 +207,6 @@ def rerank(order: np.ndarray, features: np.ndarray, query_feature: np.ndarray,
     diffs = features[head].astype(np.float64) - query_feature.astype(np.float64)
     sq_dists = np.sum(diffs * diffs, axis=1)
     return np.concatenate([head[np.lexsort((head, sq_dists))], order[topn:]])
-
-
-def precision_at_k(ranked_labels: np.ndarray, query_label, k: int) -> float:
-    """Fraction of the first k results sharing the query label."""
-    ranked_labels = np.asarray(ranked_labels)
-    if not 1 <= k <= len(ranked_labels):
-        raise ContractError(f"precision_at_k: k={k} outside [1, {len(ranked_labels)}]")
-    return float(np.mean(ranked_labels[:k] == query_label))
-
-
-def average_precision(ranked_labels: np.ndarray, query_label) -> float | None:
-    """Mean precision at each relevant rank; None when nothing is relevant."""
-    relevant = np.asarray(ranked_labels) == query_label
-    hits = np.flatnonzero(relevant)
-    if len(hits) == 0:
-        return None
-    precisions = np.arange(1, len(hits) + 1) / (hits + 1)
-    return float(np.mean(precisions))
-
-
-def mean_average_precision(ranked_label_rows, query_labels) -> float:
-    """Mean AP over queries; zero-relevant queries are skipped with a warning."""
-    return _mean_of_aps([average_precision(ranked, label) for ranked, label
-                         in zip(ranked_label_rows, query_labels, strict=True)], query_labels)
-
-
-def _mean_of_aps(aps: list[float | None], query_labels) -> float:
-    """Mean of the per-query APs, skipping with a warning each None (no relevant item)."""
-    values = []
-    for ap, label in zip(aps, query_labels, strict=True):
-        if ap is None:
-            logger.warning("query with label %r has no relevant database items; skipped", label)
-        else:
-            values.append(ap)
-    if not values:
-        raise ContractError("mean_average_precision: no query has relevant items")
-    return float(np.mean(values))
 
 
 def code_memory_bytes(count: int, bits: int) -> float:
@@ -392,20 +373,34 @@ def evaluate_queries(index: RetrievalIndex, query_codes: np.ndarray,
     for k in ks:
         if not 1 <= k <= len(index):
             raise ContractError(f"evaluate_queries: k={k} outside [1, {len(index)}]")
-    if topn is not None and (index.features is None or query_features is None):
-        raise ContractError("evaluate_queries: re-ranking requested without features")
-    # each ranking is scored as soon as it is made, so one row is alive at a time
+    if topn is not None:
+        if index.features is None or query_features is None:
+            raise ContractError("evaluate_queries: re-ranking requested without features")
+        query_features = np.asarray(query_features)
+        expected = (len(query_codes), index.features.shape[1])
+        if query_features.shape != expected:
+            raise DimensionError(
+                f"evaluate_queries: query features shape {query_features.shape}, "
+                f"expected {list(expected)}"
+            )
+    # each ranking is scored from the positions of its relevant items, as
+    # soon as it is made, so one ranking is alive at a time
     aps, precisions = [], {k: [] for k in ks}
     for i, label in enumerate(query_labels):
-        order = coarse_rank(index.packed, query_codes[i])[0]
+        order = np.argsort(_query_key(index.packed, query_codes[i]), kind="stable")
         if topn is not None:
             order = rerank(order, index.features, query_features[i], topn)
-        ranked = index.labels[order]
-        aps.append(average_precision(ranked, label))
+        hits = np.flatnonzero((index.labels == label)[order])
+        if len(hits):
+            aps.append(float(np.mean(np.arange(1, len(hits) + 1) / (hits + 1))))
+        else:
+            logger.warning("query with label %r has no relevant database items; skipped", label)
         for k, values in precisions.items():
-            values.append(precision_at_k(ranked, label, k))
+            values.append(np.count_nonzero(hits < k) / k)
+    if not aps:
+        raise ContractError("evaluate_queries: no query has relevant items")
     return {
-        "map": _mean_of_aps(aps, query_labels),
+        "map": float(np.mean(aps)),
         "precision_at": {k: float(np.mean(values)) for k, values in precisions.items()},
         "queries": len(query_codes),
     }

@@ -12,7 +12,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from finehash.errors import DimensionError, DomainError
 from finehash.model import ModelParams
+from finehash.pq import PQCodebook
+from finehash.retrieval import RetrievalIndex, pack_codes
 
 
 def finite_difference(
@@ -86,6 +89,16 @@ def naive_euclidean_order(
     return np.array([idx for _, idx in keyed[:topk]], dtype=np.int64)
 
 
+def ranked_index(labels: Sequence[int]) -> tuple[RetrievalIndex, np.ndarray]:
+    """An index whose item i lies at Hamming distance i from the returned
+    all-ones query, so that query ranks the items in id order and its
+    complement ranks them in reverse."""
+    count = len(labels)
+    bits = max(count - 1, 1)
+    codes = np.where(np.arange(bits) < np.arange(count)[:, None], -1.0, 1.0)
+    return RetrievalIndex(pack_codes(codes), labels=np.asarray(labels)), np.ones(bits)
+
+
 def naive_average_precision(relevant_flags: Sequence[bool]) -> float:
     """Average precision of one ranking given per-position relevance flags."""
     hits = 0
@@ -97,6 +110,35 @@ def naive_average_precision(relevant_flags: Sequence[bool]) -> float:
     if not precisions:
         raise ValueError("no relevant items in ranking")
     return float(np.mean(precisions))
+
+
+def hellinger_distance(p: Sequence[float], r: Sequence[float]) -> float:
+    """Exact Hellinger distance between two probability vectors.
+
+    Symmetric, bounded by 1, and zero iff the arguments are equal.  Inputs
+    must be nonnegative rank-1 arrays of equal length summing to 1 within
+    1e-9.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    if p.ndim != 1 or r.ndim != 1:
+        raise DimensionError("hellinger_distance: rank-1 inputs required")
+    if p.size != r.size:
+        raise DimensionError(f"hellinger_distance: lengths {p.size} and {r.size} differ")
+    for name, vec in (("p", p), ("r", r)):
+        if np.any(vec < 0.0):
+            raise DomainError(f"hellinger_distance: {name} has negative entries")
+        if abs(vec.sum() - 1.0) > 1e-9:
+            raise DomainError(f"hellinger_distance: {name} sums to {vec.sum()}, not 1")
+    return float(np.linalg.norm(np.sqrt(p) - np.sqrt(r)) / np.sqrt(2.0))
+
+
+def decode_pq(codebook: PQCodebook, codes: np.ndarray) -> np.ndarray:
+    """Reconstruction of each PQ-coded row: its subspace centroids, concatenated."""
+    return np.array([
+        np.concatenate([codebook.centroids[j][int(c)] for j, c in enumerate(row)])
+        for row in codes
+    ])
 
 
 def naive_frobenius_objective(

@@ -28,9 +28,7 @@ from finehash.retrieval import (
     RetrievalIndex,
     coarse_rank,
     evaluate_queries,
-    mean_average_precision,
     pack_codes,
-    precision_at_k,
 )
 from finehash.trainer import (
     AlternatingTrainer,
@@ -432,8 +430,12 @@ def test_10_packed_scan_beats_float_scan():
 
 
 def test_11_metric_reference_values():
-    map_value = mean_average_precision([np.array([7, 3, 7])], np.array([7]))
-    p_at_4 = precision_at_k(np.array([7, 3, 7, 3]), 7, 4)
+    # the metrics `eval` reports, on hand-built indexes whose query ranks
+    # the items with labels (7, 3, 7) and (7, 3, 7, 3) in that order
+    index, query = helpers.ranked_index([7, 3, 7])
+    map_value = evaluate_queries(index, query[None, :], np.array([7]), ks=(1,))["map"]
+    index, query = helpers.ranked_index([7, 3, 7, 3])
+    p_at_4 = evaluate_queries(index, query[None, :], np.array([7]), ks=(4,))["precision_at"][4]
     map_ok = abs(map_value - 5.0 / 6.0) <= 1e-9
     p_ok = p_at_4 == 0.5
     assert report(

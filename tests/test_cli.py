@@ -24,8 +24,10 @@ from finehash.retrieval import (
     load_features,
     load_labels,
     load_packed,
+    pack_codes,
     rerank,
     save_features,
+    save_packed,
     unpack_codes,
 )
 from finehash.trainer import AlternatingTrainer, encode_images, load_checkpoint
@@ -493,6 +495,29 @@ class TestQuery:
             expected = index.search(codes[i])[:3]
             got = [int(row[2]) for row in rows if int(row[0]) == i]
             assert got == expected.tolist()
+
+    def test_hamming_only_prints_head_of_full_ranking(self, workspace, tmp_path):
+        # a database of three repeated codes ties almost every item; the rows
+        # must still be the first topk of the full (distance, id) order
+        state = load_checkpoint(workspace["checkpoint"])
+        dataset = load_manifest(workspace["data"] / "manifest.csv")
+        codes = encode_images(state.params, dataset.query_images)[0]
+        pool = np.concatenate([codes[:2], -codes[:1]])
+        path = tmp_path / "ties.fhc1"
+        save_packed(path, pack_codes(pool[np.random.default_rng(0).integers(0, 3, 80)]))
+        packed = load_packed(path)
+        for topk in (1, 7, 30, 80):
+            code, stdout = run_cli(["query", "--checkpoint", workspace["checkpoint"],
+                                    "--codes", path, "--queries", workspace["data"],
+                                    "--split", "query", "--topk", topk])
+            assert code == 0
+            expected = io.StringIO()
+            writer = csv.writer(expected)
+            writer.writerow(["query", "rank", "item"])
+            for i, query in enumerate(codes):
+                for rank, item in enumerate(coarse_rank(packed, query)[0][:topk]):
+                    writer.writerow([i, rank, int(item)])
+            assert stdout == expected.getvalue()
 
     def test_logs_search_latency(self, workspace, caplog):
         caplog.set_level(logging.INFO)

@@ -66,15 +66,15 @@ def features_from(part_maps, part_vecs):
 class TestHellingerDistance:
     def test_equal_distributions(self):
         p = np.array([0.2, 0.3, 0.5])
-        assert losses.hellinger_distance(p, p.copy()) == 0.0
+        assert helpers.hellinger_distance(p, p.copy()) == 0.0
 
     def test_disjoint_support(self):
-        assert losses.hellinger_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+        assert helpers.hellinger_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_vs_point_mass(self):
         # (1/sqrt 2) * ||(sqrt .5, sqrt .5) - (1, 0)|| = sqrt(1 - sqrt .5)
         expected = np.sqrt(1.0 - np.sqrt(0.5))
-        got = losses.hellinger_distance([0.5, 0.5], [1.0, 0.0])
+        got = helpers.hellinger_distance([0.5, 0.5], [1.0, 0.0])
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.5412, abs=5e-5)
 
@@ -83,23 +83,23 @@ class TestHellingerDistance:
         for _ in range(50):
             n = int(rng.integers(2, 12))
             p, r = rand_dist(rng, n, low=0.0 + 1e-6), rand_dist(rng, n, low=1e-6)
-            d_pr = losses.hellinger_distance(p, r)
-            d_rp = losses.hellinger_distance(r, p)
+            d_pr = helpers.hellinger_distance(p, r)
+            d_rp = helpers.hellinger_distance(r, p)
             assert d_pr == pytest.approx(d_rp, abs=1e-15)
             assert -1e-12 <= d_pr <= 1.0 + 1e-12
-        assert losses.hellinger_distance([0.4, 0.6], [0.4, 0.6]) == 0.0
+        assert helpers.hellinger_distance([0.4, 0.6], [0.4, 0.6]) == 0.0
 
     def test_negative_entry_rejected(self):
         with pytest.raises(DomainError):
-            losses.hellinger_distance([1.1, -0.1], [0.5, 0.5])
+            helpers.hellinger_distance([1.1, -0.1], [0.5, 0.5])
 
     def test_unnormalized_rejected(self):
         with pytest.raises(DomainError):
-            losses.hellinger_distance([0.5, 0.6], [0.5, 0.5])
+            helpers.hellinger_distance([0.5, 0.6], [0.5, 0.5])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            losses.hellinger_distance([1.0], [0.5, 0.5])
+            helpers.hellinger_distance([1.0], [0.5, 0.5])
 
 
 class TestHellingerTerm:
@@ -108,7 +108,7 @@ class TestHellingerTerm:
         for _ in range(20):
             p, r = rand_dist(rng, 8), rand_dist(rng, 8)
             term = losses.hellinger_term(ad.tensor(p), ad.tensor(r)).item()
-            assert term == pytest.approx(losses.hellinger_distance(p, r), abs=1e-5)
+            assert term == pytest.approx(helpers.hellinger_distance(p, r), abs=1e-5)
 
     def test_identical_inputs_near_zero(self):
         p = rand_dist(np.random.default_rng(2), 6)

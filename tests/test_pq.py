@@ -7,13 +7,12 @@ from finehash.errors import ContractError, DimensionError
 from finehash.pq import (
     PQCodebook,
     adc_distances,
-    decode_pq,
     encode_pq,
     kmeans,
     pq_rank,
     train_pq,
 )
-from helpers import naive_euclidean_order
+from helpers import decode_pq, naive_euclidean_order
 
 
 class TestKmeans:
@@ -182,4 +181,4 @@ class TestAdc:
         with pytest.raises(ContractError):
             adc_distances(codebook, bad, np.zeros(12))
         with pytest.raises(ContractError):
-            decode_pq(codebook, np.zeros((3, 4), dtype=np.int64))
+            adc_distances(codebook, np.zeros((3, 4), dtype=np.int64), np.zeros(12))

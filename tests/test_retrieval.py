@@ -17,7 +17,7 @@ from finehash.errors import (
 from finehash.retrieval import (
     PackedCodes,
     RetrievalIndex,
-    average_precision,
+    _SCAN_BLOCK,
     bench_scan,
     coarse_rank,
     code_memory_bytes,
@@ -27,16 +27,19 @@ from finehash.retrieval import (
     load_features,
     load_labels,
     load_packed,
-    mean_average_precision,
     pack_codes,
-    precision_at_k,
     rerank,
     save_features,
     save_labels,
     save_packed,
     unpack_codes,
 )
-from helpers import naive_average_precision, naive_euclidean_order, naive_hamming_order
+from helpers import (
+    naive_average_precision,
+    naive_euclidean_order,
+    naive_hamming_order,
+    ranked_index,
+)
 
 
 def random_codes(rng, count, bits):
@@ -290,27 +293,33 @@ class TestRerank:
             rerank(np.arange(3), np.zeros((3, 2)), np.zeros(2), -1)
 
 
+def score_ranking(ranked_labels, query_label, ks):
+    """evaluate_queries on one query whose full ranking has these labels."""
+    index, query = ranked_index(ranked_labels)
+    return evaluate_queries(index, query[None, :], np.array([query_label]), ks=ks)
+
+
 class TestMetrics:
+    """AP and precision@k of evaluate_queries on hand-built rankings."""
+
     def test_precision_hand_values(self):
-        ranked = np.array([1, 0, 1, 1])
-        assert precision_at_k(ranked, 1, 1) == 1.0
-        assert precision_at_k(ranked, 1, 2) == 0.5
-        assert precision_at_k(ranked, 1, 3) == pytest.approx(2 / 3)
-        assert precision_at_k(ranked, 1, 4) == 0.75
+        result = score_ranking([1, 0, 1, 1], 1, ks=(1, 2, 3, 4))
+        assert result["precision_at"] == {1: 1.0, 2: 0.5, 3: 2 / 3, 4: 0.75}
 
     def test_precision_k_out_of_range(self):
         with pytest.raises(ContractError):
-            precision_at_k(np.array([1, 0]), 1, 3)
+            score_ranking([1, 0], 1, ks=(3,))
         with pytest.raises(ContractError):
-            precision_at_k(np.array([1, 0]), 1, 0)
+            score_ranking([1, 0], 1, ks=(0,))
 
     def test_average_precision_hand_value(self):
         # hits at ranks 1 and 3: (1/1 + 2/3) / 2 = 5/6
-        assert average_precision(np.array([1, 0, 1]), 1) == pytest.approx(5 / 6, abs=1e-9)
+        assert score_ranking([1, 0, 1], 1, ks=(1,))["map"] == pytest.approx(5 / 6, abs=1e-9)
 
     def test_average_precision_perfect_and_none(self):
-        assert average_precision(np.array([2, 2, 2]), 2) == 1.0
-        assert average_precision(np.array([0, 0]), 1) is None
+        assert score_ranking([2, 2, 2], 2, ks=(1,))["map"] == 1.0
+        with pytest.raises(ContractError, match="no query has relevant items"):
+            score_ranking([0, 0], 1, ks=(1,))
 
     def test_average_precision_matches_naive(self):
         rng = np.random.default_rng(6)
@@ -318,21 +327,23 @@ class TestMetrics:
             ranked = rng.integers(0, 3, size=20)
             if not np.any(ranked == 0):
                 continue
-            assert average_precision(ranked, 0) == pytest.approx(
-                naive_average_precision(list(ranked == 0)), abs=1e-12
-            )
+            assert score_ranking(ranked, 0, ks=(1,))["map"] == naive_average_precision(
+                list(ranked == 0))
 
     def test_map_mean_and_skip_warning(self, caplog):
-        rows = [np.array([1, 0, 1]), np.array([0, 0, 0]), np.array([2, 0, 0])]
-        labels = [1, 1, 2]
+        # the all-ones query ranks labels (1, 0, 1, 2), its complement (2, 1, 0, 1)
+        index, query = ranked_index([1, 0, 1, 2])
+        queries = np.stack([query, -query, query])
         with caplog.at_level("WARNING", logger="finehash.retrieval"):
-            value = mean_average_precision(rows, labels)
-        assert value == pytest.approx((5 / 6 + 1.0) / 2, abs=1e-9)
+            result = evaluate_queries(index, queries, np.array([1, 1, 3]), ks=(1,))
+        # APs 5/6, (1/2 + 2/4) / 2 and none
+        assert result["map"] == pytest.approx((5 / 6 + 0.5) / 2, abs=1e-9)
         assert any("no relevant" in message for message in caplog.messages)
 
     def test_map_all_skipped_rejected(self):
+        index, query = ranked_index([0, 0])
         with pytest.raises(ContractError):
-            mean_average_precision([np.array([0, 0])], [1])
+            evaluate_queries(index, np.stack([query, -query]), np.array([1, 2]), ks=(1,))
 
 
 class TestMemory:
@@ -513,8 +524,8 @@ class TestIndex:
             result = evaluate_queries(index, queries, labels, ks=(1, 2))
         assert "has no relevant database items" in caplog.text
         # rankings (0, 1, 2), (2, 1, 0) and (1, 0, 2): APs 5/6, none and 1
-        rows = [np.array([0, 1, 0]), np.array([0, 1, 0]), np.array([1, 0, 0])]
-        assert result["map"] == mean_average_precision(rows, labels)
+        assert result["map"] == np.mean([naive_average_precision([True, False, True]),
+                                         naive_average_precision([True, False, False])])
         assert result["map"] == pytest.approx(np.mean([5 / 6, 1.0]), abs=1e-12)
         assert result["precision_at"] == {1: np.mean([1.0, 0.0, 1.0]),
                                           2: np.mean([0.5, 0.0, 0.5])}
@@ -537,9 +548,10 @@ class TestIndex:
             for i in range(len(queries)):
                 one = evaluate_queries(index, queries[i : i + 1], query_labels[i : i + 1],
                                        query_features[i : i + 1], topn, ks=(1, 5, 10))
-                assert one["map"] == average_precision(rows[i], query_labels[i])
+                relevant = rows[i] == query_labels[i]
+                assert one["map"] == naive_average_precision(relevant)
                 assert one["precision_at"] == {
-                    k: precision_at_k(rows[i], query_labels[i], k) for k in (1, 5, 10)}
+                    k: np.count_nonzero(relevant[:k]) / k for k in (1, 5, 10)}
 
     def test_evaluate_reranked_requires_features(self):
         index = RetrievalIndex(pack_codes(np.ones((3, 4))), labels=np.zeros(3))
@@ -556,6 +568,89 @@ class TestIndex:
         index = RetrievalIndex(pack_codes(np.ones((3, 4))), labels=np.zeros(3))
         with pytest.raises(ContractError):
             evaluate_queries(index, np.ones((1, 4)), np.zeros(1), ks=(4,))
+
+
+def naive_scores(db, labels, queries, query_labels, ks, features=None, query_features=None,
+                 topn=None):
+    """mAP and precision@k from a naive (distance, id) ranking, re-ranked
+    head by naive Euclidean order, and naive_average_precision."""
+    aps, precisions = [], {k: [] for k in ks}
+    for i, (query, label) in enumerate(zip(queries, query_labels)):
+        dists = np.count_nonzero(db != query, axis=1)
+        order = np.array(sorted(range(len(db)), key=lambda j: (dists[j], j)))
+        if topn is not None:
+            head = naive_euclidean_order(features, order[:topn], query_features[i], topn)
+            order = np.concatenate([head, order[len(head):]])
+        relevant = labels[order] == label
+        if relevant.any():
+            aps.append(naive_average_precision(relevant))
+        for k in ks:
+            precisions[k].append(int(np.sum(relevant[:k])) / k)
+    return float(np.mean(aps)), {k: float(np.mean(values)) for k, values in precisions.items()}
+
+
+class TestEvaluateExact:
+    """evaluate_queries equals a naive full ranking scored by a naive AP,
+    bit for bit, with and without re-ranking."""
+
+    @staticmethod
+    def check(db, labels, queries, query_labels, rng, ks=(1, 5, 10)):
+        features = rng.normal(size=(len(db), 3))
+        query_features = rng.normal(size=(len(queries), 3))
+        index = RetrievalIndex(pack_codes(db), labels=labels, features=features)
+        for topn in (None, 0, 1, 17, len(db) + 5):
+            got = evaluate_queries(index, queries, query_labels, query_features, topn, ks=ks)
+            expected = naive_scores(db, labels, queries, query_labels, ks, features,
+                                    query_features, topn)
+            assert (got["map"], got["precision_at"]) == expected
+
+    @pytest.mark.parametrize("bits", [4, 6, 8])
+    def test_tie_heavy_codes(self, bits):
+        rng = np.random.default_rng(bits)
+        db = random_codes(rng, 300, bits)
+        labels = rng.integers(0, 4, len(db))
+        queries = np.concatenate([db[:3], random_codes(rng, 5, bits)])
+        self.check(db, labels, queries, rng.integers(0, 4, len(queries)), rng)
+
+    @pytest.mark.parametrize("bits", [100, 300])
+    def test_multi_word_and_uint16_key(self, bits):
+        rng = np.random.default_rng(bits)
+        pool = random_codes(rng, 3, bits)
+        db = np.concatenate([pool[rng.integers(0, 3, 150)], random_codes(rng, 50, bits)])
+        labels = rng.integers(0, 3, len(db))
+        queries = np.concatenate([pool, -pool[:1], random_codes(rng, 2, bits)])
+        self.check(db, labels, queries, rng.integers(0, 3, len(queries)), rng)
+
+    @pytest.mark.parametrize("bits", [8, 70, 300])
+    def test_more_than_one_scan_block(self, bits):
+        # n is past one block and not a multiple of it; int8 codes keep it small
+        rng = np.random.default_rng(bits)
+        n = _SCAN_BLOCK + 3
+        db = np.where(rng.random((n, bits)) < 0.5, -1, 1).astype(np.int8)
+        db[-2:] = db[:2]  # the last block holds duplicates of the first
+        labels = rng.integers(0, 50, n)
+        packed = pack_codes(db)
+        queries = np.concatenate([db[[0, n - 1]], -db[:1]])
+        for query in queries:
+            naive = np.count_nonzero(db != query, axis=1)
+            dists = hamming_distances(packed, pack_codes(query[None, :]).words[0])
+            assert np.array_equal(dists, naive)
+            order, coarse = coarse_rank(packed, query)
+            assert np.array_equal(coarse, naive)
+            assert np.array_equal(order, np.lexsort((np.arange(n), naive)))
+        index = RetrievalIndex(packed, labels=labels)
+        got = evaluate_queries(index, queries, labels[[0, n - 1, 5]])
+        assert (got["map"], got["precision_at"]) == naive_scores(
+            db, labels, queries, labels[[0, n - 1, 5]], (1, 5, 10))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3,)], ids=["short", "dim", "rank"])
+    def test_query_features_checked_before_scoring(self, shape):
+        rng = np.random.default_rng(0)
+        db = random_codes(rng, 20, 8)
+        index = RetrievalIndex(pack_codes(db), labels=rng.integers(0, 2, 20),
+                               features=rng.normal(size=(20, 3)))
+        with pytest.raises(DimensionError, match=r"expected \[3, 3\]"):
+            evaluate_queries(index, db[:3], np.zeros(3), np.zeros(shape), topn=5, ks=(1,))
 
 
 class TestBench:
