@@ -205,7 +205,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     RetrievalIndex(packed, labels, features)  # cross-checks the row counts
     print(f"items    {len(packed)}")
     print(f"bits     {packed.bits}")
-    print(f"words    {packed.words.shape[1]}")
+    print(f"words    {packed.words.shape[1]} x {packed.words.dtype.name}")
     print(f"memory   {format_bytes(code_memory_bytes(len(packed), packed.bits))}")
     if labels is not None:
         print(f"classes  {len(np.unique(labels))}")

@@ -1,9 +1,12 @@
 """Bit-packed Hamming retrieval with optional feature re-ranking.
 
-Codes live in {-1, +1}^bits.  For search each code is packed into
-ceil(bits / 64) little-endian words, bit b set iff entry b is +1, so a
-whole-database scan is one XOR plus popcount pass per query.  Hamming
-distance relates to the inner product by u . v = bits - 2 * d_H.
+Codes live in {-1, +1}^bits.  For search each code is packed at its real
+width, bit b set iff entry b is +1: one little-endian uint8, uint16 or
+uint32 word when it has at most 8, 16 or 32 bits, and ceil(bits / 64)
+uint64 words above that.  A packed row is thus the first bytes of the
+little-endian uint64 row, and a whole-database scan is one XOR plus
+popcount pass per query.  Hamming distance relates to the inner product by
+u . v = bits - 2 * d_H.
 
 Ranking is deterministic: ties are broken by database id, both in the
 coarse Hamming pass and in the Euclidean re-ranking of the head.  The
@@ -44,47 +47,70 @@ FEATURE_MAGIC = b"FHF1"
 LABEL_HEADER = ("id", "label")
 
 
+def _word_dtype(bits: int) -> np.dtype:
+    """The little-endian word of a packed row: the narrowest of uint8,
+    uint16 and uint32 that holds bits, and uint64 above 32 bits."""
+    for size in (1, 2, 4):
+        if bits <= 8 * size:
+            return np.dtype(f"<u{size}")
+    return np.dtype("<u8")
+
+
 def _words_per_code(bits: int) -> int:
-    return -(-bits // 64)
+    width = 8 * _word_dtype(bits).itemsize
+    return -(-bits // width)
 
 
-def _stray_bits(last_words: np.ndarray, bits: int) -> bool:
-    """Whether any last code word has a bit set past the code length."""
-    used = bits - 64 * (_words_per_code(bits) - 1)
-    return used < 64 and bool(np.any(last_words >> np.uint64(used)))
+def _fit_words(words: np.ndarray, bits: int, owner: str) -> np.ndarray:
+    """words cast to the code's word dtype; a bit set past the code length
+    in the last word raises ContractError, so no word wraps in the cast."""
+    words = np.asarray(words)
+    if words.dtype.kind != "u":
+        words = words.astype(np.uint64)
+    used = (bits - 1) % (8 * _word_dtype(bits).itemsize) + 1  # bits held by the last word
+    last = words[..., -1]
+    if used < 8 * words.dtype.itemsize and np.any(last >> words.dtype.type(used)):
+        raise ContractError(f"{owner}: bits beyond the {bits}-bit code length must be zero")
+    return np.ascontiguousarray(words, dtype=_word_dtype(bits))
 
 
 @dataclass
 class PackedCodes:
-    """Database codes packed into [n, ceil(bits / 64)] uint64 words."""
+    """Database codes packed into [n, words per code] little-endian words
+    of the code's word dtype (see the module docstring)."""
 
     words: np.ndarray
     bits: int
 
     def __post_init__(self):
-        self.words = np.ascontiguousarray(self.words, dtype=np.uint64)
         if self.bits < 1:
             raise ContractError(f"PackedCodes: bits must be >= 1, got {self.bits}")
-        if self.words.ndim != 2 or self.words.shape[1] != _words_per_code(self.bits):
+        shape = np.shape(self.words)
+        if len(shape) != 2 or shape[1] != _words_per_code(self.bits):
             raise DimensionError(
-                f"PackedCodes: words shape {self.words.shape}, expected "
+                f"PackedCodes: words shape {shape}, expected "
                 f"[n, {_words_per_code(self.bits)}] for {self.bits} bits"
             )
-        if _stray_bits(self.words[:, -1], self.bits):
-            raise ContractError("PackedCodes: bits beyond the code length must be zero")
+        self.words = _fit_words(self.words, self.bits, "PackedCodes")
 
     def __len__(self) -> int:
         return self.words.shape[0]
+
+
+# +/-1 entries per block of pack_codes: the block's bool temporaries stay
+# in cache between the check and the packing
+_PACK_BLOCK = 1 << 17
 
 
 def pack_codes(codes: np.ndarray) -> PackedCodes:
     """Pack a [n, bits] +/-1 matrix, least significant bit first.
 
     The matrix may have any signed-integer or real floating dtype; it is
-    checked and packed in that dtype, with no float copy, so the scratch
-    memory is a few bool matrices of one byte per entry.  Any other dtype
-    (bool, unsigned, complex, strings, objects) raises DomainError naming
-    it, and so does any entry other than -1 or +1.
+    checked and packed in that dtype, with no float copy, a block of rows
+    at a time into one preallocated byte matrix, so the scratch memory is a
+    few bool blocks of _PACK_BLOCK entries.  Any other dtype (bool,
+    unsigned, complex, strings, objects) raises DomainError naming it, and
+    so does any entry other than -1 or +1.
     """
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[1] < 1:
@@ -93,27 +119,33 @@ def pack_codes(codes: np.ndarray) -> PackedCodes:
         raise DomainError(
             f"pack_codes: codes dtype {codes.dtype}, expected signed integers or real floats"
         )
-    if not np.all((codes == 1) | (codes == -1)):
-        raise DomainError("pack_codes: entries must be +/-1")
     count, bits = codes.shape
-    packed = np.packbits(codes > 0, axis=1, bitorder="little")
-    pad = -packed.shape[1] % 8
-    if pad:
-        packed = np.concatenate([packed, np.zeros((count, pad), dtype=np.uint8)], axis=1)
-    words = np.ascontiguousarray(packed).view("<u8")
-    return PackedCodes(words=words, bits=bits)
+    dtype = _word_dtype(bits)
+    rows = np.zeros((count, _words_per_code(bits) * dtype.itemsize), dtype=np.uint8)
+    used = -(-bits // 8)  # bytes that hold bits; the rest of the row is padding
+    step = max(1, _PACK_BLOCK // bits)
+    # each block's signs, padded with zeros to whole bytes, so the block
+    # packs as one flat run of bytes
+    signs = np.zeros((min(count, step), 8 * used), dtype=bool)
+    for start in range(0, count, step):
+        block = codes[start:start + step]
+        if not np.all((block == 1) | (block == -1)):
+            raise DomainError("pack_codes: entries must be +/-1")
+        flags = signs[:len(block)]
+        np.greater(block, 0, out=flags[:, :bits])
+        rows[start:start + step, :used] = np.packbits(flags, bitorder="little").reshape(-1, used)
+    return PackedCodes(words=rows.view(dtype), bits=bits)
 
 
 def unpack_codes(packed: PackedCodes) -> np.ndarray:
     """Inverse of pack_codes, back to a +/-1 float64 matrix."""
-    count = len(packed)
-    raw = packed.words.astype("<u8").view(np.uint8).reshape(count, -1)
+    raw = packed.words.view(np.uint8)
     bits01 = np.unpackbits(raw, axis=1, bitorder="little")[:, : packed.bits]
     return np.where(bits01 > 0, 1.0, -1.0)
 
 
-# rows per block of the distance scan: the XOR scratch and the key block
-# (about 0.6 MB) stay in cache between the word columns
+# rows per block of the distance scan: the XOR scratch (one word per row,
+# 64 KB to 512 KB) and the key block stay in cache between the word columns
 _SCAN_BLOCK = 1 << 16
 
 
@@ -123,7 +155,10 @@ def _distance_key(packed: PackedCodes, query_words: np.ndarray) -> np.ndarray:
     over blocks of _SCAN_BLOCK rows."""
     words = packed.words
     key = np.empty(len(words), dtype=np.min_scalar_type(packed.bits))
-    xor = np.empty(min(len(words), _SCAN_BLOCK), dtype=np.uint64)
+    # numpy's popcount of uint16 is slower per element than of uint32, so
+    # uint16 words are XORed into a uint32 scratch
+    scratch = np.uint32 if words.dtype == np.uint16 else words.dtype
+    xor = np.empty(min(len(words), _SCAN_BLOCK), dtype=scratch)
     count = np.empty(len(xor), dtype=np.uint8)
     for start in range(0, len(words), _SCAN_BLOCK):
         block = words[start:start + _SCAN_BLOCK]
@@ -164,16 +199,12 @@ def _query_key(packed: PackedCodes, query_code: np.ndarray) -> np.ndarray:
 
 def hamming_distances(packed: PackedCodes, query_words: np.ndarray) -> np.ndarray:
     """Hamming distance from one packed query to every database row."""
-    query_words = np.asarray(query_words, dtype=np.uint64)
-    if query_words.shape != (packed.words.shape[1],):
+    if np.shape(query_words) != (packed.words.shape[1],):
         raise DimensionError(
-            f"hamming_distances: query words shape {query_words.shape}, expected "
+            f"hamming_distances: query words shape {np.shape(query_words)}, expected "
             f"({packed.words.shape[1]},)"
         )
-    if _stray_bits(query_words[-1], packed.bits):
-        raise ContractError(
-            f"hamming_distances: query bits beyond the {packed.bits}-bit code length must be zero"
-        )
+    query_words = _fit_words(query_words, packed.bits, "hamming_distances: query")
     return _distance_key(packed, query_words).astype(np.int64)
 
 
@@ -231,11 +262,12 @@ def format_bytes(size: float) -> str:
 
 
 def save_packed(path: str | Path, packed: PackedCodes) -> None:
-    """FHC1 file: magic, u64 count, u64 bits, row-major code words."""
+    """FHC1 file: magic, u64 count, u64 bits, row-major little-endian code
+    words of the code's word dtype."""
     with atomic_write(path) as fh:
         fh.write(CODE_MAGIC)
         fh.write(struct.pack("<QQ", len(packed), packed.bits))
-        fh.write(packed.words.astype("<u8").tobytes(order="C"))
+        fh.write(packed.words.tobytes(order="C"))
 
 
 def load_packed(path: str | Path) -> PackedCodes:
@@ -247,11 +279,14 @@ def load_packed(path: str | Path) -> PackedCodes:
     count, bits = struct.unpack("<QQ", blob[4:20])
     if bits < 1:
         raise FileFormatError(f"{path}: stored bits must be >= 1")
-    words = _words_per_code(bits)
-    expected = 20 + count * words * 8
+    words, dtype = _words_per_code(bits), _word_dtype(bits)
+    expected = 20 + count * words * dtype.itemsize
     if len(blob) != expected:
-        raise FileFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    data = np.frombuffer(blob, dtype="<u8", offset=20).reshape(int(count), words)
+        raise FileFormatError(
+            f"{path}: expected {expected} bytes, {count} rows of {words} x {dtype.name} "
+            f"for {bits}-bit codes; found {len(blob)}"
+        )
+    data = np.frombuffer(blob, dtype=dtype, offset=20).reshape(int(count), words)
     try:
         return PackedCodes(words=data.copy(), bits=int(bits))
     except ContractError as exc:
@@ -409,9 +444,11 @@ def evaluate_queries(index: RetrievalIndex, query_codes: np.ndarray,
 def bench_scan(codes: np.ndarray, query_codes: np.ndarray, reps: int = 5) -> dict:
     """Median wall time of the distance pass, packed versus float32.
 
-    Both modes loop over queries and compute every database distance; the
-    float32 baseline stores each code as a float vector and runs a full
-    Euclidean scan.  Sorting is excluded so the figure isolates the scan.
+    Both modes loop over queries and compute every database distance: the
+    packed mode runs the narrow distance key that every ranking scans with,
+    and the float32 baseline stores each code as a float vector and runs a
+    full Euclidean scan.  Sorting is excluded so the figure isolates the
+    scan.
     """
     if reps < 1:
         raise ContractError(f"bench_scan: reps must be >= 1, got {reps}")
@@ -428,7 +465,7 @@ def bench_scan(codes: np.ndarray, query_codes: np.ndarray, reps: int = 5) -> dic
         nonlocal sink
         started = time.perf_counter()
         for row in query_words:
-            sink += float(hamming_distances(packed, row)[0])
+            sink += float(_distance_key(packed, row)[0])
         return time.perf_counter() - started
 
     def run_float() -> float:

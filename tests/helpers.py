@@ -77,6 +77,19 @@ def naive_hamming_order(db_codes: np.ndarray, query_code: np.ndarray, topn: int)
     return np.array([idx for _, idx in keyed[:topn]], dtype=np.int64)
 
 
+def reference_u64_rows(codes: np.ndarray) -> np.ndarray:
+    """The older packed layout, built bit by bit with python integers: each
+    +/-1 row as ceil(bits / 64) little-endian uint64 words, bit b of the
+    code at bit b % 64 of word b // 64, set iff entry b is +1."""
+    count, bits = codes.shape
+    rows = np.zeros((count, -(-bits // 64)), dtype="<u8")
+    for i, row in enumerate(codes):
+        for b, entry in enumerate(row):
+            if entry > 0:
+                rows[i, b // 64] |= np.uint64(1 << (b % 64))
+    return rows
+
+
 def naive_euclidean_order(
     features: np.ndarray, candidate_ids: np.ndarray, query_feature: np.ndarray, topk: int
 ) -> np.ndarray:

@@ -9,6 +9,7 @@ import json
 import logging
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from finehash.retrieval import (
     unpack_codes,
 )
 from finehash.trainer import AlternatingTrainer, encode_images, load_checkpoint
+from helpers import reference_u64_rows
 
 TINY_CONFIG = """\
 parts = 2
@@ -417,8 +419,21 @@ class TestIndex:
         assert code == 0
         assert "items    18" in stdout
         assert "bits     8" in stdout
+        assert "words    1 x uint8" in stdout
         assert "memory   18.0B" in stdout
         assert "classes  3" in stdout
+
+    def test_old_u64_layout_exits_2(self, tmp_path, caplog):
+        # the older layout padded every code to a uint64 word; at 32 bits
+        # and fewer it no longer matches the row length, and is not read
+        codes = np.where(np.random.default_rng(5).random((7, 32)) < 0.5, -1.0, 1.0)
+        path = tmp_path / "old.fhc1"
+        path.write_bytes(b"FHC1" + struct.pack("<QQ", 7, 32)
+                         + reference_u64_rows(codes).tobytes())
+        code, stdout = run_cli(["index", "--codes", path])
+        assert code == 2
+        assert stdout == ""
+        assert "rows of 1 x uint32 for 32-bit codes" in caplog.text
 
     def test_mismatched_labels_exit_2(self, workspace, tmp_path):
         labels = tmp_path / "short.csv"

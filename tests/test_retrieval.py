@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import finehash.retrieval as retrieval_module
 from finehash.errors import (
     ContractError,
     DimensionError,
@@ -17,6 +18,7 @@ from finehash.errors import (
 from finehash.retrieval import (
     PackedCodes,
     RetrievalIndex,
+    _PACK_BLOCK,
     _SCAN_BLOCK,
     bench_scan,
     coarse_rank,
@@ -39,11 +41,33 @@ from helpers import (
     naive_euclidean_order,
     naive_hamming_order,
     ranked_index,
+    reference_u64_rows,
 )
 
 
 def random_codes(rng, count, bits):
     return np.where(rng.random((count, bits)) < 0.5, -1.0, 1.0)
+
+
+# bits -> (word dtype, words per packed row)
+WORD_LAYOUT = {
+    1: (np.uint8, 1), 8: (np.uint8, 1), 9: (np.uint16, 1), 16: (np.uint16, 1),
+    17: (np.uint32, 1), 32: (np.uint32, 1), 33: (np.uint64, 1), 64: (np.uint64, 1),
+    65: (np.uint64, 2), 128: (np.uint64, 2), 200: (np.uint64, 4),
+}
+
+
+def row_bytes(bits):
+    dtype, words = WORD_LAYOUT[bits]
+    return np.dtype(dtype).itemsize * words
+
+
+def word_dtype(bits):
+    """The narrowest of uint8, uint16 and uint32 that holds bits, else uint64."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if bits <= 8 * np.dtype(dtype).itemsize:
+            return dtype
+    return np.uint64
 
 
 class TestPacking:
@@ -57,6 +81,23 @@ class TestPacking:
         for bits, words in [(1, 1), (63, 1), (64, 1), (65, 2), (128, 2), (129, 3)]:
             packed = pack_codes(random_codes(rng, 3, bits))
             assert packed.words.shape == (3, words)
+
+    @pytest.mark.parametrize("bits", sorted(WORD_LAYOUT))
+    def test_word_layout(self, bits):
+        packed = pack_codes(random_codes(np.random.default_rng(bits), 5, bits))
+        dtype, words = WORD_LAYOUT[bits]
+        assert packed.words.dtype == dtype
+        assert packed.words.shape == (5, words)
+        assert packed.words.flags.c_contiguous
+
+    @pytest.mark.parametrize("bits", sorted(WORD_LAYOUT))
+    def test_rows_are_the_low_bytes_of_the_u64_rows(self, bits):
+        codes = random_codes(np.random.default_rng(bits), 9, bits)
+        rows = pack_codes(codes).words.view(np.uint8)
+        old = reference_u64_rows(codes).view(np.uint8)
+        assert rows.shape == (9, row_bytes(bits))
+        assert np.array_equal(rows, old[:, :row_bytes(bits)])
+        assert not old[:, row_bytes(bits):].any()  # the old layout's padding
 
     @pytest.mark.parametrize("bits", [1, 7, 8, 63, 64, 65, 128, 200])
     def test_round_trip(self, bits):
@@ -81,7 +122,7 @@ class TestPacking:
         reference = pack_codes(codes)
         packed = pack_codes(codes.astype(dtype))
         assert packed.bits == reference.bits == bits
-        assert packed.words.dtype == np.uint64
+        assert packed.words.dtype == reference.words.dtype == word_dtype(bits)
         assert packed.words.tobytes() == reference.words.tobytes()
 
     @pytest.mark.parametrize("value", [0.0, 0.5, np.nan, np.inf, -np.inf])
@@ -111,6 +152,16 @@ class TestPacking:
             tracemalloc.stop()
         assert peak < codes.nbytes
 
+    @pytest.mark.parametrize("bits", [8, 32, 100])
+    def test_bad_entry_in_the_last_of_several_blocks_rejected(self, bits):
+        step = _PACK_BLOCK // bits
+        codes = np.ones((3 * step + 5, bits), dtype=np.int8)
+        codes[-1, -1] = 0
+        with pytest.raises(DomainError, match=r"\+/-1"):
+            pack_codes(codes)
+        codes[-1, -1] = -1
+        assert pack_codes(codes).words.shape[0] == len(codes)
+
     def test_rank_rejected(self):
         with pytest.raises(DimensionError):
             pack_codes(np.ones(4))
@@ -119,6 +170,15 @@ class TestPacking:
         with pytest.raises(ContractError):
             PackedCodes(words=np.array([[np.uint64(1 << 10)]]), bits=10)
         PackedCodes(words=np.array([[np.uint64(1 << 9)]]), bits=10)
+
+    def test_wide_word_does_not_wrap_into_a_narrow_one(self):
+        # 2**16 + 1 would wrap to 1 in the uint16 word of a 10-bit code
+        wide = np.array([[np.uint64((1 << 16) + 1)]])
+        with pytest.raises(ContractError, match="beyond"):
+            PackedCodes(words=wide, bits=10)
+        packed = pack_codes(np.ones((2, 10)))
+        with pytest.raises(ContractError, match="beyond"):
+            hamming_distances(packed, wide[0])
 
 
 class TestHamming:
@@ -151,7 +211,7 @@ class TestHamming:
         with pytest.raises(DimensionError):
             hamming_distances(packed, np.zeros(1, dtype=np.uint64))
 
-    @pytest.mark.parametrize("bits", [8, 255])
+    @pytest.mark.parametrize("bits", [7, 12, 24, 40, 255])
     def test_query_bits_past_code_length_rejected(self, bits):
         # a stray high bit would count as a mismatch beyond `bits`, and at
         # 255 bits it would wrap the uint8 distance
@@ -161,7 +221,7 @@ class TestHamming:
         query = pack_codes(-db[:1]).words[0]
         assert np.array_equal(hamming_distances(packed, query)[:1], [bits])
         stray = query.copy()
-        stray[-1] |= np.uint64(1 << (bits % 64))
+        stray[-1] |= stray.dtype.type(1 << (bits % (8 * stray.itemsize)))
         with pytest.raises(ContractError, match="beyond"):
             hamming_distances(packed, stray)
 
@@ -378,6 +438,20 @@ class TestFiles:
         assert loaded.bits == 70
         assert np.array_equal(unpack_codes(loaded), codes)
 
+    @pytest.mark.parametrize("bits", sorted(WORD_LAYOUT))
+    def test_code_file_round_trip_at_each_width(self, tmp_path, bits):
+        codes = random_codes(np.random.default_rng(bits), 6, bits)
+        packed = pack_codes(codes)
+        path = tmp_path / "db.fhc1"
+        save_packed(path, packed)
+        blob = path.read_bytes()
+        assert blob[20:] == packed.words.tobytes()
+        assert len(blob) == 20 + 6 * row_bytes(bits)
+        loaded = load_packed(path)
+        assert loaded.words.dtype == packed.words.dtype
+        assert np.array_equal(loaded.words, packed.words)
+        assert np.array_equal(unpack_codes(loaded), codes)
+
     def test_code_file_bad_magic(self, tmp_path):
         path = tmp_path / "db.fhc1"
         path.write_bytes(b"XXXX" + bytes(16))
@@ -396,7 +470,7 @@ class TestFiles:
         path = tmp_path / "db.fhc1"
         save_packed(path, pack_codes(np.ones((1, 10))))
         blob = bytearray(path.read_bytes())
-        blob[20 + 2] |= 0x08  # set bit 19 of the only word
+        blob[20 + 1] |= 0x08  # set bit 11 of the only (uint16) word
         path.write_bytes(bytes(blob))
         with pytest.raises(FileFormatError):
             load_packed(path)
@@ -667,6 +741,17 @@ class TestBench:
         assert result["speedup"] == pytest.approx(
             result["float_seconds"] / result["packed_seconds"]
         )
+
+    def test_times_the_distance_key(self, monkeypatch):
+        # the packed side times the scan every ranking pays, not the int64
+        # widening copy of hamming_distances
+        def fail(*args):
+            raise AssertionError("bench_scan called hamming_distances")
+
+        monkeypatch.setattr(retrieval_module, "hamming_distances", fail)
+        rng = np.random.default_rng(12)
+        result = bench_scan(random_codes(rng, 300, 24), random_codes(rng, 3, 24), reps=2)
+        assert result["packed_seconds"] > 0.0
 
     def test_reps_validated(self):
         with pytest.raises(ContractError):
