@@ -34,10 +34,7 @@ from .data import Dataset, generate_synthetic, load_manifest, write_dataset
 from .errors import ConfigError, ContractError, FineHashError, NumericError
 from .retrieval import (
     RetrievalIndex,
-    _query_key,
-    _shortlist,
     bench_scan,
-    code_memory_bytes,
     evaluate_queries,
     format_bytes,
     load_features,
@@ -206,7 +203,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     print(f"items    {len(packed)}")
     print(f"bits     {packed.bits}")
     print(f"words    {packed.words.shape[1]} x {packed.words.dtype.name}")
-    print(f"memory   {format_bytes(code_memory_bytes(len(packed), packed.bits))}")
+    print(f"memory   {format_bytes(packed.words.nbytes)}")
     if labels is not None:
         print(f"classes  {len(np.unique(labels))}")
     if features is not None:
@@ -237,11 +234,11 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise ContractError(f"query: --topk {topk} outside [1, {len(index)}]")
     if features is None:
         # Hamming ranking only: without stored features there is nothing to
-        # re-rank with, so any --topn shortlist is moot, and only the first
-        # topk of the (distance, id) order are sorted.
+        # re-rank with, so any --topn shortlist is moot, and the search
+        # returns the first topk of the (distance, id) order.
         if args.topn is not None:
             LOG.info("no --features given, skipping the re-rank stage")
-        topn = None
+        topn = topk
     else:
         topn = args.topn if args.topn is not None else topk
         if topn < topk:
@@ -252,10 +249,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     latencies_ms = []
     for code, feature in zip(codes, descriptors):
         started = time.perf_counter()
-        if topn is None:
-            results.append(_shortlist(_query_key(packed, code), topk))
-        else:
-            results.append(index.search(code, feature, topn)[:topk])
+        results.append(index.search(code, None if features is None else feature, topn)[:topk])
         latencies_ms.append(1000.0 * (time.perf_counter() - started))
     writer = csv.writer(sys.stdout)
     writer.writerow(["query", "rank", "item"])
@@ -324,7 +318,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     queries = rng.choice([-1.0, 1.0], size=(args.queries, codes.shape[1]))
 
     result = bench_scan(codes, queries, reps=args.reps)
-    packed_memory = format_bytes(code_memory_bytes(result["database"], result["bits"]))
+    packed_memory = format_bytes(result["packed_bytes"])
     float_memory = format_bytes(result["database"] * result["bits"] * 4.0)
 
     print(f"database {result['database']}  bits {result['bits']}  "

@@ -8,15 +8,16 @@ little-endian uint64 row, and a whole-database scan is one XOR plus
 popcount pass per query.  Hamming distance relates to the inner product by
 u . v = bits - 2 * d_H.
 
-Ranking is deterministic: ties are broken by database id, both in the
-coarse Hamming pass and in the Euclidean re-ranking of the head.  The
-distances, integers in [0, bits], are summed one word column at a time
-into uint8 (uint16 above 255 bits), over blocks of 64k rows that reuse one
-XOR buffer, so the temporaries stay in cache.  The full coarse ranking
-radix-sorts them with a stable sort, so ties stay in id order.  A
-re-ranked search sorts no more than it returns: it finds the smallest
-distance t within which at least topn items lie, and orders only those
-items, which gives exactly the first topn of the full (distance, id) order.
+RetrievalIndex.search is the one entry point for ranking: without topn it
+returns the full Hamming (distance, id) order, the coarse_rank that
+evaluation scores, and with topn the first min(topn, n) ids of that order,
+re-sorted by Euclidean feature distance when a query feature is given.
+Ties are broken by database id in both passes.  The distances, integers in
+[0, bits], are summed one word column at a time into uint8 (uint16 above
+255 bits), over blocks of 64k rows that reuse one XOR buffer, so the
+temporaries stay in cache.  The full ranking radix-sorts them with a stable
+sort; the shortlist sorts only the items within the smallest distance t
+that holds at least topn, which gives exactly the head of the full order.
 
 Evaluation scores each full ranking from the positions of its relevant
 items alone: it gathers the query's label mask through the ranking, takes
@@ -61,19 +62,6 @@ def _words_per_code(bits: int) -> int:
     return -(-bits // width)
 
 
-def _fit_words(words: np.ndarray, bits: int, owner: str) -> np.ndarray:
-    """words cast to the code's word dtype; a bit set past the code length
-    in the last word raises ContractError, so no word wraps in the cast."""
-    words = np.asarray(words)
-    if words.dtype.kind != "u":
-        words = words.astype(np.uint64)
-    used = (bits - 1) % (8 * _word_dtype(bits).itemsize) + 1  # bits held by the last word
-    last = words[..., -1]
-    if used < 8 * words.dtype.itemsize and np.any(last >> words.dtype.type(used)):
-        raise ContractError(f"{owner}: bits beyond the {bits}-bit code length must be zero")
-    return np.ascontiguousarray(words, dtype=_word_dtype(bits))
-
-
 @dataclass
 class PackedCodes:
     """Database codes packed into [n, words per code] little-endian words
@@ -91,7 +79,18 @@ class PackedCodes:
                 f"PackedCodes: words shape {shape}, expected "
                 f"[n, {_words_per_code(self.bits)}] for {self.bits} bits"
             )
-        self.words = _fit_words(self.words, self.bits, "PackedCodes")
+        # a bit set past the code length in the last word is refused, so no
+        # word wraps in the cast to the code's word dtype
+        words = np.asarray(self.words)
+        if words.dtype.kind != "u":
+            words = words.astype(np.uint64)
+        dtype = _word_dtype(self.bits)
+        used = (self.bits - 1) % (8 * dtype.itemsize) + 1  # bits held by the last word
+        if used < 8 * words.dtype.itemsize and np.any(words[:, -1] >> words.dtype.type(used)):
+            raise ContractError(
+                f"PackedCodes: bits beyond the {self.bits}-bit code length must be zero"
+            )
+        self.words = np.ascontiguousarray(words, dtype=dtype)
 
     def __len__(self) -> int:
         return self.words.shape[0]
@@ -177,8 +176,6 @@ def _shortlist(key: np.ndarray, topn: int) -> np.ndarray:
     many are sorted; the stable sort keeps ties in id order.
     """
     size = min(topn, len(key))
-    if size == 0:
-        return np.zeros(0, dtype=np.intp)
     for t in itertools.count():  # ends by t = key.max(), where every item is within
         within = key <= t
         if np.count_nonzero(within) >= size:
@@ -197,26 +194,11 @@ def _query_key(packed: PackedCodes, query_code: np.ndarray) -> np.ndarray:
     return _distance_key(packed, pack_codes(query_code[None, :]).words[0])
 
 
-def hamming_distances(packed: PackedCodes, query_words: np.ndarray) -> np.ndarray:
-    """Hamming distance from one packed query to every database row."""
-    if np.shape(query_words) != (packed.words.shape[1],):
-        raise DimensionError(
-            f"hamming_distances: query words shape {np.shape(query_words)}, expected "
-            f"({packed.words.shape[1]},)"
-        )
-    query_words = _fit_words(query_words, packed.bits, "hamming_distances: query")
-    return _distance_key(packed, query_words).astype(np.int64)
-
-
-def coarse_rank(packed: PackedCodes, query_code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full Hamming ranking of the database for one +/-1 query code.
-
-    Returns (order, distances); order sorts by distance with ties broken
-    by database id.  numpy's stable argsort radix-sorts the uint8/uint16
-    distances; the returned distances are int64.
-    """
-    key = _query_key(packed, query_code)
-    return np.argsort(key, kind="stable"), key.astype(np.int64)
+def coarse_rank(packed: PackedCodes, query_code: np.ndarray) -> np.ndarray:
+    """Full Hamming ranking of the database for one +/-1 query code: ids by
+    distance, ties broken by database id.  numpy's stable argsort
+    radix-sorts the uint8/uint16 distances."""
+    return np.argsort(_query_key(packed, query_code), kind="stable")
 
 
 def rerank(order: np.ndarray, features: np.ndarray, query_feature: np.ndarray,
@@ -238,13 +220,6 @@ def rerank(order: np.ndarray, features: np.ndarray, query_feature: np.ndarray,
     diffs = features[head].astype(np.float64) - query_feature.astype(np.float64)
     sq_dists = np.sum(diffs * diffs, axis=1)
     return np.concatenate([head[np.lexsort((head, sq_dists))], order[topn:]])
-
-
-def code_memory_bytes(count: int, bits: int) -> float:
-    """Reported code footprint: count * bits / 8 bytes."""
-    if count < 0 or bits < 1:
-        raise ContractError(f"code_memory_bytes: bad count={count} bits={bits}")
-    return count * bits / 8
 
 
 def format_bytes(size: float) -> str:
@@ -384,14 +359,18 @@ class RetrievalIndex:
 
     def search(self, query_code: np.ndarray, query_feature: np.ndarray | None = None,
                topn: int | None = None) -> np.ndarray:
-        """The full coarse Hamming ranking, or with topn only the re-ranked
-        shortlist: the first min(topn, n) ids of that ranking, re-sorted by
-        feature distance."""
-        if topn is None:
-            return coarse_rank(self.packed, query_code)[0]
-        if self.features is None or query_feature is None:
+        """Database ids ranked for one +/-1 query code: the full Hamming
+        (distance, id) order, or with topn its first min(topn, n) ids,
+        re-sorted by feature distance when query_feature is given."""
+        if query_feature is not None and self.features is None:
             raise ContractError("search: re-ranking requested without features")
+        if topn is None:
+            return coarse_rank(self.packed, query_code)
+        if topn < 0:
+            raise ContractError(f"search: topn must be >= 0, got {topn}")
         shortlist = _shortlist(_query_key(self.packed, query_code), topn)
+        if query_feature is None:
+            return shortlist
         return rerank(shortlist, self.features, query_feature, topn)
 
 
@@ -422,7 +401,7 @@ def evaluate_queries(index: RetrievalIndex, query_codes: np.ndarray,
     # soon as it is made, so one ranking is alive at a time
     aps, precisions = [], {k: [] for k in ks}
     for i, label in enumerate(query_labels):
-        order = np.argsort(_query_key(index.packed, query_codes[i]), kind="stable")
+        order = coarse_rank(index.packed, query_codes[i])
         if topn is not None:
             order = rerank(order, index.features, query_features[i], topn)
         hits = np.flatnonzero((index.labels == label)[order])
@@ -448,7 +427,7 @@ def bench_scan(codes: np.ndarray, query_codes: np.ndarray, reps: int = 5) -> dic
     packed mode runs the narrow distance key that every ranking scans with,
     and the float32 baseline stores each code as a float vector and runs a
     full Euclidean scan.  Sorting is excluded so the figure isolates the
-    scan.
+    scan.  packed_bytes is the size of the packed rows, in whole words.
     """
     if reps < 1:
         raise ContractError(f"bench_scan: reps must be >= 1, got {reps}")
@@ -485,6 +464,7 @@ def bench_scan(codes: np.ndarray, query_codes: np.ndarray, reps: int = 5) -> dic
         "database": len(packed),
         "queries": query_codes.shape[0],
         "bits": packed.bits,
+        "packed_bytes": packed.words.nbytes,
         "reps": reps,
         "packed_seconds": packed_seconds,
         "float_seconds": float_seconds,

@@ -358,7 +358,7 @@ def test_09_rankers_match_naive_references():
     coarse_ok = True
     for _ in range(5):
         query = rng.choice([-1.0, 1.0], size=24)
-        order = coarse_rank(packed, query)[0]
+        order = coarse_rank(packed, query)
         naive = helpers.naive_hamming_order(codes, query, topn=1000)
         coarse_ok &= bool(np.array_equal(order, naive))
 

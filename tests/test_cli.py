@@ -1,6 +1,7 @@
 """Tests for the command line front end."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import filecmp
@@ -10,10 +11,12 @@ import logging
 import re
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finehash.cli as cli_module
 from finehash.checkpoint import load_arrays, save_arrays
 from finehash.cli import build_parser, main
 from finehash.config import load_config
@@ -112,6 +115,15 @@ class TestParser:
         options = [option for action in commands[command]._actions
                    for option in action.option_strings if option not in ("-h", "--help")]
         assert options == OPTIONS[command]
+
+    def test_imports_no_private_library_name(self):
+        # the front end goes through the library's public API only
+        tree = ast.parse(Path(cli_module.__file__).read_text())
+        private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.level > 0 or (node.module or "").split(".")[0] == "finehash")
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == []
 
     def test_unknown_subcommand_exits_2(self):
         code, _ = run_cli(["nonsense"])
@@ -423,6 +435,17 @@ class TestIndex:
         assert "memory   18.0B" in stdout
         assert "classes  3" in stdout
 
+    @pytest.mark.parametrize("count, bits, memory", [(73000, 9, "146.0KB"), (1000, 12, "2.0KB"),
+                                                     (101000, 32, "404.0KB")])
+    def test_memory_is_the_packed_row_bytes(self, tmp_path, count, bits, memory):
+        # whole words a row: a 9- or 12-bit code takes 2 bytes, not bits / 8
+        path = tmp_path / "codes.fhc1"
+        save_packed(path, pack_codes(np.where(np.arange(count * bits).reshape(count, bits) % 3,
+                                              1, -1).astype(np.int8)))
+        code, stdout = run_cli(["index", "--codes", path])
+        assert code == 0
+        assert f"memory   {memory}" in stdout
+
     def test_old_u64_layout_exits_2(self, tmp_path, caplog):
         # the older layout padded every code to a uint64 word; at 32 bits
         # and fewer it no longer matches the row length, and is not read
@@ -485,7 +508,7 @@ class TestQuery:
             for i in range(6):
                 expected = index.search(codes[i], descriptors[i], topn=topn)[:4]
                 # the first topk of the re-ranked full ranking
-                full = rerank(coarse_rank(index.packed, codes[i])[0], features, descriptors[i],
+                full = rerank(coarse_rank(index.packed, codes[i]), features, descriptors[i],
                               topn)
                 got = [int(row[2]) for row in rows if int(row[0]) == i]
                 assert got == expected.tolist() == full[:4].tolist()
@@ -530,7 +553,7 @@ class TestQuery:
             writer = csv.writer(expected)
             writer.writerow(["query", "rank", "item"])
             for i, query in enumerate(codes):
-                for rank, item in enumerate(coarse_rank(packed, query)[0][:topk]):
+                for rank, item in enumerate(coarse_rank(packed, query)[:topk]):
                     writer.writerow([i, rank, int(item)])
             assert stdout == expected.getvalue()
 
@@ -656,6 +679,13 @@ class TestBench:
                                 "--queries", "2", "--reps", "1"])
         assert code == 0
         assert "404.0KB" in stdout
+
+    def test_packed_memory_counts_whole_words(self):
+        # 1000 12-bit codes take 2 bytes a row
+        code, stdout = run_cli(["bench", "--items", "1000", "--bits", "12",
+                                "--queries", "1", "--reps", "1"])
+        assert code == 0
+        assert re.search(r"^packed .* 2\.0KB$", stdout, re.M)
 
     def test_codes_file_source(self, workspace):
         code, stdout = run_cli(["bench", "--codes", workspace["codes"],

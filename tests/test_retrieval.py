@@ -20,12 +20,11 @@ from finehash.retrieval import (
     RetrievalIndex,
     _PACK_BLOCK,
     _SCAN_BLOCK,
+    _distance_key,
     bench_scan,
     coarse_rank,
-    code_memory_bytes,
     evaluate_queries,
     format_bytes,
-    hamming_distances,
     load_features,
     load_labels,
     load_packed,
@@ -47,6 +46,11 @@ from helpers import (
 
 def random_codes(rng, count, bits):
     return np.where(rng.random((count, bits)) < 0.5, -1.0, 1.0)
+
+
+def distances(packed, query_code):
+    """The distance key every ranking scans with, widened to int64."""
+    return _distance_key(packed, pack_codes(query_code[None, :]).words[0]).astype(np.int64)
 
 
 # bits -> (word dtype, words per packed row)
@@ -176,9 +180,6 @@ class TestPacking:
         wide = np.array([[np.uint64((1 << 16) + 1)]])
         with pytest.raises(ContractError, match="beyond"):
             PackedCodes(words=wide, bits=10)
-        packed = pack_codes(np.ones((2, 10)))
-        with pytest.raises(ContractError, match="beyond"):
-            hamming_distances(packed, wide[0])
 
 
 class TestHamming:
@@ -186,13 +187,11 @@ class TestHamming:
         rng = np.random.default_rng(1)
         codes = random_codes(rng, 1, 70)
         packed = pack_codes(np.concatenate([codes, -codes]))
-        query = pack_codes(codes).words[0]
-        assert np.array_equal(hamming_distances(packed, query), [0, 70])
+        assert np.array_equal(distances(packed, codes[0]), [0, 70])
 
     def test_hand_case(self):
         packed = pack_codes(np.array([[1.0, 1.0, -1.0, 1.0]]))
-        query = pack_codes(np.array([[1.0, -1.0, 1.0, 1.0]])).words[0]
-        assert hamming_distances(packed, query)[0] == 2
+        assert distances(packed, np.array([1.0, -1.0, 1.0, 1.0]))[0] == 2
 
     def test_inner_product_identity(self):
         # u . v = bits - 2 * d_H over many random pairs
@@ -202,28 +201,31 @@ class TestHamming:
         queries = random_codes(rng, 40, bits)
         packed = pack_codes(db)
         for query in queries:
-            dists = hamming_distances(packed, pack_codes(query[None, :]).words[0])
             dots = db @ query
-            assert np.array_equal(dots, bits - 2 * dists)
+            assert np.array_equal(dots, bits - 2 * distances(packed, query))
 
     def test_query_shape_check(self):
-        packed = pack_codes(np.ones((2, 80)))
+        index = RetrievalIndex(pack_codes(np.ones((2, 80))), features=np.zeros((2, 3)))
+        for topn in (None, 1):
+            with pytest.raises(DimensionError, match=r"expected \(80,\)"):
+                index.search(np.ones(79), topn=topn)
         with pytest.raises(DimensionError):
-            hamming_distances(packed, np.zeros(1, dtype=np.uint64))
+            coarse_rank(index.packed, np.ones((1, 80)))
 
     @pytest.mark.parametrize("bits", [7, 12, 24, 40, 255])
     def test_query_bits_past_code_length_rejected(self, bits):
         # a stray high bit would count as a mismatch beyond `bits`, and at
-        # 255 bits it would wrap the uint8 distance
+        # 255 bits it would wrap the uint8 distance; PackedCodes refuses the
+        # words, so no scan ever sees one
         rng = np.random.default_rng(bits)
         db = random_codes(rng, 5, bits)
         packed = pack_codes(db)
         query = pack_codes(-db[:1]).words[0]
-        assert np.array_equal(hamming_distances(packed, query)[:1], [bits])
+        assert np.array_equal(_distance_key(packed, query)[:1], [bits])
         stray = query.copy()
         stray[-1] |= stray.dtype.type(1 << (bits % (8 * stray.itemsize)))
         with pytest.raises(ContractError, match="beyond"):
-            hamming_distances(packed, stray)
+            PackedCodes(words=stray[None, :], bits=bits)
 
 
 class TestCoarseRank:
@@ -234,23 +236,25 @@ class TestCoarseRank:
         packed = pack_codes(db)
         for _ in range(10):
             query = random_codes(rng, 1, 4)[0]
-            order, dists = coarse_rank(packed, query)
+            order = coarse_rank(packed, query)
             naive = naive_hamming_order(db, query, 200)
             assert np.array_equal(order, naive)
+            dists = distances(packed, query)
             assert np.array_equal(dists[order], np.sort(dists))
 
     def test_exact_match_ranks_first(self):
         rng = np.random.default_rng(4)
         db = random_codes(rng, 50, 32)
-        order, dists = coarse_rank(pack_codes(db), db[17])
+        packed = pack_codes(db)
+        order, dists = coarse_rank(packed, db[17]), distances(packed, db[17])
         assert dists[17] == 0
         assert order[0] <= 17  # an earlier duplicate may outrank it
         assert dists[order[0]] == 0
 
 
 class TestRadixKey:
-    """coarse_rank sorts on a uint8/uint16 copy of the distances; the order
-    must equal a (distance, id) lexsort, across the uint8/uint16 boundary."""
+    """coarse_rank sorts on the uint8/uint16 distance key; the order must
+    equal a (distance, id) lexsort, across the uint8/uint16 boundary."""
 
     @pytest.mark.parametrize("bits", [1, 8, 16, 32, 64, 128, 255, 256])
     def test_order_equals_lexsort_reference(self, bits):
@@ -265,8 +269,10 @@ class TestRadixKey:
         db = db[rng.permutation(len(db))]
         packed = pack_codes(db)
         for query in queries:
-            order, dists = coarse_rank(packed, query)
-            assert dists.dtype == np.int64
+            key = _distance_key(packed, pack_codes(query[None, :]).words[0])
+            assert key.dtype == (np.uint8 if bits < 256 else np.uint16)
+            dists = key.astype(np.int64)
+            order = coarse_rank(packed, query)
             assert np.array_equal(db @ query, bits - 2 * dists)
             assert dists.min() == 0 and dists.max() == bits
             assert np.array_equal(order, np.lexsort((np.arange(len(db)), dists)))
@@ -278,7 +284,7 @@ class TestShortlist:
 
     @staticmethod
     def full_head(packed, features, query, query_feature, topn):
-        return rerank(coarse_rank(packed, query)[0], features, query_feature, topn)[:topn]
+        return rerank(coarse_rank(packed, query), features, query_feature, topn)[:topn]
 
     @pytest.mark.parametrize("bits", [8, 16, 32, 64, 65, 256, 300])
     def test_equals_head_of_full_ranking(self, bits):
@@ -298,6 +304,9 @@ class TestShortlist:
                 assert len(got) == min(topn, n)
                 assert np.array_equal(
                     got, self.full_head(index.packed, features, query, query_feature, topn))
+                # without a query feature: the Hamming head, not re-ranked
+                assert np.array_equal(index.search(query, topn=topn),
+                                      coarse_rank(index.packed, query)[:topn])
 
     @pytest.mark.parametrize("bits", [8, 65, 256, 300])
     def test_threshold_at_bits(self, bits):
@@ -323,8 +332,9 @@ class TestShortlist:
 
     def test_negative_topn_rejected(self):
         index = RetrievalIndex(pack_codes(np.ones((3, 4))), features=np.zeros((3, 2)))
-        with pytest.raises(ContractError):
-            index.search(np.ones(4), np.zeros(2), topn=-1)
+        for query_feature in (np.zeros(2), None):
+            with pytest.raises(ContractError):
+                index.search(np.ones(4), query_feature, topn=-1)
 
 
 class TestRerank:
@@ -333,7 +343,7 @@ class TestRerank:
         db = random_codes(rng, 60, 8)
         features = rng.normal(size=(60, 5)).astype(np.float32)
         query_feature = rng.normal(size=5).astype(np.float32)
-        order, _ = coarse_rank(pack_codes(db), db[0])
+        order = coarse_rank(pack_codes(db), db[0])
         for topn in (0, 1, 10, 60, 80):
             refined = rerank(order, features, query_feature, topn)
             expect_head = naive_euclidean_order(
@@ -408,8 +418,11 @@ class TestMetrics:
 
 class TestMemory:
     def test_reported_code_bytes(self):
-        assert code_memory_bytes(101000, 32) == 404000
-        assert code_memory_bytes(10, 4) == 5
+        # the packed rows' real bytes, in whole words: 2 a row at 9 bits
+        rng = np.random.default_rng(13)
+        for bits in WORD_LAYOUT:
+            result = bench_scan(random_codes(rng, 10, bits), random_codes(rng, 1, bits), reps=1)
+            assert result["packed_bytes"] == 10 * row_bytes(bits)
 
     def test_format_decimal_units(self):
         assert format_bytes(404000) == "404.0KB"
@@ -547,7 +560,7 @@ class TestIndex:
         query = random_codes(rng, 1, 6)[0]
         query_feature = rng.normal(size=3).astype(np.float32)
         coarse = index.search(query)
-        expect, _ = coarse_rank(index.packed, query)
+        expect = coarse_rank(index.packed, query)
         assert np.array_equal(coarse, expect)
         for topn in (10, 40, 45):
             # only the re-ranked head is returned, with no coarse tail
@@ -616,7 +629,7 @@ class TestIndex:
         query_features = rng.normal(size=(5, 4))
         index = RetrievalIndex(pack_codes(db), labels=labels, features=features)
         for topn in (0, 10, 70):
-            rows = [labels[rerank(coarse_rank(index.packed, q)[0], features, f, topn)]
+            rows = [labels[rerank(coarse_rank(index.packed, q), features, f, topn)]
                     for q, f in zip(queries, query_features)]
             assert all(len(row) == 60 for row in rows)
             for i in range(len(queries)):
@@ -707,10 +720,8 @@ class TestEvaluateExact:
         queries = np.concatenate([db[[0, n - 1]], -db[:1]])
         for query in queries:
             naive = np.count_nonzero(db != query, axis=1)
-            dists = hamming_distances(packed, pack_codes(query[None, :]).words[0])
-            assert np.array_equal(dists, naive)
-            order, coarse = coarse_rank(packed, query)
-            assert np.array_equal(coarse, naive)
+            assert np.array_equal(distances(packed, query), naive)
+            order = coarse_rank(packed, query)
             assert np.array_equal(order, np.lexsort((np.arange(n), naive)))
         index = RetrievalIndex(packed, labels=labels)
         got = evaluate_queries(index, queries, labels[[0, n - 1, 5]])
@@ -743,15 +754,19 @@ class TestBench:
         )
 
     def test_times_the_distance_key(self, monkeypatch):
-        # the packed side times the scan every ranking pays, not the int64
-        # widening copy of hamming_distances
-        def fail(*args):
-            raise AssertionError("bench_scan called hamming_distances")
+        # the packed side times the scan every ranking pays, once per query
+        # and repetition, and nothing wider
+        calls = []
 
-        monkeypatch.setattr(retrieval_module, "hamming_distances", fail)
+        def counted(packed, query_words):
+            calls.append(len(packed))
+            return _distance_key(packed, query_words)
+
+        monkeypatch.setattr(retrieval_module, "_distance_key", counted)
         rng = np.random.default_rng(12)
         result = bench_scan(random_codes(rng, 300, 24), random_codes(rng, 3, 24), reps=2)
         assert result["packed_seconds"] > 0.0
+        assert calls == [300] * 6
 
     def test_reps_validated(self):
         with pytest.raises(ContractError):
