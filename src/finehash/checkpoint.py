@@ -15,6 +15,7 @@ complete, so a crash mid-write leaves the previous file intact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -61,31 +62,41 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
             fh.write(data.tobytes(order="C"))
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    blob = fh.read(count)
-    if len(blob) != count:
-        raise FileFormatError(f"checkpoint truncated while reading {what}")
-    return blob
-
-
 def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a checkpoint file back into an ordered name -> float64 array dict."""
+    """Read a checkpoint file back into an ordered name -> float64 array dict.
+
+    The file is read once and parsed from its bytes, and every name length,
+    rank and value count is checked against the bytes left before use.
+    """
+    blob = Path(path).read_bytes()
+    if blob[:4] != MAGIC:
+        raise FileFormatError(f"{path}: bad checkpoint magic {blob[:4]!r}, expected {MAGIC!r}")
+    offset = len(MAGIC)
+
+    def take(size: int, what: str) -> int:
+        """Offset of the next ``size`` bytes, which must lie inside the file."""
+        nonlocal offset
+        if size > len(blob) - offset:
+            raise FileFormatError(f"{path}: checkpoint truncated while reading {what}")
+        offset += size
+        return offset - size
+
     arrays: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise FileFormatError(f"bad checkpoint magic {magic!r}, expected {MAGIC!r}")
-        while True:
-            head = fh.read(4)
-            if not head:
-                return arrays
-            if len(head) != 4:
-                raise FileFormatError("checkpoint truncated while reading name length")
-            (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-            shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "extents"))
-            count = int(np.prod(shape)) if rank else 1
-            blob = _read_exact(fh, 8 * count, f"values of {name!r}")
-            arrays[name] = np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(shape)
+    while offset < len(blob):
+        (name_len,) = struct.unpack_from("<I", blob, take(4, "name length"))
+        start = take(name_len, "name")
+        try:
+            name = blob[start:offset].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FileFormatError(f"{path}: checkpoint entry name at byte {start} "
+                                  f"is not UTF-8") from None
+        (rank,) = struct.unpack_from("<I", blob, take(4, f"rank of {name!r}"))
+        shape = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank, f"extents of {name!r}"))
+        count = math.prod(shape)
+        values = np.frombuffer(blob, "<f8", count, take(8 * count, f"values of {name!r}"))
+        try:
+            arrays[name] = values.astype(np.float64).reshape(shape)
+        except ValueError:  # a zero extent next to extents too large for an array
+            raise FileFormatError(f"{path}: checkpoint entry {name!r} has shape {shape}, "
+                                  f"which cannot form an array") from None
     return arrays

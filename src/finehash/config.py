@@ -71,8 +71,8 @@ def load_config(path: str | Path) -> RunConfig:
     """Parse a config file; every omitted key keeps its default."""
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
 
     kwargs: dict[type, dict] = {ModelConfig: {}, TrainConfig: {}, SynthConfig: {}}

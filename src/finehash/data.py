@@ -308,7 +308,7 @@ def write_dataset(dataset: Dataset, root: str | Path) -> Path:
         write_ppm(root / rel, image)
         rows.append((rel, name, str(split)))
     manifest = root / "manifest.csv"
-    with atomic_write(manifest, "w", newline="") as fh:
+    with atomic_write(manifest, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     return manifest
 
@@ -324,8 +324,8 @@ def load_manifest(manifest_path: str | Path) -> Dataset:
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     try:
-        lines = manifest_path.read_text().splitlines()
-    except OSError as exc:
+        lines = manifest_path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"{manifest_path}: cannot read manifest: {exc}") from exc
     rows: list[tuple[int, str, str, str]] = []
     seen: dict[str, int] = {}

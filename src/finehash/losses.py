@@ -90,13 +90,25 @@ def channel_diversity_loss(part_vecs: ad.Tensor, margin: float = 0.4) -> ad.Tens
     return ad.relu(ad.add_scalar(ad.scale(mean_dist, -1.0), margin))
 
 
-def _check_code_matrix(codes: np.ndarray, bits: int, what: str) -> np.ndarray:
-    codes = np.asarray(codes, dtype=np.float64)
-    if codes.ndim != 2 or codes.shape[1] != bits:
-        raise DimensionError(f"{what}: expected shape (n, {bits}), got {codes.shape}")
-    if not np.all(np.abs(codes) == 1.0):
-        raise DomainError(f"{what}: entries must be +/-1")
-    return codes
+def check_similarity_inputs(
+    relaxed: np.ndarray, db_codes: np.ndarray, sim_rows: np.ndarray, bits: int, what: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Relaxed codes [m, bits], +/-1 database codes [n, bits] and +/-1
+    similarity rows [m, n] as float64 arrays: DimensionError for a shape that
+    does not fit, DomainError for an entry other than +/-1."""
+    relaxed = np.asarray(relaxed, dtype=np.float64)
+    db_codes = np.asarray(db_codes, dtype=np.float64)
+    sim_rows = np.asarray(sim_rows, dtype=np.float64)
+    for name, codes in (("relaxed codes", relaxed), ("db_codes", db_codes)):
+        if codes.ndim != 2 or codes.shape[1] != bits:
+            raise DimensionError(f"{what}: {name} shape {codes.shape}, expected (rows, {bits})")
+    if sim_rows.shape != (len(relaxed), len(db_codes)):
+        raise DimensionError(f"{what}: sim_rows shape {sim_rows.shape}, expected "
+                             f"({len(relaxed)}, {len(db_codes)})")
+    for name, values in (("db_codes", db_codes), ("sim_rows", sim_rows)):
+        if not np.all(np.abs(values) == 1.0):
+            raise DomainError(f"{what}: {name} entries must be +/-1")
+    return relaxed, db_codes, sim_rows
 
 
 def batch_similarity_loss(
@@ -106,23 +118,13 @@ def batch_similarity_loss(
 
     Computed as ||relaxed @ db_codes.T - bits * S||_F^2 for the relaxed
     codes [B, bits] of the batch: one matrix product for all pairs, in the
-    dtype of the relaxed codes.
+    dtype of the relaxed codes.  The code phase minimizes the same objective
+    one code column at a time (``trainer.update_code_column``).
     """
-    db_codes = _check_code_matrix(db_codes, bits, "batch_similarity_loss: db_codes")
-    if relaxed.data.ndim != 2 or relaxed.shape[1] != bits:
-        raise DimensionError(
-            f"batch_similarity_loss: relaxed codes shape {relaxed.shape}, expected (B, {bits})"
-        )
+    _, db_codes, sim_rows = check_similarity_inputs(relaxed.data, db_codes, sim_rows, bits,
+                                                    "batch_similarity_loss")
     if relaxed.shape[0] == 0:
         raise ContractError("batch_similarity_loss: empty batch")
-    sim_rows = np.asarray(sim_rows, dtype=np.float64)
-    if sim_rows.shape != (relaxed.shape[0], db_codes.shape[0]):
-        raise DimensionError(
-            f"batch_similarity_loss: sim_rows shape {sim_rows.shape}, expected "
-            f"({relaxed.shape[0]}, {db_codes.shape[0]})"
-        )
-    if not np.all(np.abs(sim_rows) == 1.0):
-        raise DomainError("batch_similarity_loss: sim entries must be +/-1")
     dtype = relaxed.data.dtype
     resid = ad.sub(ad.matmul(relaxed, ad.tensor(db_codes.T.astype(dtype, copy=False))),
                    ad.tensor((bits * sim_rows).astype(dtype, copy=False)))

@@ -52,12 +52,13 @@ class ModelConfig:
     refined_channels: int = 32
 
     def __post_init__(self):
-        if self.parts < 1:
-            raise ContractError(f"parts must be >= 1, got {self.parts}")
-        if self.bits < 1:
-            raise ContractError(f"bits must be >= 1, got {self.bits}")
+        for name in ("parts", "bits", "in_channels", "refined_channels"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.backbone_channels:
             raise ContractError("backbone_channels must be nonempty")
+        if min(self.backbone_channels) < 1:
+            raise ContractError(f"backbone_channels must be >= 1, got {self.backbone_channels}")
         if len(self.backbone_pools) != len(self.backbone_channels):
             raise ContractError(
                 f"{len(self.backbone_pools)} pool factors for "

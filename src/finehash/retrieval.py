@@ -291,7 +291,11 @@ def load_features(path: str | Path) -> np.ndarray:
     expected = 20 + count * dim * 4
     if len(blob) != expected:
         raise FileFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    features = np.frombuffer(blob, dtype="<f4", offset=20).reshape(int(count), int(dim))
+    try:
+        features = np.frombuffer(blob, dtype="<f4", offset=20).reshape(int(count), int(dim))
+    except ValueError:  # 0 rows of a dimension too large for an array
+        raise FileFormatError(
+            f"{path}: {count} rows of dimension {dim} cannot form an array") from None
     finite = np.isfinite(features)
     if not finite.all():
         row = int(np.argmin(finite.all(axis=1)))
@@ -304,7 +308,7 @@ def save_labels(path: str | Path, labels: np.ndarray) -> None:
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DimensionError(f"save_labels: shape {labels.shape}, expected [n]")
-    with atomic_write(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(LABEL_HEADER)
         for item_id, label in enumerate(labels):
@@ -313,8 +317,8 @@ def save_labels(path: str | Path, labels: np.ndarray) -> None:
 
 def load_labels(path: str | Path) -> np.ndarray:
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"{path}: cannot read labels: {exc}") from exc
     rows = list(csv.reader(lines))
     if not rows or tuple(cell.strip() for cell in rows[0]) != LABEL_HEADER:

@@ -35,8 +35,9 @@ from . import autodiff as ad
 from .anchors import AnchorBank, compute_anchor_bank, draw_keep_mask, exchange_features
 from .checkpoint import load_arrays, save_arrays
 from .data import Dataset, build_similarity
-from .errors import ContractError, DimensionError, DomainError, FileFormatError
-from .losses import LossWeights, auto_weights, total_objective
+from .errors import ContractError, DomainError, FileFormatError
+from .losses import (LossWeights, auto_weights, batch_similarity_loss, check_similarity_inputs,
+                     total_objective)
 from .model import (PARAM_DTYPE, ModelConfig, ModelParams, descriptor, forward_features,
                     hash_layer)
 
@@ -125,35 +126,19 @@ def learning_rate_at(config: TrainConfig, iteration: int) -> float:
     return rate
 
 
-def _check_pm1(values: np.ndarray, what: str) -> None:
-    if not np.all(np.abs(values) == 1.0):
-        raise DomainError(f"{what}: entries must be +/-1")
-
-
 def update_code_column(
     relaxed: np.ndarray, codes: np.ndarray, sim: np.ndarray, bits: int, col: int
 ) -> np.ndarray:
     """Optimal +/-1 values for one code column with the others held fixed.
 
-    Minimizes ||relaxed @ codes.T - bits * sim||_F^2 over the column, which
-    separates per database item; a zero margin keeps the previous value.
+    Minimizes the objective of losses.batch_similarity_loss,
+    ||relaxed @ codes.T - bits * sim||_F^2, over the column, which separates
+    per database item; a zero margin keeps the previous value.
     """
-    relaxed = np.asarray(relaxed, dtype=np.float64)
-    codes = np.asarray(codes, dtype=np.float64)
-    sim = np.asarray(sim, dtype=np.float64)
-    if relaxed.ndim != 2 or relaxed.shape[1] != bits:
-        raise DimensionError(f"update_code_column: relaxed shape {relaxed.shape}, expected [m, {bits}]")
-    if codes.ndim != 2 or codes.shape[1] != bits:
-        raise DimensionError(f"update_code_column: codes shape {codes.shape}, expected [n, {bits}]")
-    if sim.shape != (relaxed.shape[0], codes.shape[0]):
-        raise DimensionError(
-            f"update_code_column: sim shape {sim.shape}, expected "
-            f"({relaxed.shape[0]}, {codes.shape[0]})"
-        )
+    relaxed, codes, sim = check_similarity_inputs(relaxed, codes, sim, bits,
+                                                  "update_code_column")
     if not 0 <= col < bits:
         raise ContractError(f"update_code_column: column {col} outside [0, {bits})")
-    _check_pm1(codes, "update_code_column: codes")
-    _check_pm1(sim, "update_code_column: sim")
     overlap = relaxed.T @ relaxed[:, col]  # [bits]
     cross = codes @ overlap - codes[:, col] * overlap[col]
     margin = bits * (sim.T @ relaxed[:, col]) - cross
@@ -171,22 +156,6 @@ def sweep_codes(
         for col in range(bits):
             codes[:, col] = update_code_column(relaxed, codes, sim, bits, col)
     return codes
-
-
-def frobenius_objective(
-    relaxed: np.ndarray, codes: np.ndarray, sim: np.ndarray, bits: int
-) -> float:
-    """||relaxed @ codes.T - bits * sim||_F^2, the code phase objective."""
-    relaxed = np.asarray(relaxed, dtype=np.float64)
-    codes = np.asarray(codes, dtype=np.float64)
-    sim = np.asarray(sim, dtype=np.float64)
-    if sim.shape != (relaxed.shape[0], codes.shape[0]):
-        raise DimensionError(
-            f"frobenius_objective: sim shape {sim.shape}, expected "
-            f"({relaxed.shape[0]}, {codes.shape[0]})"
-        )
-    resid = relaxed @ codes.T - bits * sim
-    return float(np.sum(resid * resid))
 
 
 def encode_images(params: ModelParams, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +269,8 @@ def load_checkpoint(path) -> TrainState:
     codes = grab("state.codes")
     if codes.ndim != 2 or codes.shape[1] != model_config.bits:
         raise FileFormatError(f"{path}: stored codes have shape {codes.shape}")
-    _check_pm1(codes, f"{path}: stored codes")
+    if not np.all(np.abs(codes) == 1.0):
+        raise DomainError(f"{path}: stored codes: entries must be +/-1")
     iteration = read("state.iteration", int)
     if not 0 <= iteration <= train_config.outer_iters:
         raise FileFormatError(f"{path}: checkpoint entry 'state.iteration' holds {iteration}, "
@@ -475,12 +445,14 @@ class AlternatingTrainer:
         if config.code_sweeps == 0:
             return None, 0
         relaxed = hash_layer(self.params, ad.tensor(self._descriptors[subset])).data
+        relaxed = relaxed.astype(np.float64)
         sim = build_similarity(self.train_labels[subset], self.train_labels)
+        bits = self.model_config.bits
         before = self.codes
-        self.codes = sweep_codes(relaxed, before, sim, self.model_config.bits,
-                                 config.code_sweeps)
+        self.codes = sweep_codes(relaxed, before, sim, bits, config.code_sweeps)
         flipped = int(np.count_nonzero(self.codes != before))
-        return frobenius_objective(relaxed, self.codes, sim, self.model_config.bits), flipped
+        objective = batch_similarity_loss(ad.tensor(relaxed), self.codes, sim, bits).item()
+        return objective, flipped
 
     def _anchor_phase(self):
         """Refresh the anchors from the part slices of the database descriptors."""

@@ -21,11 +21,12 @@ from finehash.anchors import AnchorBank, exchange_features
 from finehash.cli import main as cli_main
 from finehash.config import default_run_config
 from finehash.data import SynthConfig, build_similarity, generate_synthetic
-from finehash.losses import LossWeights, total_objective
+from finehash.losses import LossWeights, batch_similarity_loss, total_objective
 from finehash.model import ModelConfig, ModelParams, descriptor, forward_features, hash_layer
 from finehash.pq import adc_distances, encode_pq, kmeans, pq_rank, train_pq
 from finehash.retrieval import (
     RetrievalIndex,
+    _distance_key,
     coarse_rank,
     evaluate_queries,
     pack_codes,
@@ -34,7 +35,6 @@ from finehash.trainer import (
     AlternatingTrainer,
     TrainConfig,
     encode_images,
-    frobenius_objective,
     sweep_codes,
     update_code_column,
 )
@@ -200,6 +200,9 @@ def test_01_gradients_match_finite_differences():
 
 
 def test_02_code_column_updates_are_optimal():
+    def objective(relaxed, codes, sim, bits):
+        return batch_similarity_loss(ad.tensor(relaxed), codes, sim, bits).item()
+
     rng = np.random.default_rng(22)
     optimal = True
     monotonic = True
@@ -210,15 +213,15 @@ def test_02_code_column_updates_are_optimal():
         sim = rng.choice([-1.0, 1.0], size=(m, n))
         for sweep in range(2):
             for col in range(bits):
-                before = frobenius_objective(relaxed, codes, sim, bits)
+                before = objective(relaxed, codes, sim, bits)
                 oracle = helpers.enumerate_code_column(relaxed, codes, sim, bits, col)
                 codes[:, col] = update_code_column(relaxed, codes, sim, bits, col)
-                after = frobenius_objective(relaxed, codes, sim, bits)
+                after = objective(relaxed, codes, sim, bits)
                 optimal &= bool(np.array_equal(codes, oracle))
                 monotonic &= after <= before
         swept = sweep_codes(relaxed, codes, sim, bits, sweeps=1)
-        monotonic &= (frobenius_objective(relaxed, swept, sim, bits)
-                      <= frobenius_objective(relaxed, codes, sim, bits))
+        monotonic &= (objective(relaxed, swept, sim, bits)
+                      <= objective(relaxed, codes, sim, bits))
     assert report(
         2,
         "database code updates reach the sign-enumeration optimum on 50 random "
@@ -404,7 +407,7 @@ def test_10_packed_scan_beats_float_scan():
     def packed_rep() -> float:
         started = time.perf_counter()
         for row in query_words:
-            np.bitwise_count(packed.words ^ row[None, :]).sum(axis=1)
+            _distance_key(packed, row)
         return time.perf_counter() - started
 
     def float_rep() -> float:
@@ -420,7 +423,7 @@ def test_10_packed_scan_beats_float_scan():
     speedup = float_med / packed_med
     assert report(
         10,
-        f"packed 32-bit scan over 100000 items is {speedup:.0f}x faster than a "
+        f"library packed 32-bit scan over 100000 items is {speedup:.0f}x faster than a "
         f"512-d float32 scan (>= 20x, median of 5)",
         speedup >= 20.0,
     )

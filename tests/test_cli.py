@@ -692,3 +692,58 @@ class TestBench:
                                 "--queries", "2", "--reps", "1"])
         assert code == 0
         assert "database 18" in stdout
+
+
+def _entry(name: bytes, rank: int, extents: tuple[int, ...] = ()) -> bytes:
+    """An FHT1 checkpoint whose one entry header claims ``rank`` and ``extents``."""
+    return (b"FHT1" + struct.pack("<I", len(name)) + name + struct.pack("<I", rank)
+            + struct.pack(f"<{len(extents)}Q", *extents))
+
+
+# file name, its bytes, the command line around it ({file} is its path) and
+# the name of the file or key the error message must carry
+MALFORMED = {
+    "labels not utf-8": ("db_labels.csv", b"id,label\n0,\xff\n",
+                         ["index", "--codes", "{codes}", "--labels", "{file}"], "db_labels.csv"),
+    "manifest not utf-8": ("manifest.csv", b"relative_path,label,split\n\xff,0,query\n",
+                           ["eval", "--checkpoints", "{checkpoint}", "--data", "{file}"],
+                           "manifest.csv"),
+    "config comment not utf-8": ("run.cfg", b"bits = 8  # \xff\n",
+                                 ["synth", "--config", "{file}", "--out", "{dir}"], "run.cfg"),
+    "checkpoint name not utf-8": ("model.fht1", _entry(b"\xff", 0) + struct.pack("<d", 1.0),
+                                  ["encode", "--checkpoint", "{file}", "--manifest", "{data}",
+                                   "--out", "{dir}/q.fhc1"], "model.fht1"),
+    "checkpoint name past the end": ("model.fht1", b"FHT1" + struct.pack("<I", 0xFFFFFFFF),
+                                     ["encode", "--checkpoint", "{file}", "--manifest", "{data}",
+                                      "--out", "{dir}/q.fhc1"], "model.fht1"),
+    "checkpoint rank past the end": ("model.fht1", _entry(b"w", 0xFFFFFFFF),
+                                     ["encode", "--checkpoint", "{file}", "--manifest", "{data}",
+                                      "--out", "{dir}/q.fhc1"], "model.fht1"),
+    "checkpoint values past the end": ("model.fht1", _entry(b"w", 1, (2**61,)),
+                                       ["encode", "--checkpoint", "{file}", "--manifest",
+                                        "{data}", "--out", "{dir}/q.fhc1"], "model.fht1"),
+    "checkpoint shape too large": ("model.fht1", _entry(b"w", 2, (0, 2**62)),
+                                   ["encode", "--checkpoint", "{file}", "--manifest", "{data}",
+                                    "--out", "{dir}/q.fhc1"], "model.fht1"),
+    "feature dimension too large": ("db.fhf1", b"FHF1" + struct.pack("<QQ", 0, 2**62),
+                                    ["index", "--codes", "{codes}", "--features", "{file}"],
+                                    "db.fhf1"),
+    "refined_channels 0": ("run.cfg", b"refined_channels = 0\n",
+                           ["train", "--config", "{file}", "--out-dir", "{dir}"],
+                           "refined_channels"),
+    "backbone channel 0": ("run.cfg", b"backbone_channels = 0,32,32\n",
+                           ["train", "--config", "{file}", "--out-dir", "{dir}"],
+                           "backbone_channels"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_exits_2_naming_it(workspace, tmp_path, caplog, case):
+    name, content, argv, named = MALFORMED[case]
+    path = tmp_path / name
+    path.write_bytes(content)
+    places = {"file": path, "dir": tmp_path, "codes": workspace["codes"],
+              "checkpoint": workspace["checkpoint"], "data": workspace["data"]}
+    code, _ = run_cli([arg.format(**places) for arg in argv])
+    assert code == 2
+    assert named in caplog.text

@@ -12,6 +12,7 @@ import finehash.autodiff as ad
 from finehash import losses
 from finehash.errors import ContractError, DimensionError, DomainError
 from finehash.model import RefinedFeatures
+from finehash.trainer import update_code_column
 
 import helpers
 
@@ -319,6 +320,39 @@ class TestBatchSimilarityLoss:
         with pytest.raises(ContractError):
             losses.batch_similarity_loss(ad.tensor(np.zeros((0, 4))), np.ones((3, 4)),
                                          np.ones((0, 3)), 4)
+
+
+def _similarity_case(relaxed_shape=(2, 4), codes_shape=(3, 4), sim_shape=(2, 3),
+                     code=1.0, sim=-1.0):
+    return np.full(relaxed_shape, 0.5), np.full(codes_shape, code), np.full(sim_shape, sim)
+
+
+class TestSimilarityInputs:
+    """batch_similarity_loss and update_code_column read one input check."""
+
+    @pytest.mark.parametrize("case, error", [
+        (_similarity_case(relaxed_shape=(2, 3)), DimensionError),
+        (_similarity_case(relaxed_shape=(4,)), DimensionError),
+        (_similarity_case(codes_shape=(3, 5)), DimensionError),
+        (_similarity_case(sim_shape=(2, 4)), DimensionError),
+        (_similarity_case(code=0.0), DomainError),
+        (_similarity_case(sim=2.0), DomainError),
+    ])
+    def test_both_phases_reject_alike(self, case, error):
+        relaxed, codes, sim = case
+        with pytest.raises(error):
+            losses.check_similarity_inputs(relaxed, codes, sim, 4, "check")
+        with pytest.raises(error):
+            losses.batch_similarity_loss(ad.tensor(relaxed), codes, sim, 4)
+        with pytest.raises(error):
+            update_code_column(relaxed, codes, sim, 4, 0)
+
+    def test_returns_float64(self):
+        relaxed, codes, sim = _similarity_case()
+        checked = losses.check_similarity_inputs(relaxed.astype(np.float32),
+                                                 codes.astype(np.int8), sim, 4, "check")
+        assert [values.dtype for values in checked] == [np.float64] * 3
+        assert all(np.array_equal(a, b) for a, b in zip(checked, (relaxed, codes, sim)))
 
 
 class TestTotalObjective:
