@@ -22,7 +22,10 @@ that holds at least topn, which gives exactly the head of the full order.
 Evaluation scores each full ranking from the positions of its relevant
 items alone: it gathers the query's label mask through the ranking, takes
 AP as the mean over those hits of (hits so far) / (1-based rank), and
-precision@k as the number of hits in the first k ranks over k.
+precision@k as the number of hits in the first k ranks over k.  Above one
+scan block the queries are ranked on every usable CPU, the calling thread
+taking one strided share and helper threads the others; the scores are
+summed in query order, so the result is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -46,6 +50,8 @@ logger = logging.getLogger(__name__)
 CODE_MAGIC = b"FHC1"
 FEATURE_MAGIC = b"FHF1"
 LABEL_HEADER = ("id", "label")
+# the widest code: its distances, at most MAX_BITS, fit the uint16 key
+MAX_BITS = (1 << 16) - 1
 
 
 def _word_dtype(bits: int) -> np.dtype:
@@ -71,8 +77,8 @@ class PackedCodes:
     bits: int
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ContractError(f"PackedCodes: bits must be >= 1, got {self.bits}")
+        if not 1 <= self.bits <= MAX_BITS:
+            raise ContractError(f"PackedCodes: bits must be in [1, {MAX_BITS}], got {self.bits}")
         shape = np.shape(self.words)
         if len(shape) != 2 or shape[1] != _words_per_code(self.bits):
             raise DimensionError(
@@ -252,8 +258,8 @@ def load_packed(path: str | Path) -> PackedCodes:
     if len(blob) < 20:
         raise FileFormatError(f"{path}: truncated code file header")
     count, bits = struct.unpack("<QQ", blob[4:20])
-    if bits < 1:
-        raise FileFormatError(f"{path}: stored bits must be >= 1")
+    if not 1 <= bits <= MAX_BITS:
+        raise FileFormatError(f"{path}: stored width {bits} bits outside [1, {MAX_BITS}]")
     words, dtype = _words_per_code(bits), _word_dtype(bits)
     expected = 20 + count * words * dtype.itemsize
     if len(blob) != expected:
@@ -333,6 +339,8 @@ def load_labels(path: str | Path) -> np.ndarray:
             item_id, label = int(row[0]), int(row[1])
         except ValueError:
             raise IngestionError(f"{path}: line {line_no}: non-integer field") from None
+        if not -(1 << 63) <= label < 1 << 63:
+            raise IngestionError(f"{path}: line {line_no}: label {label} outside int64")
         if item_id != len(labels):
             raise IngestionError(
                 f"{path}: line {line_no}: ids must run 0..n-1 in order, got {item_id}"
@@ -378,6 +386,12 @@ class RetrievalIndex:
         return rerank(shortlist, self.features, query_feature, topn)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def evaluate_queries(index: RetrievalIndex, query_codes: np.ndarray,
                      query_labels: np.ndarray, query_features: np.ndarray | None = None,
                      topn: int | None = None, ks: tuple[int, ...] = (1, 5, 10)) -> dict:
@@ -401,26 +415,51 @@ def evaluate_queries(index: RetrievalIndex, query_codes: np.ndarray,
                 f"evaluate_queries: query features shape {query_features.shape}, "
                 f"expected {list(expected)}"
             )
-    # each ranking is scored from the positions of its relevant items, as
-    # soon as it is made, so one ranking is alive at a time
-    aps, precisions = [], {k: [] for k in ks}
-    for i, label in enumerate(query_labels):
+
+    def score(i: int) -> tuple[float | None, dict[int, float]]:
+        """AP (None without relevant items) and precision@k of query i,
+        from the positions of its relevant items in its full ranking."""
         order = coarse_rank(index.packed, query_codes[i])
         if topn is not None:
             order = rerank(order, index.features, query_features[i], topn)
-        hits = np.flatnonzero((index.labels == label)[order])
-        if len(hits):
-            aps.append(float(np.mean(np.arange(1, len(hits) + 1) / (hits + 1))))
-        else:
+        hits = np.flatnonzero((index.labels == query_labels[i])[order])
+        ap = float(np.mean(np.arange(1, len(hits) + 1) / (hits + 1))) if len(hits) else None
+        return ap, {k: np.count_nonzero(hits < k) / k for k in ks}
+
+    count = len(query_codes)
+    shares = min(_usable_cpus(), count) if len(index) > _SCAN_BLOCK else 1
+    scores = [None] * count
+
+    def score_share(share: int) -> None:
+        for i in range(share, count, shares):
+            scores[i] = score(i)
+
+    if shares == 1:
+        score_share(0)
+    else:
+        # the ranking calls release the GIL; the caller works share 0, so
+        # there are never more ranking threads than CPUs.  Imported here:
+        # evaluations of one scan block or less never load the module.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(shares - 1) as pool:
+            helpers = [pool.submit(score_share, share) for share in range(1, shares)]
+            score_share(0)
+            for helper in helpers:
+                helper.result()
+    aps = []
+    for label, (ap, _) in zip(query_labels, scores):
+        if ap is None:
             logger.warning("query with label %r has no relevant database items; skipped", label)
-        for k, values in precisions.items():
-            values.append(np.count_nonzero(hits < k) / k)
+        else:
+            aps.append(ap)
     if not aps:
         raise ContractError("evaluate_queries: no query has relevant items")
     return {
         "map": float(np.mean(aps)),
-        "precision_at": {k: float(np.mean(values)) for k, values in precisions.items()},
-        "queries": len(query_codes),
+        "precision_at": {k: float(np.mean([precision[k] for _, precision in scores]))
+                         for k in ks},
+        "queries": count,
     }
 
 

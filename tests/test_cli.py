@@ -705,6 +705,10 @@ def _entry(name: bytes, rank: int, extents: tuple[int, ...] = ()) -> bytes:
 MALFORMED = {
     "labels not utf-8": ("db_labels.csv", b"id,label\n0,\xff\n",
                          ["index", "--codes", "{codes}", "--labels", "{file}"], "db_labels.csv"),
+    "label past int64": ("db_labels.csv", b"id,label\n0,99999999999999999999999\n",
+                         ["index", "--codes", "{codes}", "--labels", "{file}"], "db_labels.csv"),
+    "code width past the bound": ("db.fhc1", b"FHC1" + struct.pack("<QQ", 0, 2**64 - 1),
+                                  ["index", "--codes", "{file}"], "db.fhc1"),
     "manifest not utf-8": ("manifest.csv", b"relative_path,label,split\n\xff,0,query\n",
                            ["eval", "--checkpoints", "{checkpoint}", "--data", "{file}"],
                            "manifest.csv"),

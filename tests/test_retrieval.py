@@ -1,7 +1,10 @@
 """Tests for packing, Hamming search, metrics, file IO, and the benchmark."""
 
+import concurrent.futures
 import logging
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,7 @@ from finehash.errors import (
     IngestionError,
 )
 from finehash.retrieval import (
+    MAX_BITS,
     PackedCodes,
     RetrievalIndex,
     _PACK_BLOCK,
@@ -488,6 +492,26 @@ class TestFiles:
         with pytest.raises(FileFormatError):
             load_packed(path)
 
+    @pytest.mark.parametrize("count, bits", [(0, 0), (0, MAX_BITS + 1), (0, 2**64 - 1),
+                                             (1, 2**64 - 1)])
+    def test_code_file_width_out_of_range(self, tmp_path, count, bits):
+        path = tmp_path / "db.fhc1"
+        path.write_bytes(b"FHC1" + struct.pack("<QQ", count, bits) + bytes(8 * count))
+        with pytest.raises(FileFormatError, match=f"stored width {bits} bits"):
+            load_packed(path)
+
+    def test_widest_code_round_trips_and_keeps_a_uint16_key(self, tmp_path):
+        path = tmp_path / "db.fhc1"
+        codes = np.ones((2, MAX_BITS), dtype=np.int8)
+        codes[1] = -1
+        save_packed(path, pack_codes(codes))
+        loaded = load_packed(path)
+        assert np.array_equal(unpack_codes(loaded), codes)
+        key = _distance_key(loaded, loaded.words[0])
+        assert key.dtype == np.uint16 and list(key) == [0, MAX_BITS]
+        with pytest.raises(ContractError, match=f"got {MAX_BITS + 1}"):
+            pack_codes(np.ones((1, MAX_BITS + 1), dtype=np.int8))
+
     def test_feature_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         features = rng.normal(size=(6, 11))
@@ -537,6 +561,19 @@ class TestFiles:
         save_labels(path, np.array([4, 4, 2, 0]))
         assert path.read_text().splitlines()[0] == "id,label"
         assert np.array_equal(load_labels(path), [4, 4, 2, 0])
+
+    def test_labels_int64_extremes_round_trip(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        labels = np.array([2**63 - 1, -(2**63)], dtype=np.int64)
+        save_labels(path, labels)
+        assert np.array_equal(load_labels(path), labels)
+
+    @pytest.mark.parametrize("label", [2**63, -(2**63) - 1, 99999999999999999999999])
+    def test_labels_past_int64_rejected(self, tmp_path, label):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"id,label\n0,3\n1,{label}\n")
+        with pytest.raises(IngestionError, match=f"line 3: label {label} outside int64"):
+            load_labels(path)
 
     def test_labels_header_required(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -708,25 +745,112 @@ class TestEvaluateExact:
         queries = np.concatenate([pool, -pool[:1], random_codes(rng, 2, bits)])
         self.check(db, labels, queries, rng.integers(0, 3, len(queries)), rng)
 
-    @pytest.mark.parametrize("bits", [8, 70, 300])
-    def test_more_than_one_scan_block(self, bits):
-        # n is past one block and not a multiple of it; int8 codes keep it small
+    @staticmethod
+    def blocks_case(bits, n=_SCAN_BLOCK + 3):
+        """Database, labels in [0, 50) and features of n items, and six
+        queries: copies of the first and last rows, a complement and three
+        random codes.  int8 codes keep it small."""
         rng = np.random.default_rng(bits)
-        n = _SCAN_BLOCK + 3
         db = np.where(rng.random((n, bits)) < 0.5, -1, 1).astype(np.int8)
         db[-2:] = db[:2]  # the last block holds duplicates of the first
         labels = rng.integers(0, 50, n)
+        features = rng.normal(size=(n, 3))
+        queries = np.concatenate([db[[0, n - 1]], -db[:1],
+                                  np.where(rng.random((3, bits)) < 0.5, -1, 1).astype(np.int8)])
+        return db, labels, features, queries, rng.normal(size=(len(queries), 3))
+
+    @pytest.mark.parametrize("bits", [8, 70, 300])
+    def test_more_than_one_scan_block(self, bits):
+        # n is past one block and not a multiple of it; with two or more
+        # CPUs the queries are ranked on several threads
+        db, labels, features, queries, query_features = self.blocks_case(bits)
+        n = len(db)
         packed = pack_codes(db)
-        queries = np.concatenate([db[[0, n - 1]], -db[:1]])
-        for query in queries:
+        for query in queries[:3]:
             naive = np.count_nonzero(db != query, axis=1)
             assert np.array_equal(distances(packed, query), naive)
             order = coarse_rank(packed, query)
             assert np.array_equal(order, np.lexsort((np.arange(n), naive)))
-        index = RetrievalIndex(packed, labels=labels)
-        got = evaluate_queries(index, queries, labels[[0, n - 1, 5]])
+        index = RetrievalIndex(packed, labels=labels, features=features)
+        query_labels = labels[[0, n - 1, 5, 7, 9, 11]]
+        for topn in (None, 17):
+            got = evaluate_queries(index, queries, query_labels, query_features, topn)
+            assert (got["map"], got["precision_at"]) == naive_scores(
+                db, labels, queries, query_labels, (1, 5, 10), features, query_features, topn)
+
+    @pytest.fixture
+    def three_shares(self, monkeypatch):
+        """Rank in three shares whatever the host's CPU count, switching
+        threads as often as the interpreter allows, and count the executors
+        made."""
+        made = []
+
+        class Counted(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(retrieval_module, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield made
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_shares_warn_in_query_order_and_leave_no_thread(self, three_shares, caplog):
+        db, labels, _, queries, _ = self.blocks_case(8)
+        index = RetrievalIndex(pack_codes(db), labels=labels)
+        query_labels = np.array([labels[0], 51, labels[5], labels[7], 50, labels[9]])
+        threads = threading.active_count()
+        with caplog.at_level(logging.WARNING, logger="finehash.retrieval"):
+            got = evaluate_queries(index, queries, query_labels)
+        assert len(three_shares) == 1
+        assert threading.active_count() == threads
+        assert [record.getMessage() for record in caplog.records] == [
+            f"query with label {label!r} has no relevant database items; skipped"
+            for label in query_labels[[1, 4]]]
         assert (got["map"], got["precision_at"]) == naive_scores(
-            db, labels, queries, labels[[0, n - 1, 5]], (1, 5, 10))
+            db, labels, queries, query_labels, (1, 5, 10))
+
+    @pytest.mark.parametrize("share", [0, 1], ids=["caller", "helper"])
+    def test_bad_query_in_a_share_raises_and_leaves_no_thread(self, three_shares, share):
+        # with three shares, query 3 is the caller's and query 4 a helper's
+        db, labels, _, queries, _ = self.blocks_case(8)
+        index = RetrievalIndex(pack_codes(db), labels=labels)
+        queries = queries.copy()
+        queries[3 + share, 2] = 0
+        threads = threading.active_count()
+        with pytest.raises(DomainError, match="entries must be"):
+            evaluate_queries(index, queries, labels[:6])
+        assert len(three_shares) == 1
+        assert threading.active_count() == threads
+
+    def test_one_cpu_gives_the_same_result(self, monkeypatch):
+        db, labels, features, queries, query_features = self.blocks_case(8)
+        index = RetrievalIndex(pack_codes(db), labels=labels, features=features)
+        args = (index, queries, labels[:6], query_features, 17)
+        with monkeypatch.context() as patch:
+            patch.setattr(retrieval_module, "_usable_cpus", lambda: 3)
+            threaded = evaluate_queries(*args)
+        # without sched_getaffinity the count falls back to os.cpu_count
+        monkeypatch.delattr(retrieval_module.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(retrieval_module.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
+        assert evaluate_queries(*args) == threaded
+
+    def test_one_scan_block_makes_no_executor(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("an executor was made for one scan block")
+
+        monkeypatch.setattr(retrieval_module, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused)
+        db, labels, _, queries, _ = self.blocks_case(8, n=_SCAN_BLOCK)
+        got = evaluate_queries(RetrievalIndex(pack_codes(db), labels=labels), queries,
+                               labels[:6])
+        assert (got["map"], got["precision_at"]) == naive_scores(
+            db, labels, queries, labels[:6], (1, 5, 10))
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3,)], ids=["short", "dim", "rank"])
     def test_query_features_checked_before_scoring(self, shape):
