@@ -4,8 +4,9 @@ The engine is deliberately small: a :class:`Tensor` wraps a numpy array and a
 :class:`Tape` records one entry per differentiable operation in execution
 order.  Because entries are appended as they are created, the record list is
 already a topological order of the computation, and ``backward`` simply
-replays it in reverse, visiting every entry exactly once.  A tape is built
-fresh for every forward pass; there is no graph reuse between passes.
+pops it in reverse, visiting and then dropping every entry exactly once.  A
+tape is built fresh for every forward pass and serves one ``backward``;
+there is no graph reuse between passes.
 
 Numeric conventions shared by the whole package live here as well: every
 op computes in the dtype of its inputs (the network runs in float32, a
@@ -27,14 +28,21 @@ Everything else requires exact shape agreement.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericError
+from .errors import ContractError, DimensionError, DomainError, NumericError
 
 _GradFn = Callable[[np.ndarray], np.ndarray]
+
+# rows per block of conv2d's forward product: bounds the im2col columns a
+# block copies (4.7 MB for the default model's widest conv in float32) and
+# keeps each product small enough that a map's result does not depend on the
+# maps stacked with it (see conv2d)
+_CONV_BLOCK_ROWS = 4096
 
 
 class _TapeStack(threading.local):  # this thread's recording tapes, innermost last
@@ -110,12 +118,14 @@ class Tape:
     Used as a context manager around a forward pass; operations executed
     while the tape is active are recorded when any input requires a
     gradient.  Operations executed with no active tape are plain numpy
-    evaluations, which is the fast path for inference.
+    evaluations, which is the fast path for inference.  A tape serves one
+    :meth:`backward` call, which consumes it.
     """
 
     def __init__(self):
         # (output, [(input, gradient function), ...]) in execution order
         self._records: list[tuple[Tensor, list[tuple[Tensor, _GradFn]]]] = []
+        self._consumed = False
 
     def __len__(self) -> int:
         return len(self._records)
@@ -133,26 +143,39 @@ class Tape:
         self._records.append((out, inputs))
 
     def backward(self, loss: Tensor) -> None:
-        """Populate .grad with d(loss)/d(tensor) for every recorded tensor.
+        """Set .grad to d(loss)/d(leaf) on every leaf, consuming the tape.
 
-        The seed must be a scalar.  Grad buffers of all tensors touched by
-        this tape are reset first, so leaves recorded on the tape but not on
-        any path to the loss end with an all-zero gradient.  A first
+        A leaf is a tensor recorded as an op input and produced by no op on
+        this tape, such as a parameter.  The seed must be a scalar; it keeps
+        its gradient of ones.  Records are popped in reverse execution order,
+        and each one is dropped, with the arrays its gradient functions saved
+        and its output's .grad, as soon as those functions have run, so only
+        leaves (and the seed) keep a gradient and the tape ends empty.
+        Leaves off every path to the loss get an all-zero gradient.  A first
         contribution becomes the buffer as is (it may be another tensor's),
-        so later ones are added out of place.
+        so later ones are added out of place.  A consumed tape cannot run
+        backward again.
         """
         if loss.data.size != 1:
             raise DimensionError(f"backward: seed must be scalar, got shape {loss.shape}")
-        touched = [t for out, inputs in self._records for t in (out, *(i for i, _ in inputs))]
-        for tens in touched:
+        if self._consumed:
+            raise ContractError("backward: this tape was already consumed by backward")
+        self._consumed = True
+        records = self._records
+        produced = {id(out) for out, _ in records}
+        leaves = {id(t): t for _, inputs in records for t, _ in inputs if id(t) not in produced}
+        for tens in (*leaves.values(), *(out for out, _ in records)):
             tens.grad = None
         loss.grad = np.ones_like(loss.data)
-        for out, inputs in reversed(self._records):
+        while records:
+            out, inputs = records.pop()
             if out.grad is not None:  # else it is off every path to the loss
                 for tens, grad_fn in inputs:
-                    step = grad_fn(out.grad)
-                    tens.grad = step if tens.grad is None else tens.grad + step
-        for tens in touched:
+                    tens.grad = (grad_fn(out.grad) if tens.grad is None
+                                 else tens.grad + grad_fn(out.grad))
+                if out is not loss:
+                    out.grad = None
+        for tens in leaves.values():
             if tens.grad is None:
                 tens.grad = np.zeros_like(tens.data)
 
@@ -416,17 +439,19 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     Returns:
         Tensor [..., H, W, Cout] in the result dtype of the three inputs;
-        positions outside the frame contribute zero.  The forward pass is one
-        matrix product of the im2col columns (one row per leading index and
-        position, ``kh * kw * Cin`` entries) with the flattened bank, with the
-        bias added to the product in place; the columns are a forward temporary
-        that the tape does not keep.  Each backward direction for x and the
-        kernels is one product per kernel tap.  Whether a map's result depends
-        on the other maps stacked with it is up to how the BLAS blocks the
-        product.  On OpenBLAS 0.3.31 (Haswell kernels, one thread) every conv
-        of the default model gave float32 results bit-equal to one-map calls
-        for stacks of up to 122 8x8 maps; the 1x1 attention conv from 32 to 4
-        channels differed, by about 1e-6, from 123 maps on.
+        positions outside the frame contribute zero.  The forward pass
+        multiplies the im2col columns (one row per map and position,
+        ``kh * kw * Cin`` entries) with the flattened bank one block of whole
+        maps at a time, each block at most ``_CONV_BLOCK_ROWS`` rows (or one
+        map), and adds the bias to the product in place; a block's columns
+        are a forward temporary that the tape does not keep.  Each backward
+        direction for x and the kernels is one product per kernel tap.
+        Whether a map's result depends on the other maps stacked with it is
+        up to how the BLAS blocks each product.  On OpenBLAS 0.3.31 (Haswell
+        kernels, one thread), for 130-map float32 stacks, every conv of the
+        default model gave results bit-equal to one-map calls with blocks of
+        64 to 4,096 rows; with blocks of 8,192 rows or more, the 1x1
+        attention conv from 32 to 4 channels differed by up to 5e-7.
     """
     if x.data.ndim < 3:
         raise DimensionError(f"conv2d: input of rank >= 3 required, got shape {x.shape}")
@@ -451,15 +476,23 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         return padded[..., off_i : off_i + height, off_j : off_j + width, :].reshape(-1, c_in)
 
     # one read-only view [..., H, W, kh, kw, Cin] of every window, already in
-    # column order, so the reshape is the one copy
+    # column order, so reshaping a block of maps is that block's one copy
     *lead_strides, row, col, chan = padded.strides
     windows = np.lib.stride_tricks.as_strided(
         padded, (*lead, height, width, k_h, k_w, c_in),
         (*lead_strides, row, col, row, col, chan), writeable=False)
-    columns = windows.reshape(-1, k_h * k_w * c_in)
-    out = (columns @ k_data.reshape(-1, c_out)).astype(
-        np.result_type(dtype, bias.data), copy=False)
-    del columns  # the closures below keep only padded
+    bank = k_data.reshape(-1, c_out)
+    maps, rows = math.prod(lead), height * width
+    if maps * rows <= _CONV_BLOCK_ROWS:  # one block, without the loop's per-call cost
+        out = windows.reshape(-1, bank.shape[0]) @ bank
+    else:
+        step = max(1, _CONV_BLOCK_ROWS // rows)  # maps per block
+        windows = windows.reshape(maps, *windows.shape[-5:])  # still a view of padded
+        out = np.empty((maps * rows, c_out), dtype=dtype)
+        for start in range(0, maps, step):
+            np.matmul(windows[start : start + step].reshape(-1, bank.shape[0]), bank,
+                      out=out[start * rows : (start + step) * rows])
+    out = out.astype(np.result_type(dtype, bias.data), copy=False)
     out += bias.data
 
     def back_x(g: np.ndarray) -> np.ndarray:

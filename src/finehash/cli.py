@@ -226,9 +226,6 @@ def cmd_query(args: argparse.Namespace) -> int:
             f"descriptors have {state.params.config.descriptor_dim}"
         )
     index = RetrievalIndex(packed, features=features)
-    dataset = load_manifest(_manifest_path(args.queries))
-    codes, descriptors = encode_images(state.params, _select_images(dataset, args.split))
-
     topk = args.topk
     if not 1 <= topk <= len(index):
         raise ContractError(f"query: --topk {topk} outside [1, {len(index)}]")
@@ -244,6 +241,9 @@ def cmd_query(args: argparse.Namespace) -> int:
         if topn < topk:
             # search returns only the re-ranked shortlist, so it must hold topk rows
             raise ContractError(f"query: --topn {topn} is below --topk {topk}")
+
+    dataset = load_manifest(_manifest_path(args.queries))
+    codes, descriptors = encode_images(state.params, _select_images(dataset, args.split))
 
     results = []
     latencies_ms = []

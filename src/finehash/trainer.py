@@ -44,10 +44,10 @@ from .model import (PARAM_DTYPE, ModelConfig, ModelParams, descriptor, forward_f
 logger = logging.getLogger(__name__)
 
 # images per forward pass of encode_images: bounds the memory that encoding
-# the training database takes.  The serve path relies on stacks this small
-# encoding bit-equal to one image at a time (see autodiff.conv2d): query
-# encodes one image and compares it with database descriptors train encoded
-# 8 at a time
+# the training database takes.  The serve path relies on a stack encoding
+# bit-equal to one image at a time (see autodiff.conv2d, measured for stacks
+# of up to 400 images): query encodes one image and compares it with
+# database descriptors train encoded 8 at a time
 ENCODE_CHUNK = 8
 
 

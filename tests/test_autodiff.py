@@ -4,11 +4,13 @@ Forward expectations are hand-computed literals; every gradient is compared
 against central finite differences (eps=1e-5) with relative error < 1e-4.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
 import finehash.autodiff as ad
-from finehash.errors import DimensionError, DomainError, NumericError
+from finehash.errors import ContractError, DimensionError, DomainError, NumericError
 
 import helpers
 
@@ -184,6 +186,32 @@ class TestIm2colColumns:
         bias = rng.standard_normal(4).astype(dtype)
         out = ad.conv2d(ad.tensor(x), ad.tensor(kernels), ad.tensor(bias)).data
         assert np.array_equal(out, sliding_window_conv2d(x, kernels, bias))
+
+
+class TestConv2dBlocks:
+    """The forward product runs over blocks of whole maps, so a map's result
+    does not depend on how many maps are stacked with it."""
+
+    @pytest.mark.parametrize("side", [8, 65])  # 64 maps a block; one map a block
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_several_blocks_and_remainder_equal_one_map_calls(self, dtype, side):
+        rng = np.random.default_rng(side)
+        maps = 2 * max(1, ad._CONV_BLOCK_ROWS // (side * side)) + 3
+        x = rng.standard_normal((maps, side, side, 3)).astype(dtype)
+        kernels = rng.standard_normal((3, 3, 3, 4)).astype(dtype)
+        bias = ad.tensor(rng.standard_normal(4).astype(dtype))
+        out = ad.conv2d(ad.tensor(x.reshape(-1, 1, side, side, 3)), ad.tensor(kernels), bias)
+        singles = [ad.conv2d(ad.tensor(m), ad.tensor(kernels), bias).data for m in x]
+        assert np.array_equal(out.data.reshape(maps, side, side, 4), np.stack(singles))
+
+    def test_attention_conv_on_130_maps_equals_one_map_calls(self):
+        rng = np.random.default_rng(130)
+        x = rng.standard_normal((130, 8, 8, 32)).astype(np.float32)
+        kernels = ad.tensor((0.1 * rng.standard_normal((1, 1, 32, 4))).astype(np.float32))
+        bias = zero_bias(4, np.float32)
+        out = ad.conv2d(ad.tensor(x), kernels, bias).data
+        singles = [ad.conv2d(ad.tensor(m), kernels, bias).data for m in x]
+        assert np.array_equal(out, np.stack(singles))
 
 
 class TestConv2dAgainstNaiveLoop:
@@ -445,6 +473,37 @@ class TestBackward:
         tape.backward(loss)
         assert np.array_equal(x.grad, [2.0])
         assert np.array_equal(y.grad, [0.0])
+
+    def test_only_leaves_and_seed_keep_grad(self):
+        with ad.Tape() as tape:
+            x = ad.parameter([1.0, -2.0])
+            hidden = ad.scale(x, 3.0)
+            loss = ad.sum_all(ad.tanh(hidden))
+        tape.backward(loss)
+        assert np.allclose(x.grad, 3.0 * (1.0 - np.tanh([3.0, -6.0]) ** 2), atol=1e-12)
+        assert hidden.grad is None
+        assert np.array_equal(loss.grad, 1.0)
+
+    def test_backward_frees_saved_arrays(self):
+        with ad.Tape() as tape:
+            x = ad.parameter([1.0, -2.0, 3.0])
+            hidden = ad.relu(x)
+            saved = weakref.ref(hidden.data)  # the array relu's gradient keeps
+            loss = ad.sum_all(ad.hadamard(hidden, hidden))
+            del hidden
+        tape.backward(loss)
+        assert saved() is None
+        assert len(tape) == 0
+        assert np.array_equal(x.grad, [2.0, 0.0, 6.0])
+
+    def test_second_backward_rejected(self):
+        with ad.Tape() as tape:
+            x = ad.parameter([2.0])
+            loss = ad.sum_all(ad.scale(x, 2.0))
+        tape.backward(loss)
+        with pytest.raises(ContractError, match="^backward: "):
+            tape.backward(loss)
+        assert np.array_equal(x.grad, [2.0])
 
     def test_backward_linearity(self):
         rng = np.random.default_rng(10)

@@ -133,13 +133,16 @@ class TestParser:
         code, _ = run_cli(["encode", "--out", "x.fhc1"])
         assert code == 2
 
-    def test_nonpositive_topk_exits_2(self, workspace):
+    def test_nonpositive_topk_exits_2(self, workspace, monkeypatch):
+        encoded = []
+        monkeypatch.setattr(cli_module, "encode_images", lambda *args: encoded.append(args))
         code, _ = run_cli([
             "query", "--checkpoint", workspace["checkpoint"],
             "--codes", workspace["codes"], "--queries", workspace["data"],
             "--topk", "0",
         ])
         assert code == 2
+        assert encoded == []  # rejected before any query image is encoded
 
     @pytest.mark.parametrize("ks", ["1,x", "0"])
     def test_bad_ks_exits_2(self, workspace, ks):
@@ -513,12 +516,24 @@ class TestQuery:
                 got = [int(row[2]) for row in rows if int(row[0]) == i]
                 assert got == expected.tolist() == full[:4].tolist()
 
-    def test_topn_below_topk_exits_2(self, workspace, caplog):
+    def test_topn_below_topk_exits_2(self, workspace, caplog, monkeypatch):
+        encoded = []
+        monkeypatch.setattr(cli_module, "encode_images", lambda *args: encoded.append(args))
         code, stdout = run_cli(self.query_args(
             workspace, ["--topk", "5", "--topn", "3", "--features", workspace["features"]]))
         assert code == 2
         assert stdout == ""
         assert "--topn 3 is below --topk 5" in caplog.text
+        assert encoded == []  # rejected before any query image is encoded
+
+    def test_topk_above_database_exits_2(self, workspace, caplog, monkeypatch):
+        encoded = []
+        monkeypatch.setattr(cli_module, "encode_images", lambda *args: encoded.append(args))
+        code, stdout = run_cli(self.query_args(workspace, ["--topk", "1000"]))
+        assert code == 2
+        assert stdout == ""
+        assert "--topk 1000 outside [1, " in caplog.text
+        assert encoded == []
 
     def test_no_features_skips_rerank(self, workspace):
         code, stdout = run_cli(self.query_args(workspace, ["--topk", "3", "--topn", "9"]))
