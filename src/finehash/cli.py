@@ -54,6 +54,8 @@ CHECKPOINT_NAME = "model.fht1"
 CODES_NAME = "db.fhc1"
 FEATURES_NAME = "db.fhf1"
 LABELS_NAME = "db_labels.csv"
+# queries that the logged tail percentile of query latency must have beyond it
+TAIL_SAMPLES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +188,14 @@ def cmd_encode(args: argparse.Namespace) -> int:
             f"encode: checkpoint stores {stored_bits}-bit codes, --bits asked for {args.bits}"
         )
     dataset = load_manifest(_manifest_path(args.manifest))
+    started = time.perf_counter()
     codes, descriptors = encode_images(state.params, _select_images(dataset, args.split))
+    seconds = time.perf_counter() - started
     save_packed(args.out, pack_codes(codes))
     if args.features:
         save_features(args.features, descriptors)
-    LOG.info("encoded %d images at %d bits", len(codes), stored_bits)
+    LOG.info("encoded %d images at %d bits in %.3f s (%.1f images/s)", len(codes),
+             stored_bits, seconds, len(codes) / seconds if len(codes) else 0.0)
     print(args.out)
     return 0
 
@@ -257,10 +262,15 @@ def cmd_query(args: argparse.Namespace) -> int:
         for rank, item in enumerate(order):
             writer.writerow([query_id, rank, int(item)])
     LOG.info("ranked %d queries against %d items", len(codes), len(index))
-    if latencies_ms:
-        p50, p99 = np.percentile(latencies_ms, [50, 99])
-        LOG.info("search latency over %d queries: p50=%.3f ms p99=%.3f ms",
-                 len(latencies_ms), p50, p99)
+    count = len(latencies_ms)
+    if count:
+        summary = f"search latency over {count} queries: p50={np.median(latencies_ms):.3f} ms"
+        if count >= 4 * TAIL_SAMPLES:
+            # the highest whole percentile, at most p99, with TAIL_SAMPLES
+            # queries beyond it; below 40 queries no percentile is a tail
+            tail = min(99, 100 - -(-100 * TAIL_SAMPLES // count))
+            summary += f" p{tail}={np.percentile(latencies_ms, tail):.3f} ms"
+        LOG.info(summary)
     return 0
 
 

@@ -16,8 +16,12 @@ Ties are broken by database id in both passes.  The distances, integers in
 [0, bits], are summed one word column at a time into uint8 (uint16 above
 255 bits), over blocks of 64k rows that reuse one XOR buffer, so the
 temporaries stay in cache.  The full ranking radix-sorts them with a stable
-sort; the shortlist sorts only the items within the smallest distance t
-that holds at least topn, which gives exactly the head of the full order.
+sort.  Above 16k items the shortlist finds the smallest distance t that
+holds at least topn items, estimated from a sample of the distances and
+checked in one counting pass; it sorts only the items closer than t, fewer
+than topn, and appends the first ids at t in id order, which gives exactly
+the head of the full order without sorting the items tied at t.  A smaller
+key is sorted whole.
 
 Evaluation scores each full ranking from the positions of its relevant
 items alone: it gathers the query's label mask through the ranking, takes
@@ -31,7 +35,6 @@ summed in query order, so the result is the same bit for bit.
 from __future__ import annotations
 
 import csv
-import itertools
 import logging
 import os
 import struct
@@ -175,19 +178,38 @@ def _distance_key(packed: PackedCodes, query_words: np.ndarray) -> np.ndarray:
     return key
 
 
+# entries of the distance key sampled to estimate the shortlist threshold.
+# A key no longer than this is sorted whole: up to that length one radix
+# sort costs no more than the counting calls (on 2 vCPUs, 2.7 against
+# 13.7 us at 400 items, about even at 16k)
+_SHORTLIST_SAMPLE = 1 << 14
+
+
 def _shortlist(key: np.ndarray, topn: int) -> np.ndarray:
     """The first min(topn, n) ids of the (distance, id) order of key.
 
-    Only the items within the smallest distance t that holds at least that
-    many are sorted; the stable sort keeps ties in id order.
+    Above _SHORTLIST_SAMPLE entries, a strided sample of the key, counted
+    exactly, estimates the smallest distance t that holds that many items;
+    one pass over the key takes the items within t, and steps t up only if
+    they fall short.  The exact threshold comes from the candidates' own
+    distances: only the candidates below it, fewer than topn, are sorted,
+    and the first ids needed at it follow in id order.  A shorter key is
+    stable-sorted whole.
     """
     size = min(topn, len(key))
-    for t in itertools.count():  # ends by t = key.max(), where every item is within
-        within = key <= t
-        if np.count_nonzero(within) >= size:
-            break
-    ids = np.flatnonzero(within)
-    return ids[np.argsort(key[ids], kind="stable")[:size]]
+    if len(key) <= _SHORTLIST_SAMPLE:
+        return np.argsort(key, kind="stable")[:size]
+    counts = np.cumsum(np.bincount(key[::-(-len(key) // _SHORTLIST_SAMPLE)]))
+    t = int(np.searchsorted(counts, size * counts[-1] / len(key)))
+    ids = np.flatnonzero(key <= t)
+    while len(ids) < size:  # the estimate fell short
+        t += 1
+        ids = np.flatnonzero(key <= t)
+    near = key[ids]
+    t = int(np.searchsorted(np.cumsum(np.bincount(near)), size))
+    below = np.flatnonzero(near < t)
+    below = below[np.argsort(near[below], kind="stable")]
+    return ids[np.concatenate([below, np.flatnonzero(near == t)[:size - len(below)]])]
 
 
 def _query_key(packed: PackedCodes, query_code: np.ndarray) -> np.ndarray:

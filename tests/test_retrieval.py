@@ -24,6 +24,7 @@ from finehash.retrieval import (
     RetrievalIndex,
     _PACK_BLOCK,
     _SCAN_BLOCK,
+    _SHORTLIST_SAMPLE,
     _distance_key,
     bench_scan,
     coarse_rank,
@@ -282,13 +283,137 @@ class TestRadixKey:
             assert np.array_equal(order, np.lexsort((np.arange(len(db)), dists)))
 
 
+def codes_at(dists, bits):
+    """Codes at the given Hamming distances from the all-+1 query: row i
+    has its first dists[i] entries at -1."""
+    flipped = np.arange(bits) < np.asarray(dists)[:, None]
+    return 1 - 2 * flipped.astype(np.int8)
+
+
 class TestShortlist:
-    """A re-ranked search sorts only the items within its distance
-    threshold; it must return exactly the head of the full ranking."""
+    """A search with topn must return exactly the head of the full ranking;
+    above _SHORTLIST_SAMPLE items it sorts fewer than topn of them."""
 
     @staticmethod
     def full_head(packed, features, query, query_feature, topn):
         return rerank(coarse_rank(packed, query), features, query_feature, topn)[:topn]
+
+    @staticmethod
+    def assert_heads(index, query, query_feature, topns):
+        """Hamming-only and re-ranked searches against the full ranking."""
+        order = coarse_rank(index.packed, query)
+        for topn in topns:
+            head = order[:topn]
+            assert np.array_equal(index.search(query, topn=topn), head)
+            assert np.array_equal(index.search(query, query_feature, topn),
+                                  rerank(head, index.features, query_feature, topn))
+
+    @staticmethod
+    def full_passes(monkeypatch, index, query, topn):
+        """The search's passes over the whole distance key, as flatnonzero
+        calls on n entries."""
+        calls = []
+        flatnonzero = np.flatnonzero
+
+        def recording(a):
+            calls.append(np.size(a))
+            return flatnonzero(a)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "flatnonzero", recording)
+            index.search(query, topn=topn)
+        return calls.count(len(index))
+
+    def test_class_structured_database(self):
+        # 16 class centres with 10% bit flips, like learned codes: each
+        # query has thousands of same-class items at small distances
+        rng = np.random.default_rng(23)
+        n, bits = 100_000, 32
+        centres = np.where(rng.random((16, bits)) < 0.5, -1, 1).astype(np.int8)
+        labels = rng.integers(0, 16, n + 4)
+        codes = centres[labels] * np.where(rng.random((n + 4, bits)) < 0.1, -1, 1).astype(np.int8)
+        features = rng.normal(size=(n, 4)).astype(np.float32)
+        index = RetrievalIndex(pack_codes(codes[:n]), features=features)
+        for query in codes[n:]:
+            self.assert_heads(index, query, rng.normal(size=4).astype(np.float32),
+                              (1, 10, 100, 1000))
+
+    def test_short_estimate_steps_up(self, monkeypatch):
+        # the sample holds every close item, so it overstates how many lie
+        # near: the estimate (t = 0) holds 30 of 100, and t steps up to 3
+        rng = np.random.default_rng(1)
+        n = 100_000
+        step = -(-n // _SHORTLIST_SAMPLE)
+        dists = rng.integers(10, 33, n)
+        dists[np.arange(120) * step] = np.repeat([0, 1, 2, 3], 30)
+        index = RetrievalIndex(pack_codes(codes_at(dists, 32)),
+                               features=rng.normal(size=(n, 3)).astype(np.float32))
+        query = np.ones(32)
+        self.assert_heads(index, query, np.zeros(3, dtype=np.float32), (1, 30, 31, 100, 120))
+        assert self.full_passes(monkeypatch, index, query, 100) == 4
+
+    def test_overshooting_estimate_is_exact(self, monkeypatch):
+        # every close item lies between the sampled positions, so the
+        # estimate lands among the far items and takes in far more than topn
+        rng = np.random.default_rng(2)
+        n = 100_000
+        step = -(-n // _SHORTLIST_SAMPLE)
+        dists = rng.integers(4, 33, n)
+        close = np.flatnonzero(np.arange(n) % step)[:: 97][:300]
+        dists[close] = rng.integers(0, 3, len(close))
+        index = RetrievalIndex(pack_codes(codes_at(dists, 32)),
+                               features=rng.normal(size=(n, 3)).astype(np.float32))
+        query = np.ones(32)
+        self.assert_heads(index, query, np.zeros(3, dtype=np.float32), (1, 100, 299, 300, 301))
+        assert self.full_passes(monkeypatch, index, query, 100) == 1
+
+    def test_tied_class_is_never_sorted(self, monkeypatch):
+        # a class of 65k items shares one code at the threshold distance 3:
+        # only the 40 items below it are sorted
+        rng = np.random.default_rng(3)
+        n, topn = 100_000, 100
+        dists = rng.integers(6, 33, n)
+        dists[rng.choice(n, 65_040, replace=False)] = np.repeat([0, 1, 3], [20, 20, 65_000])
+        features = rng.normal(size=(n, 3)).astype(np.float32)
+        index = RetrievalIndex(pack_codes(codes_at(dists, 32)), features=features)
+        query, query_feature = np.ones(32), np.zeros(3, dtype=np.float32)
+        head = coarse_rank(index.packed, query)[:topn]
+        expected = rerank(head, features, query_feature, topn)
+        sorted_sizes = []
+        argsort = np.argsort
+
+        def recording(a, *args, **kwargs):
+            sorted_sizes.append(np.size(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording)
+        assert np.array_equal(index.search(query, topn=topn), head)
+        assert np.array_equal(index.search(query, query_feature, topn), expected)
+        assert sorted_sizes and max(sorted_sizes) < topn
+
+    def test_300_bit_codes(self):
+        # distances up to 300 give a uint16 key; a tie group of 5,000 sits
+        # at distance 150
+        rng = np.random.default_rng(4)
+        n, bits = 40_000, 300
+        dists = rng.integers(0, bits + 1, n)
+        dists[rng.choice(n, 5_000, replace=False)] = 150
+        index = RetrievalIndex(pack_codes(codes_at(dists, bits)),
+                               features=rng.normal(size=(n, 3)).astype(np.float32))
+        query = np.ones(bits)
+        assert _distance_key(index.packed, pack_codes(query[None, :]).words[0]).dtype == np.uint16
+        self.assert_heads(index, query, np.zeros(3, dtype=np.float32), (1, 100, 10_000, 25_000))
+
+    def test_topn_edges_above_sample(self):
+        rng = np.random.default_rng(5)
+        n = _SHORTLIST_SAMPLE + 1_000
+        pool = random_codes(rng, 5, 16)
+        codes = pool[rng.integers(0, 5, n)] * np.where(rng.random((n, 16)) < 0.05, -1, 1)
+        index = RetrievalIndex(pack_codes(codes),
+                               features=rng.normal(size=(n, 3)).astype(np.float32))
+        for query in pool[:2]:
+            self.assert_heads(index, query, rng.normal(size=3).astype(np.float32),
+                              (0, 1, n - 1, n, n + 5))
 
     @pytest.mark.parametrize("bits", [8, 16, 32, 64, 65, 256, 300])
     def test_equals_head_of_full_ranking(self, bits):
