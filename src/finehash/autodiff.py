@@ -38,10 +38,10 @@ from .errors import ContractError, DimensionError, DomainError, NumericError
 
 _GradFn = Callable[[np.ndarray], np.ndarray]
 
-# rows per block of conv2d's forward product: bounds the im2col columns a
-# block copies (4.7 MB for the default model's widest conv in float32) and
-# keeps each product small enough that a map's result does not depend on the
-# maps stacked with it (see conv2d)
+# rows per block of conv2d's forward product, and of gated_conv2d's output
+# both ways: bounds the im2col columns a block copies (4.7 MB for the default
+# model's widest conv in float32) and keeps each product small enough that a
+# map's result does not depend on the maps stacked with it (see conv2d)
 _CONV_BLOCK_ROWS = 4096
 
 
@@ -428,6 +428,22 @@ def avg_pool2(a: Tensor, factor: int = 2) -> Tensor:
     return _result("avg_pool2", data, [(a, back)])
 
 
+def _check_conv(op: str, x: Tensor, kernels: Tensor, bias: Tensor) -> None:
+    """Shape checks shared by the convolutions: maps [..., H, W, Cin], an
+    odd-sized bank [kh, kw, Cin, Cout] and a bias [Cout]."""
+    if x.data.ndim < 3:
+        raise DimensionError(f"{op}: input of rank >= 3 required, got shape {x.shape}")
+    if kernels.data.ndim != 4:
+        raise DimensionError(f"{op}: rank-4 kernels required, got shape {kernels.shape}")
+    k_h, k_w, k_cin, c_out = kernels.shape
+    if k_h % 2 == 0 or k_w % 2 == 0:
+        raise DimensionError(f"{op}: kernel extents {k_h}x{k_w} must be odd")
+    if k_cin != x.shape[-1]:
+        raise DimensionError(f"{op}: input has {x.shape[-1]} channels, kernels expect {k_cin}")
+    if bias.shape != (c_out,):
+        raise DimensionError(f"{op}: bias of shape {bias.shape} for {c_out} output channels")
+
+
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Same-padding stride-1 2-D convolution (ML convention, no kernel flip)
     plus a per-channel bias.
@@ -453,18 +469,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         64 to 4,096 rows; with blocks of 8,192 rows or more, the 1x1
         attention conv from 32 to 4 channels differed by up to 5e-7.
     """
-    if x.data.ndim < 3:
-        raise DimensionError(f"conv2d: input of rank >= 3 required, got shape {x.shape}")
-    if kernels.data.ndim != 4:
-        raise DimensionError(f"conv2d: rank-4 kernels required, got shape {kernels.shape}")
+    _check_conv("conv2d", x, kernels, bias)
     *lead, height, width, c_in = x.shape
-    k_h, k_w, k_cin, c_out = kernels.shape
-    if k_h % 2 == 0 or k_w % 2 == 0:
-        raise DimensionError(f"conv2d: kernel extents {k_h}x{k_w} must be odd")
-    if k_cin != c_in:
-        raise DimensionError(f"conv2d: input has {c_in} channels, kernels expect {k_cin}")
-    if bias.shape != (c_out,):
-        raise DimensionError(f"conv2d: bias of shape {bias.shape} for {c_out} output channels")
+    k_h, k_w, _, c_out = kernels.shape
     pad_h, pad_w = k_h // 2, k_w // 2
     k_data = kernels.data
     dtype = np.result_type(x.data, k_data)
@@ -515,4 +522,128 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         "conv2d",
         out.reshape(*lead, height, width, c_out),
         [(x, back_x), (kernels, back_k), (bias, lambda g: g.reshape(-1, c_out).sum(axis=0))],
+    )
+
+
+def gated_conv2d(x: Tensor, maps: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """:func:`conv2d` of every gated copy of the input maps,
+    ``conv2d(maps[..., None] * x[..., None, :, :, :], kernels, bias)``,
+    computed without forming the gated stack or its columns.
+
+    Args:
+        x: input maps [..., H, W, Cin].
+        maps: gates [..., P, H, W], P of them per input map.
+        kernels, bias: as for :func:`conv2d`.
+
+    Returns:
+        Tensor [..., P, H, W, Cout].  A gate is one scalar per position, so it
+        commutes with the channel-mixing product: over the padded input X and
+        padded gates A, output (p, i, j) is the bias plus the sum over the taps
+        (di, dj) of ``A[p, i + di, j + dj] * (X[i + di, j + dj] @ K[di, dj])``.
+        The forward pass makes one product of the padded input with the bank
+        laid out as [Cin, kh * kw * Cout], giving every tap's product at every
+        padded position; one strided view reads each tap's product back at the
+        position it reads, and one [P, kh * kw] @ [kh * kw, Cout] product per
+        position, with the gates' im2col, sums the taps.  It runs one block of
+        whole maps at a time, each block at most ``_CONV_BLOCK_ROWS`` output
+        rows (maps x parts x positions) or one map, so a map's result does not
+        depend on the maps stacked with it.  Backward runs in the same blocks:
+        it recomputes the tap products rather than keep them, makes the
+        transposed batched products for the gates (scattered back one tap at
+        a time) and for the tap products, and one product each over the
+        block's padded input for x and the kernels, whose gradient sums the
+        blocks.  The sums run in another order than :func:`conv2d` of the
+        gated stack, so float32 results differ from it by rounding, about 1e-7
+        relative.
+    """
+    _check_conv("gated_conv2d", x, kernels, bias)
+    *lead, height, width, c_in = x.shape
+    if maps.data.ndim != x.data.ndim or maps.shape[:-3] + maps.shape[-2:] != x.shape[:-1]:
+        raise DimensionError(
+            f"gated_conv2d: gates [..., P, H, W] required for input {x.shape}, got {maps.shape}"
+        )
+    parts = maps.shape[-3]
+    k_h, k_w, _, c_out = kernels.shape
+    taps, count = k_h * k_w, math.prod(lead)
+    pad_h, pad_w = k_h // 2, k_w // 2
+    dtype = np.result_type(x.data, maps.data, kernels.data)
+    padded = np.zeros((count, height + k_h - 1, width + k_w - 1, c_in), dtype=dtype)
+    padded[:, pad_h : pad_h + height, pad_w : pad_w + width] = x.data.reshape(
+        count, height, width, c_in)
+    gates = np.zeros((count, parts, *padded.shape[1:3]), dtype=dtype)
+    gates[..., pad_h : pad_h + height, pad_w : pad_w + width] = maps.data.reshape(
+        count, parts, height, width)
+    bank = np.moveaxis(kernels.data, 2, 0).reshape(c_in, taps * c_out).astype(dtype, copy=False)
+    step = max(1, _CONV_BLOCK_ROWS // (parts * height * width))  # maps per block
+    blocks = [slice(start, start + step) for start in range(0, count, step)]
+
+    def tap_view(products: np.ndarray) -> np.ndarray:
+        # [m, H, W, kh, kw, Cout] view of [m, H + kh - 1, W + kw - 1, kh, kw,
+        # Cout]: each tap's product at the position that tap reads
+        lead_stride, row, col, tap_i, tap_j, chan = products.strides
+        return np.lib.stride_tricks.as_strided(
+            products, (len(products), height, width, k_h, k_w, c_out),
+            (lead_stride, row, col, row + tap_i, col + tap_j, chan))
+
+    def tap_products(block: slice) -> np.ndarray:  # [m, H, W, kh * kw, Cout]
+        products = padded[block].reshape(-1, c_in) @ bank
+        return tap_view(products.reshape(-1, *padded.shape[1:3], k_h, k_w, c_out)).reshape(
+            -1, height, width, taps, c_out)
+
+    def gate_columns(block: slice) -> np.ndarray:  # the gates' im2col [m, H, W, P, kh * kw]
+        block_gates = gates[block]
+        lead_stride, part, row, col = block_gates.strides
+        return np.lib.stride_tricks.as_strided(
+            block_gates, (len(block_gates), height, width, parts, k_h, k_w),
+            (lead_stride, row, col, part, row, col), writeable=False,
+        ).reshape(-1, height, width, parts, taps)
+
+    out = np.empty((count, parts, height, width, c_out), dtype=dtype)
+    for block in blocks:
+        np.matmul(gate_columns(block), tap_products(block), out=np.moveaxis(out[block], 1, 3))
+    out = out.astype(np.result_type(dtype, bias.data), copy=False)
+    out += bias.data
+
+    memo: list = []  # [g, (grad x, grad maps, grad kernels)], formed together
+
+    def grads(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if memo and memo[0] is g:
+            return memo[1]
+        grad_x = np.empty_like(padded)
+        grad_gates = np.zeros_like(gates)
+        grad_k = np.zeros((c_in, taps * c_out), dtype=dtype)
+        g_parts = g.reshape(count, parts, height, width, c_out)
+        for block in blocks:
+            g_block = np.moveaxis(g_parts[block], 1, 3)  # [m, H, W, P, Cout]
+            grad_columns = g_block @ np.swapaxes(tap_products(block), -1, -2)
+            for tap in range(taps):
+                off_i, off_j = divmod(tap, k_w)
+                grad_gates[block, :, off_i : off_i + height, off_j : off_j + width] += (
+                    np.moveaxis(grad_columns[..., tap], 3, 1))
+            # each tap's gradient lands at the position its product was read
+            # from, so one view takes them all, with no position written twice
+            grad_products = np.zeros((len(g_block), *padded.shape[1:3], k_h, k_w, c_out),
+                                     dtype=dtype)
+            tap_view(grad_products)[...] = (
+                np.swapaxes(gate_columns(block), -1, -2) @ g_block
+            ).reshape(-1, height, width, k_h, k_w, c_out)
+            flat = grad_products.reshape(-1, taps * c_out)
+            grad_x[block] = (flat @ bank.T).reshape(-1, *padded.shape[1:])
+            grad_k += padded[block].reshape(-1, c_in).T @ flat
+        memo[:] = [g, (
+            grad_x[:, pad_h : pad_h + height, pad_w : pad_w + width].reshape(x.shape),
+            grad_gates[..., pad_h : pad_h + height, pad_w : pad_w + width].reshape(maps.shape),
+            np.moveaxis(grad_k.reshape(c_in, k_h, k_w, c_out), 0, 2),
+        )]
+        return memo[1]
+
+    return _result(
+        "gated_conv2d",
+        out.reshape(*lead, parts, height, width, c_out),
+        [
+            (x, lambda g: grads(g)[0]),
+            (maps, lambda g: grads(g)[1]),
+            (kernels, lambda g: grads(g)[2]),
+            (bias, lambda g: g.reshape(-1, c_out).sum(axis=0)),
+        ],
     )

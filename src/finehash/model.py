@@ -6,13 +6,16 @@ head scores one spatial map per part, each attention map gates the base
 features which are then refined into a compact part vector, and a final
 linear hash layer turns the concatenated part and global vectors into a
 code.  Every stage takes a stack of images ``[..., side, side, C]`` and runs
-on the whole stack at once, with one op call per stage, on the autodiff tape
-so the trainer can differentiate straight through them.  An image's result
+on the whole stack at once, each of its ops called once for every image and
+part, on the autodiff tape so the trainer can differentiate straight through
+them.  Gating and refining all parts is one ``autodiff.gated_conv2d`` call
+over the base map, which never forms the gated copies.  An image's result
 is bit-equal to its one-image result only as far as the BLAS keeps each
-product's rows apart; ``autodiff.conv2d`` multiplies in blocks of whole maps
-for that reason.  Measured on OpenBLAS 0.3.31 (Haswell kernels, one thread),
-the float32 descriptors of 400 images encoded in one stack equal their
-one-image results.
+product's rows apart; ``autodiff.conv2d`` and ``autodiff.gated_conv2d``
+multiply in blocks of whole maps for that reason.  Measured on OpenBLAS
+0.3.31 (Haswell kernels, one thread), the float32 descriptors of 400 images
+encoded in one stack equal their one-image results, at the initial weights
+and after one training iteration.
 """
 
 from __future__ import annotations
@@ -207,28 +210,20 @@ def attention_maps(params: ModelParams, feature_map: ad.Tensor) -> ad.Tensor:
     return ad.moveaxis(ad.sigmoid(scores), -1, -3)
 
 
-def attend(feature_map: ad.Tensor, attention: ad.Tensor) -> ad.Tensor:
-    """Gate every channel fiber of feature maps [..., H, W, C] by maps [..., H, W].
+def local_refine(params: ModelParams, feature_map: ad.Tensor,
+                 attention: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+    """Gate feature maps [..., h, w, C] by the attention maps [..., P, h, w]
+    of all parts and refine each gated map into a spatial tensor and its
+    pooled vector.
 
-    The leading axes broadcast, so maps [..., P, H, W] gate features
-    [..., 1, H, W, C] into one attended tensor per part.
-    """
-    if feature_map.data.ndim < 3 or attention.shape[-2:] != feature_map.shape[-3:-1]:
-        raise DimensionError(
-            f"attend: need maps [..., H, W] and tensors [..., H, W, C], got "
-            f"{attention.shape} and {feature_map.shape}"
-        )
-    return ad.hadamard(ad.reshape(attention, (*attention.shape, 1)), feature_map)
-
-
-def local_refine(params: ModelParams, attended: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-    """Refine attended maps into spatial tensors and their pooled vectors.
-
-    The refinement weights are shared across parts, so refining part j can
-    never touch the features of any other part.
+    Gating and the refinement conv are one ``ad.gated_conv2d`` call over the
+    ungated feature maps.  The refinement weights are shared across parts,
+    and a part's gate touches only that part, so refining part j can never
+    touch the features of any other part.
     """
     refined = ad.avg_pool2(
-        ad.relu(ad.conv2d(attended, params.local_kernel, params.local_bias)), REFINE_POOL
+        ad.relu(ad.gated_conv2d(feature_map, attention, params.local_kernel, params.local_bias)),
+        REFINE_POOL,
     )
     return refined, ad.global_avg_pool(refined)
 
@@ -243,10 +238,10 @@ def global_refine(params: ModelParams, feature_map: ad.Tensor) -> ad.Tensor:
 
 def forward_features(params: ModelParams, images: np.ndarray) -> RefinedFeatures:
     """Full feature pipeline for images [..., side, side, C]: backbone,
-    attention and refinement, with all parts attended and refined at once."""
+    attention, and the local and global refinements, each over the base map
+    of the whole stack; all parts are gated and refined in one op call."""
     base = backbone_forward(params, images)
-    per_part = ad.reshape(base, (*base.shape[:-3], 1, *base.shape[-3:]))
-    part_maps, part_vecs = local_refine(params, attend(per_part, attention_maps(params, base)))
+    part_maps, part_vecs = local_refine(params, base, attention_maps(params, base))
     return RefinedFeatures(part_maps, part_vecs, global_refine(params, base))
 
 

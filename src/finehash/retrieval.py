@@ -105,6 +105,18 @@ class PackedCodes:
         return self.words.shape[0]
 
 
+def _require_code_dtype(codes: np.ndarray) -> None:
+    if codes.dtype.kind not in "if":
+        raise DomainError(
+            f"pack_codes: codes dtype {codes.dtype}, expected signed integers or real floats"
+        )
+
+
+def _require_pm1(codes: np.ndarray) -> None:
+    if not np.all((codes == 1) | (codes == -1)):
+        raise DomainError("pack_codes: entries must be +/-1")
+
+
 # +/-1 entries per block of pack_codes: the block's bool temporaries stay
 # in cache between the check and the packing
 _PACK_BLOCK = 1 << 17
@@ -123,10 +135,7 @@ def pack_codes(codes: np.ndarray) -> PackedCodes:
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[1] < 1:
         raise DimensionError(f"pack_codes: codes shape {codes.shape}, expected [n, bits]")
-    if codes.dtype.kind not in "if":
-        raise DomainError(
-            f"pack_codes: codes dtype {codes.dtype}, expected signed integers or real floats"
-        )
+    _require_code_dtype(codes)
     count, bits = codes.shape
     dtype = _word_dtype(bits)
     rows = np.zeros((count, _words_per_code(bits) * dtype.itemsize), dtype=np.uint8)
@@ -137,8 +146,7 @@ def pack_codes(codes: np.ndarray) -> PackedCodes:
     signs = np.zeros((min(count, step), 8 * used), dtype=bool)
     for start in range(0, count, step):
         block = codes[start:start + step]
-        if not np.all((block == 1) | (block == -1)):
-            raise DomainError("pack_codes: entries must be +/-1")
+        _require_pm1(block)
         flags = signs[:len(block)]
         np.greater(block, 0, out=flags[:, :bits])
         rows[start:start + step, :used] = np.packbits(flags, bitorder="little").reshape(-1, used)
@@ -212,14 +220,25 @@ def _shortlist(key: np.ndarray, topn: int) -> np.ndarray:
     return ids[np.concatenate([below, np.flatnonzero(near == t)[:size - len(below)]])]
 
 
-def _query_key(packed: PackedCodes, query_code: np.ndarray) -> np.ndarray:
-    """The distance key of one +/-1 query code against the database."""
+def _query_words(packed: PackedCodes, query_code: np.ndarray) -> np.ndarray:
+    """One +/-1 query code of the database's width, checked as pack_codes
+    checks a row and packed on its own into the words pack_codes gives it."""
     query_code = np.asarray(query_code)
     if query_code.shape != (packed.bits,):
         raise DimensionError(
             f"query code shape {query_code.shape}, expected ({packed.bits},)"
         )
-    return _distance_key(packed, pack_codes(query_code[None, :]).words[0])
+    _require_code_dtype(query_code)
+    _require_pm1(query_code)
+    row = np.zeros(packed.words.shape[1], dtype=packed.words.dtype)
+    flags = np.packbits(query_code > 0, bitorder="little")
+    row.view(np.uint8)[:len(flags)] = flags
+    return row
+
+
+def _query_key(packed: PackedCodes, query_code: np.ndarray) -> np.ndarray:
+    """The distance key of one +/-1 query code against the database."""
+    return _distance_key(packed, _query_words(packed, query_code))
 
 
 def coarse_rank(packed: PackedCodes, query_code: np.ndarray) -> np.ndarray:

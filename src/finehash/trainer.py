@@ -45,9 +45,9 @@ logger = logging.getLogger(__name__)
 
 # images per forward pass of encode_images: bounds the memory that encoding
 # the training database takes.  The serve path relies on a stack encoding
-# bit-equal to one image at a time (see autodiff.conv2d, measured for stacks
-# of up to 400 images): query encodes one image and compares it with
-# database descriptors train encoded 8 at a time
+# bit-equal to one image at a time (see autodiff.conv2d and gated_conv2d,
+# measured for stacks of up to 400 images): query encodes one image and
+# compares it with database descriptors train encoded 8 at a time
 ENCODE_CHUNK = 8
 
 

@@ -143,6 +143,10 @@ def _op_cases(rng):
                                              rng.standard_normal((4, 4, 3))]),
         ("matmul_broadcast", ad.matmul, [rng.standard_normal((3, 4)),
                                          rng.standard_normal((2, 4, 2))]),
+        ("gated_conv2d", ad.gated_conv2d, [rng.standard_normal((2, 4, 4, 2)),
+                                           rng.uniform(size=(2, 3, 4, 4)),
+                                           rng.standard_normal((3, 3, 2, 3)) * 0.5,
+                                           rng.standard_normal(3)]),
     ]
 
 

@@ -243,6 +243,97 @@ class TestConv2dAgainstNaiveLoop:
             assert scaled_error(got, want) <= 1e-5
 
 
+def gated_stack_conv2d(x, maps, kernels, bias):
+    """The composition gated_conv2d replaces: the gated stack, then conv2d."""
+    stack = ad.reshape(x, (*x.shape[:-3], 1, *x.shape[-3:]))
+    return ad.conv2d(ad.hadamard(ad.reshape(maps, (*maps.shape, 1)), stack), kernels, bias)
+
+
+def with_grads(op, arrays, weights):
+    """An op's values and the gradients of sum(out * weights) for every input."""
+    with ad.Tape() as tape:
+        leaves = [ad.parameter(a) for a in arrays]
+        out = op(*leaves)
+        loss = ad.sum_all(ad.hadamard(out, ad.tensor(weights)))
+    tape.backward(loss)
+    return (out.data, *(leaf.grad for leaf in leaves))
+
+
+class TestGatedConv2d:
+    """gated_conv2d against the gated stack's conv2d, which it replaces."""
+
+    KERNELS = [(1, 1), (3, 3), (3, 5)]
+
+    @staticmethod
+    def _case(k_h, k_w):
+        rng = np.random.default_rng(100 * k_h + k_w)
+        x = rng.standard_normal((2, 3, 6, 7, 3))  # stacked leading axes, H != W
+        maps = rng.uniform(size=(2, 3, 4, 6, 7))
+        kernels = rng.standard_normal((k_h, k_w, 3, 5))
+        bias = rng.standard_normal(5)
+        weights = rng.standard_normal((2, 3, 4, 6, 7, 5))
+        return [x, maps, kernels, bias], weights
+
+    @pytest.mark.parametrize("k_h,k_w", KERNELS)
+    def test_float64_matches_gated_stack_conv(self, k_h, k_w):
+        arrays, weights = self._case(k_h, k_w)
+        expected = with_grads(gated_stack_conv2d, arrays, weights)
+        got = with_grads(ad.gated_conv2d, arrays, weights)
+        for value, want in zip(got, expected, strict=True):
+            assert value.dtype == np.float64 and value.shape == want.shape
+            assert scaled_error(value, want) <= 1e-12
+
+    @pytest.mark.parametrize("k_h,k_w", KERNELS)
+    def test_float32_within_stated_tolerance(self, k_h, k_w):
+        arrays, weights = self._case(k_h, k_w)
+        expected = with_grads(gated_stack_conv2d, arrays, weights)
+        got = with_grads(ad.gated_conv2d, [a.astype(np.float32) for a in arrays],
+                         weights.astype(np.float32))
+        for value, want in zip(got, expected, strict=True):
+            assert value.dtype == np.float32
+            assert scaled_error(value, want) <= 1e-5
+
+    @pytest.mark.parametrize("side", [8, 33])  # 16 maps a block; one map a block
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_several_blocks_and_remainder_equal_one_map_calls(self, dtype, side):
+        rng = np.random.default_rng(side)
+        count = 2 * max(1, ad._CONV_BLOCK_ROWS // (4 * side * side)) + 3
+        x = rng.standard_normal((count, side, side, 3)).astype(dtype)
+        maps = rng.uniform(size=(count, 4, side, side)).astype(dtype)
+        kernels = ad.tensor(rng.standard_normal((3, 3, 3, 5)).astype(dtype))
+        bias = ad.tensor(rng.standard_normal(5).astype(dtype))
+        out = ad.gated_conv2d(ad.tensor(x), ad.tensor(maps), kernels, bias).data
+        singles = [ad.gated_conv2d(ad.tensor(x[i]), ad.tensor(maps[i]), kernels, bias).data
+                   for i in range(count)]
+        assert np.array_equal(out, np.stack(singles))
+
+    @pytest.mark.parametrize("maps_shape", [(4, 6, 7), (2, 4, 7, 6), (3, 4, 6, 7), (2, 6, 7),
+                                            (2, 1, 4, 6, 7)])
+    def test_mismatched_maps_rejected(self, maps_shape):
+        with pytest.raises(DimensionError, match="^gated_conv2d: gates"):
+            ad.gated_conv2d(ad.tensor(np.ones((2, 6, 7, 3))), ad.tensor(np.ones(maps_shape)),
+                            ad.tensor(np.ones((3, 3, 3, 5))), zero_bias(5))
+
+    def test_mismatched_features_rejected(self):
+        with pytest.raises(DimensionError, match="^gated_conv2d: input of rank"):
+            ad.gated_conv2d(ad.tensor(np.ones((6, 7))), ad.tensor(np.ones((4, 6, 7))),
+                            ad.tensor(np.ones((3, 3, 7, 5))), zero_bias(5))
+
+    @pytest.mark.parametrize("kernel_shape,bias_size", [((3, 3, 2, 5), 5), ((2, 3, 3, 5), 5),
+                                                        ((3, 3, 3), 5), ((3, 3, 3, 5), 4)])
+    def test_mismatched_kernels_rejected(self, kernel_shape, bias_size):
+        with pytest.raises(DimensionError, match="^gated_conv2d: "):
+            ad.gated_conv2d(ad.tensor(np.ones((6, 7, 3))), ad.tensor(np.ones((4, 6, 7))),
+                            ad.tensor(np.ones(kernel_shape)), zero_bias(bias_size))
+
+    def test_nan_gate_raises_naming_the_op(self):
+        maps = np.ones((4, 6, 7))
+        maps[2, 3, 4] = np.nan
+        with pytest.raises(NumericError, match="^gated_conv2d: "):
+            ad.gated_conv2d(ad.tensor(np.ones((6, 7, 3))), ad.Tensor(maps),
+                            ad.tensor(np.ones((3, 3, 3, 5))), zero_bias(5))
+
+
 class TestSoftmax:
     def test_uniform_on_equal_scores(self):
         out = ad.softmax(ad.tensor(np.zeros(4)))
@@ -621,6 +712,12 @@ GRAD_CASES = [
         "concat",
         lambda rng: [rng.standard_normal(3), rng.standard_normal(2), rng.standard_normal(4)],
         lambda a, b, c: ad.concat([a, b, c]),
+    ),
+    (
+        "gated_conv2d_3x3",
+        lambda rng: [rng.standard_normal((2, 5, 6, 3)), rng.uniform(size=(2, 2, 5, 6)),
+                     rng.standard_normal((3, 3, 3, 4)), rng.standard_normal(4)],
+        lambda x, maps, k, b: ad.gated_conv2d(x, maps, k, b),
     ),
     ("reshape", lambda rng: [rng.standard_normal((3, 4))], lambda x: ad.reshape(x, (2, 6))),
     ("sum_all", lambda rng: [rng.standard_normal((2, 3))], lambda x: ad.sum_all(x)),

@@ -26,6 +26,7 @@ from finehash.retrieval import (
     _SCAN_BLOCK,
     _SHORTLIST_SAMPLE,
     _distance_key,
+    _query_words,
     bench_scan,
     coarse_rank,
     evaluate_queries,
@@ -216,6 +217,34 @@ class TestHamming:
                 index.search(np.ones(79), topn=topn)
         with pytest.raises(DimensionError):
             coarse_rank(index.packed, np.ones((1, 80)))
+
+    @pytest.mark.parametrize("bits", [1, 8, 9, 16, 17, 32, 33, 64, 65, 130])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int8, np.int64])
+    def test_one_query_packs_as_its_pack_codes_row(self, dtype, bits):
+        rng = np.random.default_rng(bits)
+        packed = pack_codes(random_codes(rng, 3, bits))
+        queries = np.concatenate([random_codes(rng, 4, bits), np.ones((1, bits)),
+                                  -np.ones((1, bits))]).astype(dtype)
+        for query in queries:
+            row = _query_words(packed, query)
+            expected = pack_codes(query[None]).words[0]
+            assert row.dtype == expected.dtype and row.shape == expected.shape
+            assert row.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("query", [
+        np.array([1.0, 0.0, -1.0]), np.array([1.0, np.nan, -1.0]),
+        np.array([1.0, -np.inf, -1.0]), np.array([1, -128, -1], dtype=np.int8),
+        np.ones(3, dtype=bool), np.ones(3, dtype=np.uint8), np.array(["1", "-1", "1"]),
+        np.array([1 + 2j, -1, 1]), np.array([1, -1, 1], dtype=object),
+    ], ids=["zero", "nan", "inf", "int8-min", "bool", "uint8", "strings", "complex", "object"])
+    def test_bad_query_raises_as_pack_codes(self, query):
+        index = RetrievalIndex(pack_codes(np.ones((2, 3))), features=np.zeros((2, 3)))
+        with pytest.raises(DomainError) as expected:
+            pack_codes(query[None])
+        for topn in (None, 1):
+            with pytest.raises(DomainError) as got:
+                index.search(query, topn=topn)
+            assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("bits", [7, 12, 24, 40, 255])
     def test_query_bits_past_code_length_rejected(self, bits):

@@ -689,9 +689,12 @@ class TestFloat32Engine:
 
     def test_default_batch_step_peak_memory(self):
         # tracemalloc peak of one 64-image exchanging step on the default
-        # architecture at 16 bits, numpy 2.4.6: 36.7 MB; 59.8 MB when backward
-        # kept the whole tape until the tape was freed, and 46.8 MB with
-        # conv2d's im2col columns formed in one piece.  The bound leaves 14%
+        # architecture at 16 bits, numpy 2.4.6: 32.3 MB, reached in the
+        # forward pass; 40.0 MB with _CONV_BLOCK_ROWS 4x larger, 36.7 MB
+        # when conv2d refined a stack of gated copies of the base map, 59.8 MB
+        # when backward kept the whole tape until the tape was freed, and
+        # 46.8 MB with conv2d's im2col columns formed in one piece.  The bound,
+        # set at 36.7 MB, leaves 30%
         config = default_run_config()
         trainer = AlternatingTrainer(generate_synthetic(config.synth),
                                      replace(config.model, bits=16),
