@@ -60,11 +60,11 @@ def active_tape() -> "Tape | None":
 
 def sign_pm1(values: np.ndarray | float) -> np.ndarray:
     """Sign with the package-wide convention sign(0) := +1."""
-    return np.where(np.asarray(values, dtype=np.float64) >= 0.0, 1.0, -1.0)
+    return np.where(np.greater_equal(values, 0.0), 1.0, -1.0)
 
 
 def _require_finite(values: np.ndarray, op: str) -> None:
-    if not np.isfinite(values).all():
+    if np.count_nonzero(np.isfinite(values)) != values.size:
         raise NumericError(f"{op}: result contains NaN or Inf")
 
 
@@ -118,8 +118,13 @@ class Tape:
     Used as a context manager around a forward pass; operations executed
     while the tape is active are recorded when any input requires a
     gradient.  Operations executed with no active tape are plain numpy
-    evaluations, which is the fast path for inference.  A tape serves one
-    :meth:`backward` call, which consumes it.
+    evaluations, which is the fast path for inference: nothing is recorded
+    and no array outlives the op, but each op still checks its inputs'
+    shapes, checks its result for NaN and Inf, wraps it in a Tensor and
+    builds the gradient closures a tape would record.  On a one-image
+    encode those fixed costs, and numpy's own per-call cost, are a large
+    share of the time.  A tape serves one :meth:`backward` call, which
+    consumes it.
     """
 
     def __init__(self):
@@ -197,11 +202,19 @@ def _rearranged(data: np.ndarray, inputs: Sequence[tuple[Tensor, _GradFn]]) -> T
     return out
 
 
-def _broadcast_check(op: str, a: Tensor, b: Tensor) -> None:
+def _broadcast(op: str, ufunc: np.ufunc, a: Tensor, b: Tensor) -> np.ndarray:
+    """``ufunc`` of the two tensors' values, broadcast like numpy."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
         raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+
+
+def _view(base: np.ndarray, shape: tuple[int, ...], strides: tuple[int, ...]) -> np.ndarray:
+    """A strided view of the C-contiguous array ``base``: ``as_strided``
+    without its wrapper's cost.  numpy rejects a view that reaches past the
+    end of ``base``."""
+    return np.ndarray(shape, base.dtype, base, 0, strides)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -220,10 +233,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise difference; the shapes broadcast at their trailing axes."""
-    _broadcast_check("sub", a, b)
     return _result(
         "sub",
-        a.data - b.data,
+        _broadcast("sub", np.subtract, a, b),
         [(a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: -_unbroadcast(g, b.shape))],
     )
 
@@ -246,10 +258,9 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     For example a map [..., H, W, 1] times a tensor [..., H, W, C] scales
     every channel fiber by the map.
     """
-    _broadcast_check("hadamard", a, b)
     return _result(
         "hadamard",
-        a.data * b.data,
+        _broadcast("hadamard", np.multiply, a, b),
         [
             (a, lambda g: _unbroadcast(g * b.data, a.shape)),
             (b, lambda g: _unbroadcast(g * a.data, b.shape)),
@@ -271,7 +282,9 @@ def tanh(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     """Elementwise logistic function, computed via tanh for stability."""
-    out_data = 0.5 * (1.0 + np.tanh(0.5 * a.data))
+    out_data = np.tanh(0.5 * a.data)  # then 0.5 * (1 + t), in place
+    out_data += 1.0
+    out_data *= 0.5
     return _result("sigmoid", out_data, [(a, lambda g: g * out_data * (1.0 - out_data))])
 
 
@@ -337,7 +350,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     """View the tensor under a new shape with the same number of entries."""
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(map(int, shape))
     try:
         data = a.data.reshape(shape)
     except ValueError as exc:
@@ -347,12 +360,14 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 def moveaxis(a: Tensor, source: int, destination: int) -> Tensor:
     """Move axis ``source`` of the tensor to position ``destination``."""
-    source, destination = int(source), int(destination)
-    try:
-        data = np.moveaxis(a.data, source, destination)
-    except ValueError as exc:
-        raise DimensionError(f"moveaxis: {exc}") from exc
-    return _rearranged(data, [(a, lambda g: np.moveaxis(g, destination, source))])
+    source, destination, ndim = int(source), int(destination), a.data.ndim
+    if not (-ndim <= source < ndim and -ndim <= destination < ndim):
+        raise DimensionError(f"moveaxis: axes {source} and {destination} out of bounds "
+                             f"for shape {a.shape}")
+    order = list(range(ndim))
+    order.insert(destination % ndim, order.pop(source % ndim))
+    return _rearranged(a.data.transpose(order),
+                       [(a, lambda g: g.transpose(np.argsort(order)))])
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -395,9 +410,15 @@ def global_avg_pool(a: Tensor) -> Tensor:
         raise DimensionError(f"global_avg_pool: input of rank >= 3 required, got shape {a.shape}")
     height, width = a.shape[-3:-1]
     inv = 1.0 / (height * width)
+    # bit for bit what ndarray.mean does, without its wrapper: it sums, then
+    # divides in place by the count as an intp, so float32 sums divide in
+    # float64 and round back, which equals the float32 division here (a
+    # float64 quotient of float32 operands rounds to float32 correctly)
+    data = np.add.reduce(a.data, axis=(-3, -2))
+    data /= height * width
     return _result(
         "global_avg_pool",
-        a.data.mean(axis=(-3, -2)),
+        data,
         [(a, lambda g: np.broadcast_to(g[..., None, None, :] * inv, a.shape))],
     )
 
@@ -413,11 +434,13 @@ def avg_pool2(a: Tensor, factor: int = 2) -> Tensor:
     if height % factor or width % factor:
         raise DimensionError(f"avg_pool2: extents {height}x{width} not divisible by {factor}")
     blocks = (*lead, height // factor, factor, width // factor, factor, channels)
-    # the strided slices summed from zero in row-major (i, j) order, then
-    # divided: bit for bit the mean over the block axes of ``blocks``
-    data = np.zeros((*lead, height // factor, width // factor, channels), dtype=a.data.dtype)
+    # the strided slices summed from +0 in row-major (i, j) order, then
+    # divided: bit for bit the mean over the block axes of ``blocks``.  The
+    # first slice plus 0.0 is that sum's first step, so an all -0.0 block
+    # averages to +0.0, as the mean does.
+    data = a.data[..., ::factor, ::factor, :] + 0.0
     for i in range(factor):
-        for j in range(factor):
+        for j in range(i == 0, factor):
             data += a.data[..., i::factor, j::factor, :]
     data /= factor * factor
     inv = 1.0 / (factor * factor)
@@ -431,15 +454,16 @@ def avg_pool2(a: Tensor, factor: int = 2) -> Tensor:
 def _check_conv(op: str, x: Tensor, kernels: Tensor, bias: Tensor) -> None:
     """Shape checks shared by the convolutions: maps [..., H, W, Cin], an
     odd-sized bank [kh, kw, Cin, Cout] and a bias [Cout]."""
-    if x.data.ndim < 3:
-        raise DimensionError(f"{op}: input of rank >= 3 required, got shape {x.shape}")
-    if kernels.data.ndim != 4:
-        raise DimensionError(f"{op}: rank-4 kernels required, got shape {kernels.shape}")
-    k_h, k_w, k_cin, c_out = kernels.shape
+    x_shape, k_shape = x.data.shape, kernels.data.shape
+    if len(x_shape) < 3:
+        raise DimensionError(f"{op}: input of rank >= 3 required, got shape {x_shape}")
+    if len(k_shape) != 4:
+        raise DimensionError(f"{op}: rank-4 kernels required, got shape {k_shape}")
+    k_h, k_w, k_cin, c_out = k_shape
     if k_h % 2 == 0 or k_w % 2 == 0:
         raise DimensionError(f"{op}: kernel extents {k_h}x{k_w} must be odd")
-    if k_cin != x.shape[-1]:
-        raise DimensionError(f"{op}: input has {x.shape[-1]} channels, kernels expect {k_cin}")
+    if k_cin != x_shape[-1]:
+        raise DimensionError(f"{op}: input has {x_shape[-1]} channels, kernels expect {k_cin}")
     if bias.shape != (c_out,):
         raise DimensionError(f"{op}: bias of shape {bias.shape} for {c_out} output channels")
 
@@ -460,7 +484,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         ``kh * kw * Cin`` entries) with the flattened bank one block of whole
         maps at a time, each block at most ``_CONV_BLOCK_ROWS`` rows (or one
         map), and adds the bias to the product in place; a block's columns
-        are a forward temporary that the tape does not keep.  Each backward
+        are a forward temporary that the tape does not keep, and a 1x1 bank's
+        columns are the maps themselves, with no padding.  Each backward
         direction for x and the kernels is one product per kernel tap.
         Whether a map's result depends on the other maps stacked with it is
         up to how the BLAS blocks each product.  On OpenBLAS 0.3.31 (Haswell
@@ -475,19 +500,20 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     pad_h, pad_w = k_h // 2, k_w // 2
     k_data = kernels.data
     dtype = np.result_type(x.data, k_data)
-    padded = np.zeros((*lead, height + k_h - 1, width + k_w - 1, c_in), dtype=dtype)
-    padded[..., pad_h : pad_h + height, pad_w : pad_w + width, :] = x.data
-    taps = [(off_i, off_j) for off_i in range(k_h) for off_j in range(k_w)]
+    if k_h == k_w == 1:  # no padding, and each map is its own columns
+        padded = x.data.astype(dtype, copy=False)
+        windows = padded[..., None, None, :]
+    else:
+        padded = np.zeros((*lead, height + k_h - 1, width + k_w - 1, c_in), dtype=dtype)
+        padded[..., pad_h : pad_h + height, pad_w : pad_w + width, :] = x.data
+        # one view [..., H, W, kh, kw, Cin] of every window, already in column
+        # order, so reshaping a block of maps is that block's one copy
+        windows = _view(padded, (*lead, height, width, k_h, k_w, c_in),
+                        (*padded.strides[:-1], *padded.strides[-3:]))
 
     def window(off_i: int, off_j: int) -> np.ndarray:
         return padded[..., off_i : off_i + height, off_j : off_j + width, :].reshape(-1, c_in)
 
-    # one read-only view [..., H, W, kh, kw, Cin] of every window, already in
-    # column order, so reshaping a block of maps is that block's one copy
-    *lead_strides, row, col, chan = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded, (*lead, height, width, k_h, k_w, c_in),
-        (*lead_strides, row, col, row, col, chan), writeable=False)
     bank = k_data.reshape(-1, c_out)
     maps, rows = math.prod(lead), height * width
     if maps * rows <= _CONV_BLOCK_ROWS:  # one block, without the loop's per-call cost
@@ -505,7 +531,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     def back_x(g: np.ndarray) -> np.ndarray:
         grad_pad = np.zeros_like(padded)
         g_mat = g.reshape(-1, c_out)
-        for off_i, off_j in taps:
+        for off_i, off_j in np.ndindex(k_h, k_w):
             grad_pad[..., off_i : off_i + height, off_j : off_j + width, :] += (
                 g_mat @ k_data[off_i, off_j].T
             ).reshape(x.shape)
@@ -514,7 +540,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     def back_k(g: np.ndarray) -> np.ndarray:
         grad_k = np.empty_like(k_data)
         g_mat = g.reshape(-1, c_out)
-        for off_i, off_j in taps:
+        for off_i, off_j in np.ndindex(k_h, k_w):
             grad_k[off_i, off_j] = window(off_i, off_j).T @ g_mat
         return grad_k
 
@@ -573,7 +599,7 @@ def gated_conv2d(x: Tensor, maps: Tensor, kernels: Tensor, bias: Tensor) -> Tens
     gates = np.zeros((count, parts, *padded.shape[1:3]), dtype=dtype)
     gates[..., pad_h : pad_h + height, pad_w : pad_w + width] = maps.data.reshape(
         count, parts, height, width)
-    bank = np.moveaxis(kernels.data, 2, 0).reshape(c_in, taps * c_out).astype(dtype, copy=False)
+    bank = kernels.data.transpose(2, 0, 1, 3).reshape(c_in, taps * c_out).astype(dtype, copy=False)
     step = max(1, _CONV_BLOCK_ROWS // (parts * height * width))  # maps per block
     blocks = [slice(start, start + step) for start in range(0, count, step)]
 
@@ -581,9 +607,8 @@ def gated_conv2d(x: Tensor, maps: Tensor, kernels: Tensor, bias: Tensor) -> Tens
         # [m, H, W, kh, kw, Cout] view of [m, H + kh - 1, W + kw - 1, kh, kw,
         # Cout]: each tap's product at the position that tap reads
         lead_stride, row, col, tap_i, tap_j, chan = products.strides
-        return np.lib.stride_tricks.as_strided(
-            products, (len(products), height, width, k_h, k_w, c_out),
-            (lead_stride, row, col, row + tap_i, col + tap_j, chan))
+        return _view(products, (len(products), height, width, k_h, k_w, c_out),
+                     (lead_stride, row, col, row + tap_i, col + tap_j, chan))
 
     def tap_products(block: slice) -> np.ndarray:  # [m, H, W, kh * kw, Cout]
         products = padded[block].reshape(-1, c_in) @ bank
@@ -593,14 +618,13 @@ def gated_conv2d(x: Tensor, maps: Tensor, kernels: Tensor, bias: Tensor) -> Tens
     def gate_columns(block: slice) -> np.ndarray:  # the gates' im2col [m, H, W, P, kh * kw]
         block_gates = gates[block]
         lead_stride, part, row, col = block_gates.strides
-        return np.lib.stride_tricks.as_strided(
-            block_gates, (len(block_gates), height, width, parts, k_h, k_w),
-            (lead_stride, row, col, part, row, col), writeable=False,
-        ).reshape(-1, height, width, parts, taps)
+        columns = _view(block_gates, (len(block_gates), height, width, parts, k_h, k_w),
+                        (lead_stride, row, col, part, row, col))
+        return columns.reshape(-1, height, width, parts, taps)
 
     out = np.empty((count, parts, height, width, c_out), dtype=dtype)
     for block in blocks:
-        np.matmul(gate_columns(block), tap_products(block), out=np.moveaxis(out[block], 1, 3))
+        np.matmul(gate_columns(block), tap_products(block), out=out[block].transpose(0, 2, 3, 1, 4))
     out = out.astype(np.result_type(dtype, bias.data), copy=False)
     out += bias.data
 

@@ -66,7 +66,8 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
     """Read a checkpoint file back into an ordered name -> float64 array dict.
 
     The file is read once and parsed from its bytes, and every name length,
-    rank and value count is checked against the bytes left before use.
+    rank and value count is checked against the bytes left before use.  A
+    name that appears twice is an error, not a silent overwrite.
     """
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
@@ -90,6 +91,8 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
         except UnicodeDecodeError:
             raise FileFormatError(f"{path}: checkpoint entry name at byte {start} "
                                   f"is not UTF-8") from None
+        if name in arrays:
+            raise FileFormatError(f"{path}: checkpoint entry {name!r} appears twice")
         (rank,) = struct.unpack_from("<I", blob, take(4, f"rank of {name!r}"))
         shape = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank, f"extents of {name!r}"))
         count = math.prod(shape)

@@ -177,6 +177,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _encode_logged(params, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``encode_images``, logging its seconds and images/s."""
+    started = time.perf_counter()
+    codes, descriptors = encode_images(params, images)
+    seconds = time.perf_counter() - started
+    LOG.info("encoded %d images at %d bits in %.3f s (%.1f images/s)", len(codes),
+             params.config.bits, seconds, len(codes) / seconds if len(codes) else 0.0)
+    return codes, descriptors
+
+
 def cmd_encode(args: argparse.Namespace) -> int:
     state = load_checkpoint(args.checkpoint)
     stored_bits = state.params.config.bits
@@ -185,14 +195,10 @@ def cmd_encode(args: argparse.Namespace) -> int:
             f"encode: checkpoint stores {stored_bits}-bit codes, --bits asked for {args.bits}"
         )
     dataset = load_manifest(_manifest_path(args.manifest))
-    started = time.perf_counter()
-    codes, descriptors = encode_images(state.params, _select_images(dataset, args.split))
-    seconds = time.perf_counter() - started
+    codes, descriptors = _encode_logged(state.params, _select_images(dataset, args.split))
     save_packed(args.out, pack_codes(codes))
     if args.features:
         save_features(args.features, descriptors)
-    LOG.info("encoded %d images at %d bits in %.3f s (%.1f images/s)", len(codes),
-             stored_bits, seconds, len(codes) / seconds if len(codes) else 0.0)
     print(args.out)
     return 0
 
@@ -245,7 +251,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             raise ContractError(f"query: --topn {topn} is below --topk {topk}")
 
     dataset = load_manifest(_manifest_path(args.queries))
-    codes, descriptors = encode_images(state.params, _select_images(dataset, args.split))
+    codes, descriptors = _encode_logged(state.params, _select_images(dataset, args.split))
 
     results = []
     latencies_ms = []

@@ -111,6 +111,26 @@ class RefinedFeatures:
     global_vec: ad.Tensor
 
 
+def weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every weight of the network, in the order
+    :meth:`ModelParams.initialize` draws them and checkpoints store them."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    c_in = config.in_channels
+    for i, c_out in enumerate(config.backbone_channels):
+        shapes[f"backbone.{i}.kernel"] = (3, 3, c_in, c_out)
+        shapes[f"backbone.{i}.bias"] = (c_out,)
+        c_in = c_out
+    feat_c = config.feature_channels
+    shapes["attention.kernel"] = (1, 1, feat_c, config.parts)
+    shapes["attention.bias"] = (config.parts,)
+    for name in ("local", "global"):
+        shapes[f"{name}.kernel"] = (3, 3, feat_c, config.refined_channels)
+        shapes[f"{name}.bias"] = (config.refined_channels,)
+    shapes["hash.weight"] = (config.bits, config.descriptor_dim)
+    shapes["hash.bias"] = (config.bits,)
+    return shapes
+
+
 class ModelParams:
     """Named parameter tensors for every stage of the network."""
 
@@ -136,28 +156,21 @@ class ModelParams:
 
     @classmethod
     def initialize(cls, config: ModelConfig, rng: np.random.Generator) -> "ModelParams":
-        """Seeded init: He-scaled conv kernels, zero biases, 1/sqrt(d) hash,
-        drawn in float64 and stored as PARAM_DTYPE."""
+        """Seeded init: He-scaled 3x3 kernels, a 1/sqrt(fan-in) attention
+        kernel and hash weight, zero biases; drawn in float64 in the order of
+        :func:`weight_shapes` and stored as PARAM_DTYPE."""
         arrays: dict[str, np.ndarray] = {}
-        c_in = config.in_channels
-        for i, c_out in enumerate(config.backbone_channels):
-            std = np.sqrt(2.0 / (9.0 * c_in))
-            arrays[f"backbone.{i}.kernel"] = rng.normal(0.0, std, size=(3, 3, c_in, c_out))
-            arrays[f"backbone.{i}.bias"] = np.zeros(c_out)
-            c_in = c_out
-        feat_c = config.feature_channels
-        arrays["attention.kernel"] = rng.normal(
-            0.0, np.sqrt(1.0 / feat_c), size=(1, 1, feat_c, config.parts)
-        )
-        arrays["attention.bias"] = np.zeros(config.parts)
-        for name in ("local", "global"):
-            arrays[f"{name}.kernel"] = rng.normal(
-                0.0, np.sqrt(2.0 / (9.0 * feat_c)), size=(3, 3, feat_c, config.refined_channels)
-            )
-            arrays[f"{name}.bias"] = np.zeros(config.refined_channels)
-        dim = config.descriptor_dim
-        arrays["hash.weight"] = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(config.bits, dim))
-        arrays["hash.bias"] = np.zeros(config.bits)
+        for name, shape in weight_shapes(config).items():
+            if name.endswith(".bias"):
+                arrays[name] = np.zeros(shape)
+                continue
+            if name == "attention.kernel":
+                std = np.sqrt(1.0 / shape[2])
+            elif name == "hash.weight":
+                std = 1.0 / np.sqrt(shape[1])
+            else:
+                std = np.sqrt(2.0 / (9.0 * shape[2]))
+            arrays[name] = rng.normal(0.0, std, size=shape)
         return cls.from_arrays(
             config, {name: values.astype(PARAM_DTYPE) for name, values in arrays.items()}
         )

@@ -39,7 +39,7 @@ from .errors import ContractError, DomainError, FileFormatError
 from .losses import (LossWeights, auto_weights, batch_similarity_loss, check_similarity_inputs,
                      total_objective)
 from .model import (PARAM_DTYPE, ModelConfig, ModelParams, descriptor, forward_features,
-                    hash_layer)
+                    hash_layer, weight_shapes)
 
 logger = logging.getLogger(__name__)
 
@@ -238,7 +238,9 @@ def _entry_value(values: np.ndarray, kind, what: str):
 
 def load_checkpoint(path) -> TrainState:
     """Rebuild a TrainState from a file written by save_checkpoint; the
-    float64 weights on disk are rounded to PARAM_DTYPE."""
+    float64 weights on disk are rounded to PARAM_DTYPE.  A weight the stored
+    model config does not have, one of another shape, and one that is NaN or
+    Inf once rounded are FileFormatErrors naming the entry."""
     arrays = load_arrays(path)
 
     def grab(name: str) -> np.ndarray:
@@ -257,11 +259,22 @@ def load_checkpoint(path) -> TrainState:
     model_config = read_config(ModelConfig, "config.model")
     train_config = read_config(TrainConfig, "config.train")
 
-    param_arrays = {
-        name: values.astype(PARAM_DTYPE)
-        for name, values in arrays.items()
-        if not name.startswith(("config.", "state.", "anchors."))
-    }
+    shapes = weight_shapes(model_config)
+    param_arrays = {}
+    for name, values in arrays.items():
+        if name.startswith(("config.", "state.", "anchors.")):
+            continue
+        what = f"{path}: checkpoint entry {name!r}"
+        if name not in shapes:
+            raise FileFormatError(f"{what} is not a weight of the model")
+        if values.shape != shapes[name]:
+            raise FileFormatError(f"{what} has shape {values.shape}, expected {shapes[name]}")
+        with np.errstate(over="ignore"):
+            weights = values.astype(PARAM_DTYPE)
+        if not np.isfinite(weights).all():
+            raise FileFormatError(
+                f"{what} holds NaN, Inf or a value beyond {np.dtype(PARAM_DTYPE)} range")
+        param_arrays[name] = weights
     try:
         params = ModelParams.from_arrays(model_config, param_arrays)
     except KeyError as exc:

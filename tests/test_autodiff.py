@@ -473,6 +473,15 @@ class TestElementwise:
         assert np.array_equal(a, b)
 
 
+def nan_in_last_map(maps):
+    """Maps [maps, 64, 64, 1] of ones, more than _CONV_BLOCK_ROWS rows in all,
+    with one NaN in the last map."""
+    x = np.ones((maps, 64, 64, 1))
+    assert maps * 64 * 64 > ad._CONV_BLOCK_ROWS >= 64 * 64
+    x[-1, 10, 20, 0] = np.nan
+    return x
+
+
 # one call per op that computes values: finite input that overflows, or a
 # non-finite input passed in through a raw, unchecked Tensor
 NON_FINITE_CASES = {
@@ -497,6 +506,15 @@ NON_FINITE_CASES = {
     # a finite product that the bias pushes past the largest float64
     "conv2d-bias": lambda: ad.conv2d(ad.tensor(np.full((1, 1, 1), 1e308)),
                                      ad.tensor(np.ones((1, 1, 1, 1))), ad.tensor([1e308])),
+    # a 3x3 bank over several positions: the im2col product overflows
+    "conv2d-3x3": lambda: ad.conv2d(ad.tensor(np.full((2, 4, 5, 2), 1e20, np.float32)),
+                                    ad.tensor(np.full((3, 3, 2, 3), 1e20, np.float32)),
+                                    zero_bias(3, np.float32)),
+    # above _CONV_BLOCK_ROWS rows, with the NaN in the last block
+    "conv2d-blocked": lambda: ad.conv2d(ad.Tensor(nan_in_last_map(3)),
+                                        ad.tensor(np.ones((3, 3, 1, 2))), zero_bias(2)),
+    "conv2d-1x1-blocked": lambda: ad.conv2d(ad.Tensor(nan_in_last_map(3)),
+                                            ad.tensor(np.ones((1, 1, 1, 2))), zero_bias(2)),
 }
 
 
@@ -510,7 +528,13 @@ class TestFiniteness:
     def test_rearranging_ops_equal_numpy(self):
         x = np.random.default_rng(5).standard_normal((2, 3, 4)).astype(np.float32)
         assert np.array_equal(ad.reshape(ad.tensor(x), (6, 4)).data, x.reshape(6, 4))
-        assert np.array_equal(ad.moveaxis(ad.tensor(x), 0, -1).data, np.moveaxis(x, 0, -1))
+        for source in range(-3, 3):
+            for destination in range(-3, 3):
+                moved = ad.moveaxis(ad.tensor(x), source, destination).data
+                assert np.array_equal(moved, np.moveaxis(x, source, destination))
+        for source, destination in ((3, 0), (0, -4)):
+            with pytest.raises(DimensionError, match="^moveaxis: "):
+                ad.moveaxis(ad.tensor(x), source, destination)
         assert np.array_equal(ad.concat([ad.tensor(x), ad.tensor(x[..., :1])]).data,
                               np.concatenate([x, x[..., :1]], axis=-1))
 

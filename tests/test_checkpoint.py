@@ -1,5 +1,7 @@
 """Round-trip and error tests for the checkpoint container."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,17 @@ class TestErrors:
         path = tmp_path / "trunc2.fht1"
         path.write_bytes(MAGIC + b"\x05\x00")
         with pytest.raises(FileFormatError):
+            load_arrays(path)
+
+    def test_repeated_name_rejected(self, tmp_path):
+        def block(name, values):
+            encoded = name.encode("utf-8")
+            return (struct.pack("<I", len(encoded)) + encoded + struct.pack("<IQ", 1, len(values))
+                    + np.asarray(values, dtype="<f8").tobytes())
+
+        path = tmp_path / "twice.fht1"
+        path.write_bytes(MAGIC + block("w", [1.0]) + block("b", [0.0, 0.0]) + block("w", [2.0]))
+        with pytest.raises(FileFormatError, match=r"twice\.fht1: checkpoint entry 'w' appears"):
             load_arrays(path)
 
 

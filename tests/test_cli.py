@@ -11,6 +11,7 @@ import logging
 import re
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -610,6 +611,29 @@ class TestQuery:
         assert int(match[1]) == 6
         assert float(match[2]) >= 0.0
 
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_logs_encode_throughput(self, workspace, tmp_path, caplog, empty):
+        queries, count = workspace["data"], 6
+        if empty:  # no query images: the rate must not divide by zero
+            queries, count = tmp_path / "empty.csv", 0
+            queries.write_text("relative_path,label,split\n")
+        caplog.set_level(logging.INFO)
+        code, _ = run_cli(["query", "--checkpoint", workspace["checkpoint"],
+                           "--codes", workspace["codes"], "--queries", queries,
+                           "--split", "query"])
+        assert code == 0
+        match = re.search(r"encoded (\d+) images at (\d+) bits in ([\d.]+) s "
+                          r"\(([\d.]+) images/s\)", caplog.text)
+        assert match is not None
+        assert int(match[1]) == count and int(match[2]) == 8
+        seconds, rate = float(match[3]), float(match[4])
+        if count:
+            assert rate > 0.0
+            # the seconds are logged to the millisecond
+            assert count / rate == pytest.approx(seconds, abs=6e-4)
+        else:
+            assert rate == 0.0
+
     def test_logs_tail_with_ten_queries_beyond_it(self, workspace, caplog, monkeypatch):
         # 48 queries: p79 is the highest whole percentile with 10 beyond
         # it (48 x 21% = 10.08; p80 would leave 9.6)
@@ -646,6 +670,29 @@ class TestQuery:
         assert code == 3
         assert stdout == ""
         assert "numeric failure: conv2d" in caplog.text
+
+    @pytest.mark.parametrize("name, edit, problem", [
+        ("local.kernel", lambda values: np.where(values > 0, np.nan, values), "holds NaN, Inf"),
+        ("hash.bias", lambda values: values + np.inf, "holds NaN, Inf"),
+        ("backbone.0.kernel", lambda values: np.full_like(values, 1e300),
+         "beyond float32 range"),
+        ("local.kernel", lambda values: np.zeros(values.shape[:3] + (30,)), "has shape"),
+        ("global.gate", lambda values: np.ones(4), "is not a weight of the model"),
+    ])
+    def test_invalid_weights_exit_2(self, workspace, tmp_path, caplog, name, edit, problem):
+        arrays = load_arrays(workspace["checkpoint"])
+        arrays[name] = edit(arrays.get(name))
+        checkpoint = tmp_path / "invalid.fht1"
+        save_arrays(checkpoint, arrays)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from the float32 cast
+            code, stdout = run_cli(["query", "--checkpoint", checkpoint,
+                                    "--codes", workspace["codes"],
+                                    "--queries", workspace["data"], "--split", "query"])
+        assert code == 2
+        assert stdout == ""
+        assert f"invalid.fht1: checkpoint entry '{name}' " in caplog.text
+        assert problem in caplog.text
 
     def test_nonpositive_image_side_exits_2(self, workspace, tmp_path, caplog):
         arrays = load_arrays(workspace["checkpoint"])

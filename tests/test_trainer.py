@@ -510,6 +510,27 @@ class TestResume:
         with pytest.raises(FileFormatError, match=name):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name, edit, problem", [
+        ("hash.bias", lambda values: np.where(np.arange(values.size) == 1, np.nan, values),
+         "NaN, Inf"),
+        ("hash.weight", lambda values: -np.inf * np.ones_like(values), "NaN, Inf"),
+        ("backbone.1.kernel", lambda values: values + 1e300, "beyond float32 range"),
+        ("local.kernel", lambda values: np.zeros(values.shape[:3] + (30,)),
+         r"has shape \(3, 3, 8, 30\), expected \(3, 3, 8, 8\)"),
+        ("attention.bias", lambda values: values[None], "has shape"),
+        ("local.gate", lambda values: np.zeros(3), "is not a weight of the model"),
+    ])
+    def test_invalid_weight_names_file_and_entry(self, tmp_path, name, edit, problem):
+        path = tmp_path / "ckpt.fht1"
+        params = ModelParams.initialize(SMALL_MODEL, np.random.default_rng(0))
+        save_checkpoint(path, params, small_train(), np.ones((4, 8)), 1)
+        arrays = load_arrays(path)
+        arrays[name] = edit(arrays.get(name))
+        save_arrays(path, arrays)
+        with pytest.raises(FileFormatError,
+                           match=rf"ckpt\.fht1: checkpoint entry '{name}' .*{problem}"):
+            load_checkpoint(path)
+
 
 class TestInitialization:
     def test_initial_codes_balanced_per_bit(self, small_dataset):
