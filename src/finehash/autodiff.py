@@ -12,10 +12,10 @@ Numeric conventions shared by the whole package live here as well: every
 op computes in the dtype of its inputs (the network runs in float32, a
 float64 graph stays float64), ``sign(0)`` is ``+1``, and every value an op
 computes is checked to be finite (NaN or Inf anywhere is an error state, not
-a value).  :func:`tensor` checks its input; :func:`reshape`,
-:func:`moveaxis` and :func:`concat` only rearrange entries an op or
-:func:`tensor` already checked, so they skip the check, and a NaN or Inf
-still raises at the first op that computes it.
+a value).  :func:`tensor` checks its input; :func:`reshape` and
+:func:`concat` only rearrange entries an op or :func:`tensor` already
+checked, so they skip the check, and a NaN or Inf still raises at the
+first op that computes it.
 
 Every op accepts leading axes and works on the trailing ones only: maps are
 ``[..., H, W, C]`` and vectors ``[..., N]``, so one call covers a whole
@@ -358,18 +358,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _rearranged(data, [(a, lambda g: g.reshape(a.shape))])
 
 
-def moveaxis(a: Tensor, source: int, destination: int) -> Tensor:
-    """Move axis ``source`` of the tensor to position ``destination``."""
-    source, destination, ndim = int(source), int(destination), a.data.ndim
-    if not (-ndim <= source < ndim and -ndim <= destination < ndim):
-        raise DimensionError(f"moveaxis: axes {source} and {destination} out of bounds "
-                             f"for shape {a.shape}")
-    order = list(range(ndim))
-    order.insert(destination % ndim, order.pop(source % ndim))
-    return _rearranged(a.data.transpose(order),
-                       [(a, lambda g: g.transpose(np.argsort(order)))])
-
-
 def sum_all(a: Tensor) -> Tensor:
     """Sum every entry into a scalar tensor."""
     return _result(
@@ -552,20 +540,21 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
 
 def gated_conv2d(x: Tensor, maps: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """:func:`conv2d` of every gated copy of the input maps,
-    ``conv2d(maps[..., None] * x[..., None, :, :, :], kernels, bias)``,
+    """:func:`conv2d` of every gated copy of the input maps, the stack
+    ``np.moveaxis(maps, -1, -3)[..., None] * x[..., None, :, :, :]``,
     computed without forming the gated stack or its columns.
 
     Args:
         x: input maps [..., H, W, Cin].
-        maps: gates [..., P, H, W], P of them per input map.
+        maps: gates [..., H, W, P], P of them per input map, in the layout a
+            conv with P output channels writes.
         kernels, bias: as for :func:`conv2d`.
 
     Returns:
         Tensor [..., P, H, W, Cout].  A gate is one scalar per position, so it
         commutes with the channel-mixing product: over the padded input X and
         padded gates A, output (p, i, j) is the bias plus the sum over the taps
-        (di, dj) of ``A[p, i + di, j + dj] * (X[i + di, j + dj] @ K[di, dj])``.
+        (di, dj) of ``A[i + di, j + dj, p] * (X[i + di, j + dj] @ K[di, dj])``.
         The forward pass makes one product of the padded input with the bank
         laid out as [Cin, kh * kw * Cout], giving every tap's product at every
         padded position; one strided view reads each tap's product back at the
@@ -584,11 +573,11 @@ def gated_conv2d(x: Tensor, maps: Tensor, kernels: Tensor, bias: Tensor) -> Tens
     """
     _check_conv("gated_conv2d", x, kernels, bias)
     *lead, height, width, c_in = x.shape
-    if maps.data.ndim != x.data.ndim or maps.shape[:-3] + maps.shape[-2:] != x.shape[:-1]:
+    if maps.data.ndim != x.data.ndim or maps.shape[:-1] != x.shape[:-1]:
         raise DimensionError(
-            f"gated_conv2d: gates [..., P, H, W] required for input {x.shape}, got {maps.shape}"
+            f"gated_conv2d: gates [..., H, W, P] required for input {x.shape}, got {maps.shape}"
         )
-    parts = maps.shape[-3]
+    parts = maps.shape[-1]
     k_h, k_w, _, c_out = kernels.shape
     taps, count = k_h * k_w, math.prod(lead)
     pad_h, pad_w = k_h // 2, k_w // 2
@@ -596,9 +585,9 @@ def gated_conv2d(x: Tensor, maps: Tensor, kernels: Tensor, bias: Tensor) -> Tens
     padded = np.zeros((count, height + k_h - 1, width + k_w - 1, c_in), dtype=dtype)
     padded[:, pad_h : pad_h + height, pad_w : pad_w + width] = x.data.reshape(
         count, height, width, c_in)
-    gates = np.zeros((count, parts, *padded.shape[1:3]), dtype=dtype)
-    gates[..., pad_h : pad_h + height, pad_w : pad_w + width] = maps.data.reshape(
-        count, parts, height, width)
+    gates = np.zeros((*padded.shape[:3], parts), dtype=dtype)
+    gates[:, pad_h : pad_h + height, pad_w : pad_w + width] = maps.data.reshape(
+        count, height, width, parts)
     bank = kernels.data.transpose(2, 0, 1, 3).reshape(c_in, taps * c_out).astype(dtype, copy=False)
     step = max(1, _CONV_BLOCK_ROWS // (parts * height * width))  # maps per block
     blocks = [slice(start, start + step) for start in range(0, count, step)]
@@ -617,7 +606,7 @@ def gated_conv2d(x: Tensor, maps: Tensor, kernels: Tensor, bias: Tensor) -> Tens
 
     def gate_columns(block: slice) -> np.ndarray:  # the gates' im2col [m, H, W, P, kh * kw]
         block_gates = gates[block]
-        lead_stride, part, row, col = block_gates.strides
+        lead_stride, row, col, part = block_gates.strides
         columns = _view(block_gates, (len(block_gates), height, width, parts, k_h, k_w),
                         (lead_stride, row, col, part, row, col))
         return columns.reshape(-1, height, width, parts, taps)
@@ -642,8 +631,8 @@ def gated_conv2d(x: Tensor, maps: Tensor, kernels: Tensor, bias: Tensor) -> Tens
             grad_columns = g_block @ np.swapaxes(tap_products(block), -1, -2)
             for tap in range(taps):
                 off_i, off_j = divmod(tap, k_w)
-                grad_gates[block, :, off_i : off_i + height, off_j : off_j + width] += (
-                    np.moveaxis(grad_columns[..., tap], 3, 1))
+                grad_gates[block, off_i : off_i + height, off_j : off_j + width] += (
+                    grad_columns[..., tap])
             # each tap's gradient lands at the position its product was read
             # from, so one view takes them all, with no position written twice
             grad_products = np.zeros((len(g_block), *padded.shape[1:3], k_h, k_w, c_out),
@@ -656,7 +645,7 @@ def gated_conv2d(x: Tensor, maps: Tensor, kernels: Tensor, bias: Tensor) -> Tens
             grad_k += padded[block].reshape(-1, c_in).T @ flat
         memo[:] = [g, (
             grad_x[:, pad_h : pad_h + height, pad_w : pad_w + width].reshape(x.shape),
-            grad_gates[..., pad_h : pad_h + height, pad_w : pad_w + width].reshape(maps.shape),
+            grad_gates[:, pad_h : pad_h + height, pad_w : pad_w + width].reshape(maps.shape),
             np.moveaxis(grad_k.reshape(c_in, k_h, k_w, c_out), 0, 2),
         )]
         return memo[1]

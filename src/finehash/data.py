@@ -66,6 +66,8 @@ class SynthConfig:
             )
         if self.position_jitter < 0.0 or self.pixel_noise < 0.0 or self.pattern_scale < 0.0:
             raise ContractError("SynthConfig: noise scales must be >= 0")
+        if self.seed < 0:
+            raise ContractError("SynthConfig: seed must be >= 0")
 
 
 @dataclass

@@ -211,7 +211,8 @@ def backbone_forward(params: ModelParams, images: np.ndarray) -> ad.Tensor:
 
 
 def attention_maps(params: ModelParams, feature_map: ad.Tensor) -> ad.Tensor:
-    """Score the attention maps [..., P, h, w] of all parts; entries lie in (0, 1)."""
+    """Score the attention maps [..., h, w, P] of all parts, in the conv's own
+    layout, which ``ad.gated_conv2d`` reads its gates in; entries lie in (0, 1)."""
     config = params.config
     expected = (config.feature_side, config.feature_side, config.feature_channels)
     if feature_map.shape[-3:] != expected:
@@ -220,12 +221,12 @@ def attention_maps(params: ModelParams, feature_map: ad.Tensor) -> ad.Tensor:
             f"expected trailing axes {expected}"
         )
     scores = ad.conv2d(feature_map, params.attention_kernel, params.attention_bias)
-    return ad.moveaxis(ad.sigmoid(scores), -1, -3)
+    return ad.sigmoid(scores)
 
 
 def local_refine(params: ModelParams, feature_map: ad.Tensor,
                  attention: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-    """Gate feature maps [..., h, w, C] by the attention maps [..., P, h, w]
+    """Gate feature maps [..., h, w, C] by the attention maps [..., h, w, P]
     of all parts and refine each gated map into a spatial tensor and its
     pooled vector.
 

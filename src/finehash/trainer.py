@@ -103,8 +103,8 @@ class TrainConfig:
                 raise ContractError(f"TrainConfig: {name} must be >= 0")
         if self.margin < 0.0:
             raise ContractError("TrainConfig: margin must be >= 0")
-        if self.seed < 0:
-            raise ContractError("TrainConfig: seed must be >= 0")
+        if not 0 <= self.seed <= 2**53:  # a checkpoint stores it as an exact float64
+            raise ContractError(f"TrainConfig: seed must be in [0, 2**53], got {self.seed}")
 
 
 def _ceil_fraction(fraction: float, total: int) -> int:
@@ -233,6 +233,8 @@ def _entry_value(values: np.ndarray, kind, what: str):
         raise FileFormatError(f"{what} holds {value}, expected a finite number")
     if kind is not float and not value.is_integer():
         raise FileFormatError(f"{what} holds {value}, expected an integer")
+    if kind is bool and value not in (0.0, 1.0):
+        raise FileFormatError(f"{what} holds {value}, expected 0 or 1")
     return kind(value)
 
 
@@ -240,7 +242,8 @@ def load_checkpoint(path) -> TrainState:
     """Rebuild a TrainState from a file written by save_checkpoint; the
     float64 weights on disk are rounded to PARAM_DTYPE.  A weight the stored
     model config does not have, one of another shape, and one that is NaN or
-    Inf once rounded are FileFormatErrors naming the entry."""
+    Inf once rounded are FileFormatErrors naming the entry; a stored config
+    that its dataclass rejects is one naming the config group."""
     arrays = load_arrays(path)
 
     def grab(name: str) -> np.ndarray:
@@ -253,8 +256,12 @@ def load_checkpoint(path) -> TrainState:
 
     def read_config(cls, prefix: str):
         types = typing.get_type_hints(cls)
-        return cls(**{field.name: read(f"{prefix}.{field.name}", types[field.name])
-                      for field in fields(cls)})
+        values = {field.name: read(f"{prefix}.{field.name}", types[field.name])
+                  for field in fields(cls)}
+        try:
+            return cls(**values)
+        except ContractError as exc:
+            raise FileFormatError(f"{path}: checkpoint {prefix}: {exc}") from None
 
     model_config = read_config(ModelConfig, "config.model")
     train_config = read_config(TrainConfig, "config.train")

@@ -22,7 +22,7 @@ from finehash.checkpoint import load_arrays, save_arrays
 from finehash.cli import build_parser, main
 from finehash.config import load_config
 from finehash.data import load_manifest
-from finehash.errors import ContractError
+from finehash.errors import FileFormatError
 from finehash import trainer as trainer_module
 from finehash.retrieval import (
     RetrievalIndex,
@@ -170,6 +170,20 @@ class TestSynth:
         config.write_text("synth_classes = 2\n")
         code, _ = run_cli(["synth", "--config", config])
         assert code == 2
+
+    @pytest.mark.parametrize("command, option, config_text", [
+        ("synth", ["--seed", "-1"], ""),
+        ("synth", [], "synth_seed = -5\n"),
+        ("train", [], "synth_seed = -5\n"),
+    ], ids=["synth-flag", "synth-config", "train-config"])
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, caplog, command, option,
+                                             config_text):
+        config = tmp_path / "seed.cfg"
+        config.write_text(config_text + "data_dir = data\n")
+        code, _ = run_cli([command, "--config", config, *option])
+        assert code == 2
+        assert "SynthConfig: seed must be >= 0" in caplog.text
+        assert not (tmp_path / "data").exists()
 
 
 class TestTrain:
@@ -319,6 +333,14 @@ class TestTrain:
         assert filecmp.cmp(tmp_path / "model.fht1", tmp_path / "saved.fht1", shallow=False)
         assert not (tmp_path / "db.fhc1").exists()
 
+    def test_seed_beyond_exact_float64_exits_2(self, workspace, tmp_path, caplog):
+        # 2**53 + 1 would train, then fail to resume from its rounded checkpoint seed
+        code, _ = run_cli(["train", "--config", workspace["config"], "--out-dir", tmp_path,
+                           "--seed", str(2**53 + 1)])
+        assert code == 2
+        assert f"TrainConfig: seed must be in [0, 2**53], got {2**53 + 1}" in caplog.text
+        assert not (tmp_path / "model.fht1").exists()
+
     def test_metrics_out_writes_every_iteration(self, workspace, tmp_path):
         metrics = tmp_path / "run.jsonl"
         code, _ = run_cli(["train", "--config", workspace["config"],
@@ -447,6 +469,22 @@ class TestEncode:
         code, _ = run_cli(["encode", "--checkpoint", tmp_path / "bad.fht1",
                            "--manifest", workspace["data"], "--out", tmp_path / "q.fhc1"])
         assert code == 2
+
+    @pytest.mark.parametrize("name, value, problem", [
+        ("config.train.learning_rate", np.array(-1.0),
+         "config.train: TrainConfig: learning_rate must be > 0"),
+        ("config.model.backbone_pools", np.array([2.0, 2.0, 1.0]),
+         "config.model: 3 pool factors for 2 backbone blocks"),
+    ], ids=["learning_rate", "backbone_pools"])
+    def test_invalid_stored_config_exits_2_naming_file(self, workspace, tmp_path, caplog,
+                                                       name, value, problem):
+        arrays = load_arrays(workspace["checkpoint"])
+        arrays[name] = value
+        save_arrays(tmp_path / "bad.fht1", arrays)
+        code, _ = run_cli(["encode", "--checkpoint", tmp_path / "bad.fht1",
+                           "--manifest", workspace["data"], "--out", tmp_path / "q.fhc1"])
+        assert code == 2
+        assert f"bad.fht1: checkpoint {problem}" in caplog.text
 
 
 class TestIndex:
@@ -699,7 +737,8 @@ class TestQuery:
         arrays["config.model.image_side"] = np.array(0.0)
         checkpoint = tmp_path / "sideless.fht1"
         save_arrays(checkpoint, arrays)
-        with pytest.raises(ContractError, match="image_side"):
+        with pytest.raises(FileFormatError, match="sideless.fht1: checkpoint config.model: "
+                                                  "image_side"):
             load_checkpoint(checkpoint)
         code, stdout = run_cli(["query", "--checkpoint", checkpoint,
                                 "--codes", workspace["codes"],

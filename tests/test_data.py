@@ -46,6 +46,11 @@ class TestSynthConfig:
         with pytest.raises(ContractError):
             SynthConfig(pixel_noise=-0.1)
 
+    def test_negative_seed_rejected_naming_it(self):
+        # numpy's generator takes only non-negative seeds
+        with pytest.raises(ContractError, match="SynthConfig: seed "):
+            SynthConfig(seed=-1)
+
 
 class TestGenerate:
     def test_counts_and_splits(self):

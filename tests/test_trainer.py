@@ -90,6 +90,7 @@ class TestSchedules:
         {"learning_rate": 0.0}, {"lr_drop_factor": 0.0}, {"lr_drop_points": (1.5,)},
         {"weight_decay": -1.0}, {"warmup_fraction": 1.5}, {"spatial_weight": -0.1},
         {"margin": -0.1}, {"seed": -1}, {"epochs_per_iter": -1},
+        {"seed": 2**53 + 1},  # a checkpoint's float64 would round it to 2**53
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ContractError):
@@ -370,6 +371,12 @@ class TestResume:
             assert np.array_equal(state.anchors.get(class_id),
                                   trainer.anchors.get(class_id))
 
+    def test_largest_exact_seed_round_trips(self, small_dataset, tmp_path):
+        trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train(seed=2**53))
+        path = tmp_path / "ckpt.fht1"
+        trainer.save(path)
+        assert load_checkpoint(path).train_config.seed == 2**53
+
     def test_explicit_weights_round_trip(self, small_dataset, tmp_path):
         config = small_train(spatial_weight=0.5, channel_weight=0.0)
         trainer = AlternatingTrainer(small_dataset, SMALL_MODEL, config)
@@ -495,6 +502,8 @@ class TestResume:
         ("config.train.lr_drop_points", np.array([0.5, np.inf])),  # tuple of floats
         ("anchors.1", None),  # class ids with a gap
         ("anchors.1", np.zeros((2, 7))),  # mixed anchor shapes
+        ("config.train.exchange", np.array(2.0)),  # a bool is 0 or 1
+        ("config.train.exchange", np.array(-7.0)),
     ])
     def test_malformed_checkpoint_names_entry(self, tmp_path, name, value):
         path = tmp_path / "ckpt.fht1"
