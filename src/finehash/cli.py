@@ -22,13 +22,13 @@ import json
 import logging
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import atomic_write
-from .config import RunConfig, default_run_config, load_config
+from .config import RunConfig, load_config
 from .data import Dataset, generate_synthetic, load_manifest, write_dataset
 from .errors import ConfigError, ContractError, FineHashError, NumericError
 from .retrieval import (
@@ -60,22 +60,13 @@ TAIL_SAMPLES = 10
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    """Config file plus command line overrides, defaults when no file given."""
-    config = load_config(args.config) if args.config else default_run_config()
-    model, train, synth = config.model, config.train, config.synth
-    if getattr(args, "bits", None) is not None:
-        model = replace(model, bits=args.bits)
-    if getattr(args, "parts", None) is not None:
-        model = replace(model, parts=args.parts)
-        synth = replace(synth, parts_per_image=args.parts)
-    if getattr(args, "seed", None) is not None:
-        if args.command == "synth":
-            synth = replace(synth, seed=args.seed)
-        else:
-            train = replace(train, seed=args.seed)
-    if getattr(args, "no_exchange", False):
-        train = replace(train, exchange=False)
-    return RunConfig(model=model, train=train, synth=synth, data_dir=config.data_dir)
+    """The config file's keys with the command line's flags laid over them;
+    no file (``--config ""`` included) leaves the defaults underneath."""
+    flags = {"bits": getattr(args, "bits", None), "parts": getattr(args, "parts", None),
+             "synth_seed" if args.command == "synth" else "seed": getattr(args, "seed", None),
+             "exchange": False if getattr(args, "no_exchange", False) else None}
+    return load_config(args.config or None,
+                       {key: value for key, value in flags.items() if value is not None})
 
 
 def _manifest_path(path: str | Path) -> Path:

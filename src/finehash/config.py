@@ -5,6 +5,9 @@ flat namespace; ``#`` starts a comment, every key is optional, and an empty
 file yields the library defaults.  Unknown and duplicate keys are config
 errors naming the key, so typos fail loudly instead of training with a
 silently ignored setting.  Path values resolve relative to the config file.
+``load_config`` is the one builder: command-line flags are keys laid over
+the file's, each config is validated once, and a rejected value names the
+file and the keys of its group that the file (by line) or a flag set.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import SynthConfig
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .model import ModelConfig
 from .trainer import TrainConfig
 
@@ -50,34 +53,22 @@ class RunConfig:
 
 
 def default_run_config() -> RunConfig:
-    return _build({}, {}, {}, None)
+    return load_config()
 
 
-def _build(model_kwargs: dict, train_kwargs: dict, synth_kwargs: dict,
-           data_dir: Path | None) -> RunConfig:
-    model = ModelConfig(**model_kwargs)
-    # the generator renders what the model consumes, so geometry is shared
-    synth_kwargs.setdefault("image_side", model.image_side)
-    synth_kwargs.setdefault("parts_per_image", model.parts)
-    return RunConfig(
-        model=model,
-        train=TrainConfig(**train_kwargs),
-        synth=SynthConfig(**synth_kwargs),
-        data_dir=data_dir,
-    )
-
-
-def load_config(path: str | Path) -> RunConfig:
-    """Parse a config file; every omitted key keeps its default."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
-
-    kwargs: dict[type, dict] = {ModelConfig: {}, TrainConfig: {}, SynthConfig: {}}
-    data_dir: Path | None = None
-    seen: set[str] = set()
+def load_config(path: str | Path | None = None, flags: dict | None = None) -> RunConfig:
+    """Parse a config file when one is given, lay ``flags`` (config key ->
+    value, as the command line sets them) over its keys, and build each
+    config once; every key set nowhere keeps its default."""
+    values: dict[str, object] = {}
+    origins: dict[str, str] = {}
+    lines: list[str] = []
+    if path is not None:
+        path = Path(path)
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: cannot read config: {exc}") from exc
 
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -90,11 +81,11 @@ def load_config(path: str | Path) -> RunConfig:
         value = value.strip()
         if key not in KNOWN_KEYS:
             raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
-        if key in seen:
+        if key in values:
             raise ConfigError(f"{path}: line {line_no}: duplicate key {key!r}")
-        seen.add(key)
         if not value:
             raise ConfigError(f"{path}: line {line_no}: key {key!r} has no value")
+        origins[key] = f"on line {line_no}"
 
         def bad(expected: str):
             return ConfigError(
@@ -103,12 +94,30 @@ def load_config(path: str | Path) -> RunConfig:
 
         if key == "data_dir":
             candidate = Path(value)
-            data_dir = candidate if candidate.is_absolute() else path.parent / candidate
+            values[key] = candidate if candidate.is_absolute() else path.parent / candidate
         else:
             cls, name = _FIELDS[key]
-            kwargs[cls][name] = _parse(value, _TYPES[cls][name], bad)
+            values[key] = _parse(value, _TYPES[cls][name], bad)
+    for key, value in (flags or {}).items():
+        values[key], origins[key] = value, "on the command line"
 
-    return _build(kwargs[ModelConfig], kwargs[TrainConfig], kwargs[SynthConfig], data_dir)
+    def build(cls, **derived):
+        keys = [key for key, (owner, _) in _FIELDS.items() if owner is cls and key in values]
+        try:
+            return cls(**derived, **{_FIELDS[key][1]: values[key] for key in keys})
+        except ContractError as exc:
+            where = "" if path is None else f"{path}: "
+            # TrainConfig and SynthConfig name themselves in their messages already
+            group = "" if str(exc).startswith(f"{cls.__name__}: ") else f"{cls.__name__}: "
+            set_by = ", ".join(f"{key} {origins[key]}" for key in keys)
+            raise ContractError(f"{where}{group}{exc}"
+                                + (f" (set: {set_by})" if keys else "")) from None
+
+    model = build(ModelConfig)
+    train = build(TrainConfig)
+    # the generator renders what the model consumes, so geometry is shared
+    synth = build(SynthConfig, image_side=model.image_side, parts_per_image=model.parts)
+    return RunConfig(model, train, synth, values.get("data_dir"))
 
 
 def _parse(text: str, kind, bad):

@@ -412,10 +412,12 @@ class RetrievalIndex:
                topn: int | None = None) -> np.ndarray:
         """Database ids ranked for one +/-1 query code: the full Hamming
         (distance, id) order, or with topn its first min(topn, n) ids,
-        re-sorted by feature distance when query_feature is given."""
+        re-sorted by feature distance when query_feature is given (it needs topn)."""
         if query_feature is not None and self.features is None:
             raise ContractError("search: re-ranking requested without features")
         if topn is None:
+            if query_feature is not None:
+                raise ContractError("search: re-ranking needs topn, the shortlist size")
             return coarse_rank(self.packed, query_code)
         if topn < 0:
             raise ContractError(f"search: topn must be >= 0, got {topn}")

@@ -20,7 +20,7 @@ import pytest
 import finehash.cli as cli_module
 from finehash.checkpoint import load_arrays, save_arrays
 from finehash.cli import build_parser, main
-from finehash.config import load_config
+from finehash.config import default_run_config, load_config
 from finehash.data import load_manifest
 from finehash.errors import FileFormatError
 from finehash import trainer as trainer_module
@@ -152,6 +152,29 @@ class TestParser:
         assert code == 2
 
 
+class TestRunConfig:
+    """The four flags reach the configs as keys laid over the config file's."""
+
+    def load(self, argv):
+        return cli_module._load_run_config(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_parts_flag_sets_model_and_generator(self, command):
+        config = self.load([command, "--parts", "3"])
+        assert config.model.parts == config.synth.parts_per_image == 3
+
+    def test_seed_flag_picks_the_commands_generator(self):
+        default = default_run_config()
+        synth = self.load(["synth", "--seed", "5"])
+        assert (synth.synth.seed, synth.train.seed) == (5, default.train.seed)
+        train = self.load(["train", "--seed", "5", "--bits", "16", "--no-exchange"])
+        assert (train.train.seed, train.synth.seed) == (5, default.synth.seed)
+        assert (train.model.bits, train.train.exchange) == (16, False)
+
+    def test_empty_config_builds_defaults(self):
+        assert self.load(["train", "--config", ""]) == default_run_config()
+
+
 class TestSynth:
     def test_writes_manifest_and_images(self, workspace):
         dataset = load_manifest(workspace["data"] / "manifest.csv")
@@ -171,18 +194,18 @@ class TestSynth:
         code, _ = run_cli(["synth", "--config", config])
         assert code == 2
 
-    @pytest.mark.parametrize("command, option, config_text", [
-        ("synth", ["--seed", "-1"], ""),
-        ("synth", [], "synth_seed = -5\n"),
-        ("train", [], "synth_seed = -5\n"),
+    @pytest.mark.parametrize("command, option, config_text, source", [
+        ("synth", ["--seed", "-1"], "", "synth_seed on the command line"),
+        ("synth", [], "synth_seed = -5\n", "synth_seed on line 1"),
+        ("train", [], "synth_seed = -5\n", "synth_seed on line 1"),
     ], ids=["synth-flag", "synth-config", "train-config"])
     def test_negative_seed_exits_2_naming_it(self, tmp_path, caplog, command, option,
-                                             config_text):
+                                             config_text, source):
         config = tmp_path / "seed.cfg"
         config.write_text(config_text + "data_dir = data\n")
         code, _ = run_cli([command, "--config", config, *option])
         assert code == 2
-        assert "SynthConfig: seed must be >= 0" in caplog.text
+        assert f"seed.cfg: SynthConfig: seed must be >= 0 (set: {source})" in caplog.text
         assert not (tmp_path / "data").exists()
 
 
@@ -223,6 +246,14 @@ class TestTrain:
                    for source in (["--config", config], ["--data", tmp_path / "data"])]
         assert reports[0] == reports[1]
         assert reports[0][0] == 0
+
+    def test_bits_flag_overrides_invalid_file_value(self, workspace, tmp_path):
+        config = tmp_path / "zero.cfg"
+        config.write_text(TINY_CONFIG.replace("bits = 8\n", "bits = 0\n")
+                          .replace("data_dir = data", f"data_dir = {workspace['data']}"))
+        code, _ = run_cli(["train", "--config", config, "--out-dir", tmp_path, "--bits", "16"])
+        assert code == 0
+        assert load_checkpoint(tmp_path / "model.fht1").params.config.bits == 16
 
     def test_seed_override_changes_codes_only(self, workspace, tmp_path):
         code, _ = run_cli(["train", "--config", workspace["config"],

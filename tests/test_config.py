@@ -1,11 +1,12 @@
 """Tests for the flat key = value config parser."""
 
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finehash.config import RunConfig, default_run_config, load_config
+from finehash.config import KNOWN_KEYS, RunConfig, default_run_config, load_config
 from finehash.data import SynthConfig
 from finehash.errors import ConfigError, ContractError
 from finehash.model import ModelConfig, ModelParams
@@ -40,6 +41,14 @@ class TestDefaults:
         loaded = load_config(write(tmp_path, "image_side = 16\nparts = 2\n"))
         assert loaded.synth.image_side == 16
         assert loaded.synth.parts_per_image == 2
+
+    def test_default_run_config_is_load_config_without_file_or_flags(self):
+        assert default_run_config() == load_config()
+
+    def test_every_key_documented_in_readme(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+        assert sorted(key for key in KNOWN_KEYS if f"`{key}`" not in section) == []
 
 
 class TestParsing:
@@ -96,6 +105,12 @@ synth_pattern_scale = 0.4
         path.write_text("data_dir = ../datasets/run1\n")
         loaded = load_config(path)
         assert loaded.data_dir == nested / ".." / "datasets" / "run1"
+
+    def test_flags_override_file_keys(self, tmp_path):
+        loaded = load_config(write(tmp_path, "bits = 24\nseed = 3\n"),
+                             {"bits": 16, "synth_seed": 5, "exchange": False})
+        assert (loaded.model.bits, loaded.train.seed) == (16, 3)
+        assert (loaded.synth.seed, loaded.train.exchange) == (5, False)
 
     def test_absolute_data_dir(self, tmp_path):
         loaded = load_config(write(tmp_path, f"data_dir = {tmp_path}/elsewhere\n"))
@@ -156,6 +171,32 @@ class TestErrors:
     def test_non_finite_float_rejected(self, tmp_path, line, name):
         with pytest.raises(ContractError, match=name):
             load_config(write(tmp_path, line + "\n"))
+
+
+class TestRejectionNamesSource:
+    @pytest.mark.parametrize("text, message", [
+        ("synth_seed = -5\n", "SynthConfig: seed must be >= 0 (set: synth_seed on line 1)"),
+        ("bits = 24\nlearning_rate = -1\nseed = 3\n",
+         "TrainConfig: learning_rate must be > 0 (set: learning_rate on line 2, seed on line 3)"),
+        # the group is named once, though ModelConfig's own messages omit it
+        ("# model\nbits = 0\n", "ModelConfig: bits must be >= 1, got 0 (set: bits on line 2)"),
+    ], ids=["synth", "train", "model"])
+    def test_file_key(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        with pytest.raises(ContractError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_flag(self, tmp_path):
+        with pytest.raises(ContractError) as info:
+            load_config(flags={"synth_seed": -1})
+        assert str(info.value) == ("SynthConfig: seed must be >= 0 "
+                                   "(set: synth_seed on the command line)")
+        path = write(tmp_path, "synth_seed = 3\nsynth_classes = 2\n")
+        with pytest.raises(ContractError) as info:
+            load_config(path, {"synth_seed": -1})
+        assert str(info.value) == (f"{path}: SynthConfig: seed must be >= 0 (set: "
+                                   "synth_classes on line 2, synth_seed on the command line)")
 
 
 # every field off its default, so a parser or checkpoint that drops one shows

@@ -758,6 +758,17 @@ class TestIndex:
             assert np.array_equal(refined, rerank(expect, features, query_feature, topn)[:topn])
         assert len(index.search(query, query_feature, 0)) == 0
 
+    def test_query_feature_without_topn_rejected(self):
+        # a feature without a shortlist size would go unused, so it is rejected
+        db = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        features = np.array([[9.0], [0.0], [5.0], [1.0]], dtype=np.float32)
+        index = RetrievalIndex(pack_codes(db), features=features)
+        query, query_feature = np.array([1.0, 1.0]), np.array([0.0], dtype=np.float32)
+        assert np.array_equal(index.search(query), [0, 1, 2, 3])
+        assert np.array_equal(index.search(query, query_feature, topn=4), [1, 3, 2, 0])
+        with pytest.raises(ContractError, match="topn"):
+            index.search(query, query_feature)
+
     def test_rerank_without_features_rejected(self):
         index = RetrievalIndex(pack_codes(np.ones((3, 4))))
         with pytest.raises(ContractError):
