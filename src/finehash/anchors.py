@@ -4,7 +4,8 @@ An anchor is the mean local feature of one part over all training samples
 of one class.  During training, each part vector of a sample is kept or
 replaced by its class anchor according to a fair coin flip per part, which
 regularizes part features toward class prototypes; a whole batch is
-exchanged at once with a [batch, parts] mask.
+exchanged at once with a [batch, parts] mask of 0/1 entries, which the
+trainer draws from its per-iteration generator.
 
 The bank is one [classes, parts, dim] table indexed by the dense class id,
 recomputed whole from the database at every anchor phase; a checkpoint
@@ -96,18 +97,6 @@ def compute_anchor_bank(part_vecs: np.ndarray, labels: np.ndarray) -> AnchorBank
         raise ContractError(f"compute_anchor_bank: classes {empty.tolist()} have no samples")
     return AnchorBank(np.stack([part_vecs[labels == c].astype(np.float64).mean(axis=0)
                                 for c in range(labels.max() + 1)]))
-
-
-def draw_keep_mask(rng: np.random.Generator, shape) -> np.ndarray:
-    """Fair coin per part: 1 keeps the sample's own feature, 0 exchanges it.
-
-    ``shape`` is a part count or (batch, parts); one (B, P) draw gives the
-    masks and the generator state of B successive draws of P.
-    """
-    shape = tuple(int(n) for n in np.atleast_1d(shape))
-    if min(shape) < 0:
-        raise ContractError(f"draw_keep_mask: extents must be >= 0, got {shape}")
-    return rng.integers(0, 2, size=shape)
 
 
 def exchange_features(

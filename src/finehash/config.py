@@ -102,21 +102,25 @@ def load_config(path: str | Path | None = None, flags: dict | None = None) -> Ru
         values[key], origins[key] = value, "on the command line"
 
     def build(cls, **derived):
+        """``derived`` maps a field to the (key, value) of the config it comes from."""
         keys = [key for key, (owner, _) in _FIELDS.items() if owner is cls and key in values]
+        named = keys + [key for key, _ in derived.values() if key in values]
         try:
-            return cls(**derived, **{_FIELDS[key][1]: values[key] for key in keys})
+            return cls(**{name: value for name, (_, value) in derived.items()},
+                       **{_FIELDS[key][1]: values[key] for key in keys})
         except ContractError as exc:
             where = "" if path is None else f"{path}: "
             # TrainConfig and SynthConfig name themselves in their messages already
             group = "" if str(exc).startswith(f"{cls.__name__}: ") else f"{cls.__name__}: "
-            set_by = ", ".join(f"{key} {origins[key]}" for key in keys)
+            set_by = ", ".join(f"{key} {origins[key]}" for key in named)
             raise ContractError(f"{where}{group}{exc}"
-                                + (f" (set: {set_by})" if keys else "")) from None
+                                + (f" (set: {set_by})" if named else "")) from None
 
     model = build(ModelConfig)
     train = build(TrainConfig)
     # the generator renders what the model consumes, so geometry is shared
-    synth = build(SynthConfig, image_side=model.image_side, parts_per_image=model.parts)
+    synth = build(SynthConfig, image_side=("image_side", model.image_side),
+                  parts_per_image=("parts", model.parts))
     return RunConfig(model, train, synth, values.get("data_dir"))
 
 

@@ -14,8 +14,6 @@ inputs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -131,32 +129,16 @@ def batch_similarity_loss(
     return ad.sum_all(ad.hadamard(resid, resid))
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the two diversity terms and the channel hinge margin."""
-
-    spatial: float = 0.0
-    channel: float = 0.0
-    margin: float = 0.4
-
-    def __post_init__(self):
-        if self.spatial < 0.0 or self.channel < 0.0:
-            raise ContractError("loss weights must be >= 0")
-        if self.margin < 0.0:
-            raise ContractError(f"margin must be >= 0, got {self.margin}")
-
-
-def auto_weights(bits: int, pair_count: int, margin: float = 0.4) -> LossWeights:
-    """Default diversity weights 0.1 * bits^2 / pair_count.
+def auto_weight(bits: int, pair_count: int) -> float:
+    """Default weight 0.1 * bits^2 / pair_count of each diversity term.
 
     pair_count is the number of (sample, database) pairs the similarity term
     sums over, so the scaling tracks how the squared term grows with the
     code length.
     """
     if pair_count < 1:
-        raise ContractError(f"auto_weights: pair_count must be >= 1, got {pair_count}")
-    weight = 0.1 * bits * bits / pair_count
-    return LossWeights(spatial=weight, channel=weight, margin=margin)
+        raise ContractError(f"auto_weight: pair_count must be >= 1, got {pair_count}")
+    return 0.1 * bits * bits / pair_count
 
 
 def total_objective(
@@ -165,24 +147,29 @@ def total_objective(
     db_codes: np.ndarray,
     sim_rows: np.ndarray,
     bits: int,
-    weights: LossWeights,
+    *, spatial: float, channel: float, margin: float,
 ) -> ad.Tensor:
     """Batch similarity loss plus weighted diversity terms summed over the batch.
 
     relaxed holds the codes [B, bits] of a batch and features its stacked
-    part tensors.  A diversity term with weight 0 is skipped entirely,
+    part tensors.  ``spatial`` and ``channel`` weight the two diversity
+    terms and ``margin`` is the channel hinge's; a negative one is a
+    ContractError.  A diversity term with weight 0 is skipped entirely,
     which also permits single-part configurations where the pairwise terms
     are undefined.
     """
+    if min(spatial, channel, margin) < 0.0:
+        raise ContractError(f"total_objective: spatial {spatial}, channel {channel} and "
+                            f"margin {margin} must be >= 0")
     if features.part_vecs.shape[:-2] != relaxed.shape[:-1]:
         raise DimensionError(
             f"total_objective: codes {relaxed.shape} vs part vectors {features.part_vecs.shape}"
         )
     total = batch_similarity_loss(relaxed, db_codes, sim_rows, bits)
-    if weights.spatial > 0.0:
-        spatial = ad.sum_all(spatial_diversity_loss(features.part_maps))
-        total = ad.add(total, ad.scale(spatial, weights.spatial))
-    if weights.channel > 0.0:
-        channel = ad.sum_all(channel_diversity_loss(features.part_vecs, weights.margin))
-        total = ad.add(total, ad.scale(channel, weights.channel))
+    if spatial > 0.0:
+        spatial_loss = ad.sum_all(spatial_diversity_loss(features.part_maps))
+        total = ad.add(total, ad.scale(spatial_loss, spatial))
+    if channel > 0.0:
+        channel_loss = ad.sum_all(channel_diversity_loss(features.part_vecs, margin))
+        total = ad.add(total, ad.scale(channel_loss, channel))
     return total

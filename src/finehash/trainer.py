@@ -32,12 +32,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .anchors import AnchorBank, compute_anchor_bank, draw_keep_mask, exchange_features
+from .anchors import AnchorBank, compute_anchor_bank, exchange_features
 from .checkpoint import load_arrays, save_arrays
 from .data import Dataset, build_similarity
 from .errors import ContractError, DomainError, FileFormatError
-from .losses import (LossWeights, auto_weights, batch_similarity_loss, check_similarity_inputs,
-                     total_objective)
+from .losses import auto_weight, batch_similarity_loss, check_similarity_inputs, total_objective
 from .model import (PARAM_DTYPE, ModelConfig, ModelParams, descriptor, forward_features,
                     hash_layer, weight_shapes)
 
@@ -55,8 +54,10 @@ ENCODE_CHUNK = 8
 class TrainConfig:
     """Schedule and optimizer settings for the alternating loop.
 
-    spatial_weight and channel_weight default to None, meaning the auto
-    scaling from the loss module; set explicit floats to override.
+    spatial_weight and channel_weight default to None, meaning
+    losses.auto_weight over the similarity term's (subset, database) pairs,
+    or 0 when the model has one part; set explicit floats to override.  A
+    positive weight needs at least two parts, which the trainer checks.
     """
 
     outer_iters: int = 15
@@ -343,7 +344,18 @@ class AlternatingTrainer:
         self.train_labels = dataset.train_labels
         self.db_size = len(self.train_labels)
         self.history: list[dict] = []
-        self._weights = self._resolve_weights()
+        # one part has no pairs for the diversity terms, so auto weighs them 0
+        parts = model_config.parts
+        subset = min(train_config.samples_per_epoch, self.db_size)
+        auto = auto_weight(model_config.bits, subset * self.db_size) if parts > 1 else 0.0
+        weights = []
+        for key in ("spatial_weight", "channel_weight"):
+            weight = getattr(train_config, key)
+            if weight and parts < 2:
+                raise ContractError(f"AlternatingTrainer: {key} = {weight} needs parts >= 2, "
+                                    f"got parts = {parts}")
+            weights.append(auto if weight is None else weight)
+        self._spatial_weight, self._channel_weight = weights
         self._descriptors: np.ndarray | None = None
 
     @classmethod
@@ -394,19 +406,6 @@ class AlternatingTrainer:
         mean = self._descriptors.mean(axis=0)
         self.params.hash_bias.data[...] = self.params.hash_weight.data @ mean
 
-    def _resolve_weights(self) -> LossWeights:
-        config = self.train_config
-        if config.spatial_weight is None or config.channel_weight is None:
-            subset = min(config.samples_per_epoch, self.db_size)
-            auto = auto_weights(self.model_config.bits, subset * self.db_size, config.margin)
-            return LossWeights(
-                spatial=auto.spatial if config.spatial_weight is None else config.spatial_weight,
-                channel=auto.channel if config.channel_weight is None else config.channel_weight,
-                margin=config.margin,
-            )
-        return LossWeights(spatial=config.spatial_weight, channel=config.channel_weight,
-                           margin=config.margin)
-
     def exchange_active(self, iteration: int) -> bool:
         return self.train_config.exchange and iteration >= warmup_iters(self.train_config)
 
@@ -420,20 +419,19 @@ class AlternatingTrainer:
             part_vecs = features.part_vecs
             if exchanging:
                 labels = self.train_labels[batch]
-                mask = draw_keep_mask(rng, (len(batch), self.model_config.parts))
+                mask = rng.integers(0, 2, size=(len(batch), self.model_config.parts))
                 part_vecs = exchange_features(part_vecs, self.anchors.rows(labels), mask)
             relaxed = hash_layer(self.params, descriptor(part_vecs, features.global_vec))
             sim_rows = build_similarity(self.train_labels[batch], self.train_labels)
             total = total_objective(relaxed, features, self.codes, sim_rows,
-                                    self.model_config.bits, self._weights)
+                                    self.model_config.bits, spatial=self._spatial_weight,
+                                    channel=self._channel_weight, margin=self.train_config.margin)
             loss = ad.scale(
                 total, 1.0 / (len(batch) * self.db_size * self.model_config.bits)
             )
         tape.backward(loss)
         decay = self.train_config.weight_decay
         for tens in self.params.named().values():
-            if tens.grad is None:
-                continue
             tens.data -= rate * (tens.grad + decay * tens.data)
             tens.grad = None
         return loss.item()

@@ -10,6 +10,8 @@ import contextlib
 import inspect
 import io
 import itertools
+import multiprocessing
+import os
 import time
 from dataclasses import replace
 
@@ -22,7 +24,7 @@ from finehash.anchors import AnchorBank, exchange_features
 from finehash.cli import main as cli_main
 from finehash.config import default_run_config
 from finehash.data import SynthConfig, build_similarity, generate_synthetic
-from finehash.losses import LossWeights, batch_similarity_loss, total_objective
+from finehash.losses import batch_similarity_loss, total_objective
 from finehash.model import ModelConfig, ModelParams, descriptor, forward_features, hash_layer
 from finehash.pq import adc_distances, encode_pq, kmeans, pq_rank, train_pq
 from finehash.retrieval import (
@@ -64,26 +66,37 @@ def small_trained():
     return trainer
 
 
+def _benchmark_run(seed: int, exchange: bool) -> dict:
+    """One default 16-bit run on the default synthetic set: its map and seconds."""
+    started = time.monotonic()
+    config = default_run_config()
+    dataset = generate_synthetic(config.synth)
+    trainer = AlternatingTrainer(dataset, replace(config.model, bits=16),
+                                 replace(config.train, seed=seed, exchange=exchange))
+    trainer.train()
+    query_codes = encode_images(trainer.params, dataset.query_images)[0]
+    index = RetrievalIndex(pack_codes(trainer.codes), labels=dataset.train_labels)
+    score = evaluate_queries(index, query_codes, dataset.query_labels)["map"]
+    return {"map": score, "seconds": time.monotonic() - started}
+
+
 @pytest.fixture(scope="module")
 def benchmark_runs():
-    """Full-scale training runs: three seeds, with and without exchanging."""
-    config = default_run_config()
-    model = replace(config.model, bits=16)
-    runs = {}
-    for seed in (0, 1, 2):
-        for exchange in (True, False):
-            started = time.monotonic()
-            dataset = generate_synthetic(config.synth)
-            train = replace(config.train, seed=seed, exchange=exchange)
-            trainer = AlternatingTrainer(dataset, model, train)
-            trainer.train()
-            query_codes = encode_images(trainer.params, dataset.query_images)[0]
-            index = RetrievalIndex(pack_codes(trainer.codes), labels=dataset.train_labels)
-            score = evaluate_queries(index, query_codes, dataset.query_labels)["map"]
-            runs[(seed, exchange)] = {
-                "map": score, "seconds": time.monotonic() - started,
-            }
-    return runs
+    """Full-scale training runs: three seeds, with and without exchanging.
+
+    The runs share out over one spawned worker per usable CPU, each with a
+    one-thread BLAS: the variables are set before the worker imports numpy,
+    the only time numpy reads them.  With one CPU they run here in turn.
+    """
+    cases = [(seed, exchange) for seed in (0, 1, 2) for exchange in (True, False)]
+    workers = min(len(cases), len(os.sched_getaffinity(0)))
+    if workers == 1:
+        return {case: _benchmark_run(*case) for case in cases}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            patch.setenv(name, "1")
+        with multiprocessing.get_context("spawn").Pool(workers) as pool:
+            return dict(zip(cases, pool.starmap(_benchmark_run, cases)))
 
 
 # -- criterion 1: gradient correctness ---------------------------------------
@@ -168,10 +181,11 @@ def test_01_rows_cover_every_autodiff_op():
     assert not stale, f"criterion 1 rows of no autodiff op: {sorted(stale)}"
 
 
-def _toy_batch_loss(params, images, codes, sim, bits, weights):
+def _toy_batch_loss(params, images, codes, sim, bits):
     features = forward_features(params, images)
     relaxed = hash_layer(params, descriptor(features.part_vecs, features.global_vec))
-    return total_objective(relaxed, features, codes, sim, bits, weights)
+    return total_objective(relaxed, features, codes, sim, bits,
+                           spatial=0.3, channel=0.2, margin=0.4)
 
 
 def test_01_gradients_match_finite_differences():
@@ -187,16 +201,15 @@ def test_01_gradients_match_finite_differences():
     images = rng.uniform(size=(2, 8, 8, 3))
     codes = rng.choice([-1.0, 1.0], size=(6, 4))
     sim = build_similarity(np.array([0, 1]), np.array([0, 1, 0, 1, 0, 1]))
-    weights = LossWeights(spatial=0.3, channel=0.2, margin=0.4)
 
     named = params.named()
     arrays = [tensor.data for tensor in named.values()]
 
     def loss_value(*_arrs):
-        return _toy_batch_loss(params, images, codes, sim, 4, weights).item()
+        return _toy_batch_loss(params, images, codes, sim, 4).item()
 
     with ad.Tape() as tape:
-        loss = _toy_batch_loss(params, images, codes, sim, 4, weights)
+        loss = _toy_batch_loss(params, images, codes, sim, 4)
     tape.backward(loss)
     numeric = helpers.finite_difference(loss_value, arrays)
     loss_errors = {

@@ -99,35 +99,6 @@ class TestAnchorBank:
                 bank.rows(np.array([1, missing]))
 
 
-class TestDrawKeepMask:
-    def test_deterministic_under_seed(self):
-        a = anchors.draw_keep_mask(np.random.default_rng(42), 6)
-        b = anchors.draw_keep_mask(np.random.default_rng(42), 6)
-        assert np.array_equal(a, b)
-        assert set(np.unique(a)) <= {0, 1}
-
-    def test_empirical_mean_near_half(self):
-        rng = np.random.default_rng(7)
-        draws = np.stack([anchors.draw_keep_mask(rng, 4) for _ in range(10000)])
-        means = draws.mean(axis=0)
-        assert np.all(means > 0.47) and np.all(means < 0.53)
-
-    def test_zero_parts(self):
-        assert anchors.draw_keep_mask(np.random.default_rng(0), 0).size == 0
-
-    def test_negative_parts_rejected(self):
-        with pytest.raises(ContractError):
-            anchors.draw_keep_mask(np.random.default_rng(0), -1)
-
-    def test_batch_draw_equals_per_sample_draws(self):
-        for parts in (1, 3, 4):
-            batched, serial = np.random.default_rng(3), np.random.default_rng(3)
-            masks = anchors.draw_keep_mask(batched, (5, parts))
-            expected = np.stack([anchors.draw_keep_mask(serial, parts) for _ in range(5)])
-            assert np.array_equal(masks, expected)
-            assert batched.bit_generator.state == serial.bit_generator.state
-
-
 class TestExchangeFeatures:
     def _setup(self, rng, parts=3, dim=4):
         vecs = ad.parameter(np.stack([rng.standard_normal(dim) for _ in range(parts)]))

@@ -5,6 +5,7 @@ import ast
 import contextlib
 import csv
 import filecmp
+import hashlib
 import io
 import json
 import logging
@@ -27,6 +28,7 @@ from finehash import trainer as trainer_module
 from finehash.retrieval import (
     RetrievalIndex,
     coarse_rank,
+    evaluate_queries,
     load_features,
     load_labels,
     load_packed,
@@ -207,6 +209,28 @@ class TestSynth:
         assert code == 2
         assert f"seed.cfg: SynthConfig: seed must be >= 0 (set: {source})" in caplog.text
         assert not (tmp_path / "data").exists()
+
+    def test_more_parts_than_grid_cells_is_byte_identical(self, tmp_path):
+        # 20 patches of 8 px outnumber the 16 cells of a 32 px image, so the
+        # generator draws free part positions instead of one cell per part
+        config = tmp_path / "crowded.cfg"
+        config.write_text("synth_classes = 2\nsynth_per_class = 2\n"
+                          "synth_queries_per_class = 1\nsynth_seed = 4\n")
+        for out in ("first", "second"):
+            code, _ = run_cli(["synth", "--config", config, "--out", tmp_path / out,
+                               "--parts", "20"])
+            assert code == 0
+        names = sorted(path.relative_to(tmp_path / "first").as_posix()
+                       for path in (tmp_path / "first").rglob("*") if path.is_file())
+        assert len(names) == 7  # six images and the manifest
+        digest = hashlib.sha256()
+        for name in names:
+            assert filecmp.cmp(tmp_path / "first" / name, tmp_path / "second" / name,
+                               shallow=False)
+            digest.update(name.encode() + (tmp_path / "first" / name).read_bytes())
+        # the files as this generator wrote them under numpy 2.4.6
+        assert digest.hexdigest() == ("6320f00c6139dbd79d77197c7d583d88"
+                                     "ea0bb3ca4196b0ad130543fb9f9f75fd")
 
 
 class TestTrain:
@@ -415,6 +439,27 @@ class TestTrain:
         assert code == 0
         assert load_packed(tmp_path / "narrow" / "db.fhc1").bits == 4
 
+    def test_one_part_trains_under_auto_weights(self, workspace, tmp_path):
+        # one part has no pairs for the diversity terms, so auto weighs them 0
+        code, _ = run_cli(["train", "--config", workspace["config"], "--out-dir", tmp_path,
+                           "--parts", "1"])
+        assert code == 0
+        assert load_checkpoint(tmp_path / "model.fht1").params.config.parts == 1
+
+    @pytest.mark.parametrize("key", ["spatial_weight", "channel_weight"])
+    def test_one_part_with_positive_weight_exits_2(self, workspace, tmp_path, caplog,
+                                                   monkeypatch, key):
+        config = tmp_path / "one.cfg"
+        config.write_text(TINY_CONFIG.replace("data_dir = data", f"data_dir = {workspace['data']}")
+                          + f"{key} = 0.5\n")
+        passes = self.count_database_passes(workspace, monkeypatch)
+        code, _ = run_cli(["train", "--config", config, "--out-dir", tmp_path / "run",
+                           "--parts", "1"])
+        assert code == 2
+        assert f"{key} = 0.5 needs parts >= 2, got parts = 1" in caplog.text
+        assert passes == []  # rejected before the database is encoded
+        assert not (tmp_path / "run" / "model.fht1").exists()
+
 
 class TestEncode:
     def test_output_matches_library_encoding(self, workspace, tmp_path):
@@ -468,6 +513,15 @@ class TestEncode:
             assert count / rate == pytest.approx(seconds, abs=6e-4)
         else:
             assert rate == 0.0
+
+    def test_output_into_missing_directory_exits_2(self, workspace, tmp_path, caplog):
+        out = tmp_path / "missing" / "q.fhc1"
+        code, stdout = run_cli(["encode", "--checkpoint", workspace["checkpoint"],
+                                "--manifest", workspace["data"], "--out", out])
+        assert code == 2
+        assert stdout == ""
+        assert "missing" in caplog.text
+        assert not out.parent.exists()
 
     def test_bits_mismatch_exits_2(self, workspace, tmp_path, caplog):
         code, _ = run_cli(["encode", "--checkpoint", workspace["checkpoint"],
@@ -617,6 +671,25 @@ class TestQuery:
         assert stdout == ""
         assert "--topn 3 is below --topk 5" in caplog.text
         assert encoded == []  # rejected before any query image is encoded
+
+    def test_codes_of_other_width_exit_2(self, workspace, tmp_path, caplog):
+        path = tmp_path / "wide.fhc1"
+        save_packed(path, pack_codes(np.ones((18, 16))))
+        code, stdout = run_cli(["query", "--checkpoint", workspace["checkpoint"],
+                                "--codes", path, "--queries", workspace["data"]])
+        assert code == 2
+        assert stdout == ""
+        assert ("database codes are 16-bit but the checkpoint produces 8-bit codes"
+                in caplog.text)
+
+    def test_features_of_other_dimension_exit_2(self, workspace, tmp_path, caplog):
+        features = load_features(workspace["features"])
+        path = tmp_path / "wide.fhf1"
+        save_features(path, np.concatenate([features, features[:, :1]], axis=1))
+        code, stdout = run_cli(self.query_args(workspace, ["--features", path]))
+        assert code == 2
+        assert stdout == ""
+        assert "feature file has dimension 25, checkpoint descriptors have 24" in caplog.text
 
     def test_topk_above_database_exits_2(self, workspace, caplog, monkeypatch):
         encoded = []
@@ -802,6 +875,20 @@ class TestEval:
         assert (bits, exchange, queries) == ("8", "on", "6")
         assert 0.0 <= float(map_score) <= 1.0
         assert 0.0 <= float(p1) <= 1.0 and 0.0 <= float(p3) <= 1.0
+
+    def test_topn_reranks_with_encoded_database_descriptors(self, workspace):
+        state = load_checkpoint(workspace["checkpoint"])
+        dataset = load_manifest(workspace["data"] / "manifest.csv")
+        query_codes, query_descriptors = encode_images(state.params, dataset.query_images)
+        index = RetrievalIndex(pack_codes(state.codes), labels=dataset.train_labels,
+                               features=encode_images(state.params, dataset.train_images)[1])
+        for topn in (4, 18):
+            code, stdout = run_cli(["eval", "--checkpoints", workspace["checkpoint"],
+                                    "--data", workspace["data"], "--topn", topn])
+            assert code == 0
+            expected = evaluate_queries(index, query_codes, dataset.query_labels,
+                                        query_descriptors, topn)["map"]
+            assert list(csv.reader(io.StringIO(stdout)))[1][2] == f"{expected:.4f}"
 
     def test_multiple_checkpoints_make_multiple_rows(self, workspace, tmp_path):
         code, _ = run_cli(["train", "--config", workspace["config"],

@@ -198,6 +198,20 @@ class TestRejectionNamesSource:
         assert str(info.value) == (f"{path}: SynthConfig: seed must be >= 0 (set: "
                                    "synth_classes on line 2, synth_seed on the command line)")
 
+    def test_derived_field_names_its_model_key(self, tmp_path):
+        # the generator's image side is the model's, so the model key is named
+        path = write(tmp_path, "image_side = 4\nbackbone_pools = 1,1,1\n")
+        with pytest.raises(ContractError) as info:
+            load_config(path)
+        assert str(info.value) == (f"{path}: SynthConfig: patch size 8 overflows image side 4 "
+                                   "(set: image_side on line 1)")
+        path = write(tmp_path, "synth_patch_size = 8\nbackbone_pools = 1,1,1\n")
+        with pytest.raises(ContractError) as info:
+            load_config(path, {"image_side": 4, "parts": 2})
+        assert str(info.value) == (
+            f"{path}: SynthConfig: patch size 8 overflows image side 4 (set: synth_patch_size "
+            "on line 1, image_side on the command line, parts on the command line)")
+
 
 # every field off its default, so a parser or checkpoint that drops one shows
 NON_DEFAULT = RunConfig(

@@ -369,7 +369,8 @@ class TestTotalObjective:
         rng = np.random.default_rng(18)
         relaxed, codes, sims, _, _, feats = self._random_case(rng)
         total = losses.total_objective(
-            ad.tensor(np.stack(relaxed)), feats, codes, sims, 3, losses.LossWeights()
+            ad.tensor(np.stack(relaxed)), feats, codes, sims, 3, spatial=0.0, channel=0.0,
+            margin=0.4
         ).item()
         expected = losses.batch_similarity_loss(
             ad.tensor(np.stack(relaxed)), codes, sims, 3
@@ -382,18 +383,18 @@ class TestTotalObjective:
         part_map = rng.standard_normal((2, 2, 3))
         part_vec = rng.standard_normal(3)
         feats = features_from([[part_map, part_map.copy()]], [[part_vec, part_vec.copy()]])
-        weights = losses.LossWeights(spatial=0.7, channel=1.3, margin=0.4)
         total = losses.total_objective(
-            ad.tensor(code[None, :]), feats, code[None, :], np.array([[1.0]]), 4, weights
+            ad.tensor(code[None, :]), feats, code[None, :], np.array([[1.0]]), 4,
+            spatial=0.7, channel=1.3, margin=0.4
         ).item()
         assert total == pytest.approx(0.7 * 1.0 + 1.3 * 0.4, abs=1e-9)
 
     def test_matches_term_by_term_sum(self):
         rng = np.random.default_rng(20)
         relaxed, codes, sims, maps, vecs, feats = self._random_case(rng)
-        weights = losses.LossWeights(spatial=0.5, channel=0.25, margin=0.9)
         total = losses.total_objective(
-            ad.tensor(np.stack(relaxed)), feats, codes, sims, 3, weights
+            ad.tensor(np.stack(relaxed)), feats, codes, sims, 3,
+            spatial=0.5, channel=0.25, margin=0.9
         ).item()
         expected = losses.batch_similarity_loss(
             ad.tensor(np.stack(relaxed)), codes, sims, 3
@@ -412,11 +413,11 @@ class TestTotalObjective:
         map1 = rng.standard_normal((2, 2, 3))
         vec0 = rng.standard_normal(3) * 0.2
         vec1 = rng.standard_normal(3) * 0.2
-        weights = losses.LossWeights(spatial=0.6, channel=0.8, margin=0.9)
 
         def build(u, maps, vecs):
             feats = RefinedFeatures(part_maps=maps, part_vecs=vecs, global_vec=None)
-            return losses.total_objective(u, feats, codes, sims, bits, weights)
+            return losses.total_objective(u, feats, codes, sims, bits,
+                                          spatial=0.6, channel=0.8, margin=0.9)
 
         def value(*arrays):
             return build(*[ad.tensor(a) for a in arrays]).item()
@@ -433,15 +434,18 @@ class TestTotalObjective:
 
 class TestAutoWeights:
     def test_formula(self):
-        w = losses.auto_weights(16, 25600)
-        assert w.spatial == pytest.approx(0.001, rel=1e-12)
-        assert w.channel == pytest.approx(0.001, rel=1e-12)
-        assert w.margin == 0.4
+        assert losses.auto_weight(16, 25600) == pytest.approx(0.001, rel=1e-12)
 
     def test_invalid_pair_count(self):
         with pytest.raises(ContractError):
-            losses.auto_weights(16, 0)
+            losses.auto_weight(16, 0)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ContractError):
-            losses.LossWeights(spatial=-0.1)
+        relaxed, codes, sims, _, _, feats = TestTotalObjective()._random_case(
+            np.random.default_rng(22))
+        for weights in ({"spatial": -0.1, "channel": 0.0, "margin": 0.4},
+                        {"spatial": 0.0, "channel": -0.1, "margin": 0.4},
+                        {"spatial": 0.0, "channel": 0.0, "margin": -0.1}):
+            with pytest.raises(ContractError):
+                losses.total_objective(ad.tensor(np.stack(relaxed)), feats, codes, sims, 3,
+                                       **weights)

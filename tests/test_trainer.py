@@ -14,7 +14,7 @@ from finehash.config import default_run_config
 from finehash.data import Dataset, SynthConfig, build_similarity, generate_synthetic
 from finehash.errors import (ContractError, DimensionError, DomainError, FileFormatError,
                              NumericError)
-from finehash.losses import LossWeights, batch_similarity_loss, total_objective
+from finehash.losses import batch_similarity_loss, total_objective
 from finehash.model import ModelConfig, ModelParams, descriptor, forward_features, hash_layer
 from finehash.trainer import (
     AlternatingTrainer,
@@ -643,7 +643,6 @@ class TestBatchIndependence:
         params, labels = float64_params(trainer.params), trainer.train_labels
         batch = np.array([3, 11, 0, 16, 7])
         mask = np.array([[1, 0], [0, 0], [1, 1], [0, 1], [1, 0]])
-        weights = LossWeights(spatial=0.3, channel=0.2, margin=0.9)
 
         def gradients(rows):
             with ad.Tape() as tape:
@@ -654,7 +653,8 @@ class TestBatchIndependence:
                 relaxed = hash_layer(params, descriptor(part_vecs, features.global_vec))
                 total = total_objective(relaxed, features, trainer.codes,
                                         build_similarity(labels[batch[rows]], labels),
-                                        SMALL_MODEL.bits, weights)
+                                        SMALL_MODEL.bits, spatial=0.3, channel=0.2,
+                                        margin=0.9)
             tape.backward(total)
             return {name: tens.grad.copy() for name, tens in params.named().items()}
 
