@@ -43,7 +43,7 @@ from .retrieval import (
     save_labels,
     save_packed,
 )
-from .trainer import AlternatingTrainer, encode_images, load_checkpoint
+from .trainer import AlternatingTrainer, check_part_weights, encode_images, load_checkpoint
 
 LOG = logging.getLogger(__name__)
 
@@ -135,6 +135,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
+    check_part_weights(config.model, config.train)  # before any file is written
     dataset = _resolve_dataset(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -180,11 +181,6 @@ def _encode_logged(params, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     state = load_checkpoint(args.checkpoint)
-    stored_bits = state.params.config.bits
-    if args.bits is not None and args.bits != stored_bits:
-        raise ContractError(
-            f"encode: checkpoint stores {stored_bits}-bit codes, --bits asked for {args.bits}"
-        )
     dataset = load_manifest(_manifest_path(args.manifest))
     codes, descriptors = _encode_logged(state.params, _select_images(dataset, args.split))
     save_packed(args.out, pack_codes(codes))
@@ -269,13 +265,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if args.config:
-        config = _load_run_config(args)
-        dataset = _resolve_dataset(config)
-    elif args.data:
-        dataset = load_manifest(_manifest_path(args.data))
+    if args.data is None:
+        dataset = _resolve_dataset(_load_run_config(args))
     else:
-        raise ConfigError("eval: give --data or --config to locate the dataset")
+        dataset = load_manifest(_manifest_path(args.data))
 
     writer = csv.writer(sys.stdout)
     writer.writerow(["bits", "exchange", "map"] + [f"p@{k}" for k in args.ks] + ["queries"])
@@ -355,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="manifest.csv or a directory containing one")
     encode.add_argument("--out", required=True, help="packed code file to write")
     encode.add_argument("--features", help="also write descriptors to this file")
-    encode.add_argument("--bits", type=int,
-                        help="expected code length; a mismatch with the checkpoint fails")
     encode.add_argument("--split", choices=("train-db", "query", "all"), default="all",
                         help="encode only this manifest split")
     encode.set_defaults(func=cmd_encode)
@@ -384,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("eval", help="retrieval quality of trained checkpoints")
     evaluate.add_argument("--checkpoints", required=True, nargs="+",
                           help="one report row per checkpoint")
-    evaluate.add_argument("--data", help="dataset directory or manifest.csv")
-    evaluate.add_argument("--config", help="run configuration locating the dataset")
+    source = evaluate.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="dataset directory or manifest.csv")
+    source.add_argument("--config", help="run configuration locating the dataset")
     evaluate.add_argument("--ks", type=_cutoffs, default="1,5,10",
                           help="precision cutoffs, comma separated")
     evaluate.add_argument("--topn", type=_positive(int, "--topn"),

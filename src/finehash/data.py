@@ -26,6 +26,7 @@ from .checkpoint import atomic_write
 from .errors import ContractError, DimensionError, IngestionError
 
 SPLITS = ("train-db", "query")
+CHANNELS = 3  # images are RGB, as P6 PPM files are
 MANIFEST_HEADER = ("relative_path", "label", "split")
 
 
@@ -74,7 +75,7 @@ class SynthConfig:
 class Dataset:
     """Images with dense integer labels and a split tag per item."""
 
-    images: np.ndarray  # [n, side, side, 3] float64 in [0, 1]
+    images: np.ndarray  # [n, side, side, CHANNELS] float64 in [0, 1]
     labels: np.ndarray  # [n] int64, dense in [0, num_classes)
     splits: np.ndarray  # [n] str, each in SPLITS
     label_names: list[str] = field(default_factory=list)
@@ -88,8 +89,9 @@ class Dataset:
             raise DimensionError("Dataset: images, labels, and splits disagree on n")
         if n == 0:
             return
-        if self.images.ndim != 4 or self.images.shape[3] != 3:
-            raise DimensionError(f"Dataset: images shape {self.images.shape}, expected [n, h, w, 3]")
+        if self.images.ndim != 4 or self.images.shape[3] != CHANNELS:
+            raise DimensionError(
+                f"Dataset: images shape {self.images.shape}, expected [n, h, w, {CHANNELS}]")
         if self.images.min() < 0.0 or self.images.max() > 1.0:
             raise ContractError("Dataset: image values must lie in [0, 1]")
         unknown = set(self.splits.tolist()) - set(SPLITS)
@@ -201,14 +203,10 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     )
 
 
-def build_similarity(labels: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise +/-1 similarity: +1 iff labels match.
-
-    With one argument the matrix is square (and symmetric with a +1
-    diagonal); with two it compares labels row-by-column.
-    """
-    labels = np.asarray(labels)
-    other = labels if other is None else np.asarray(other)
+def build_similarity(labels: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Pairwise +/-1 similarity of labels (rows) against other (columns):
+    +1 iff the two labels match."""
+    labels, other = np.asarray(labels), np.asarray(other)
     if labels.ndim != 1 or other.ndim != 1:
         raise DimensionError("build_similarity: rank-1 label arrays required")
     return np.where(labels[:, None] == other[None, :], 1.0, -1.0)

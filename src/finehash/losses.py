@@ -73,7 +73,7 @@ def spatial_diversity_loss(part_maps: ad.Tensor) -> ad.Tensor:
     return ad.add_scalar(ad.scale(mean_dist, -1.0), 1.0)
 
 
-def channel_diversity_loss(part_vecs: ad.Tensor, margin: float = 0.4) -> ad.Tensor:
+def channel_diversity_loss(part_vecs: ad.Tensor, margin: float) -> ad.Tensor:
     """Hinge on the mean pairwise Hellinger distance of channel distributions.
 
     Takes part vectors [..., P, C] and returns one loss per leading index.

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .data import CHANNELS
 from .errors import ContractError, DimensionError
 
 REFINE_POOL = 2  # spatial pool factor applied by both refinement stages
@@ -40,8 +41,7 @@ class ModelConfig:
     Attributes:
         parts: number of attended parts M.
         bits: code length q.
-        image_side: input images are [image_side, image_side, in_channels].
-        in_channels: input channel count.
+        image_side: input images are [image_side, image_side, CHANNELS].
         backbone_channels: output channels of each backbone block.
         backbone_pools: spatial mean-pool factor after each block (1 = none).
         refined_channels: channel count C' of the refined part features.
@@ -50,13 +50,12 @@ class ModelConfig:
     parts: int = 4
     bits: int = 32
     image_side: int = 32
-    in_channels: int = 3
     backbone_channels: tuple[int, ...] = (16, 32, 32)
     backbone_pools: tuple[int, ...] = (2, 2, 1)
     refined_channels: int = 32
 
     def __post_init__(self):
-        for name in ("parts", "bits", "image_side", "in_channels", "refined_channels"):
+        for name in ("parts", "bits", "image_side", "refined_channels"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.backbone_channels:
@@ -115,7 +114,7 @@ def weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """The name and shape of every weight of the network, in the order
     :meth:`ModelParams.initialize` draws them and checkpoints store them."""
     shapes: dict[str, tuple[int, ...]] = {}
-    c_in = config.in_channels
+    c_in = CHANNELS
     for i, c_out in enumerate(config.backbone_channels):
         shapes[f"backbone.{i}.kernel"] = (3, 3, c_in, c_out)
         shapes[f"backbone.{i}.bias"] = (c_out,)
@@ -189,12 +188,12 @@ class ModelParams:
 def backbone_forward(params: ModelParams, images: np.ndarray) -> ad.Tensor:
     """Run the backbone on a stack of images, returning the base feature maps.
 
-    Images are [..., side, side, in_channels] with values in [0, 1], cast
+    Images are [..., side, side, CHANNELS] with values in [0, 1], cast
     to the parameters' dtype.  Each block is a same-padded 3x3 convolution
     with a channel bias, a relu, and a mean-pool by the configured factor.
     """
     config = params.config
-    expected = (config.image_side, config.image_side, config.in_channels)
+    expected = (config.image_side, config.image_side, CHANNELS)
     images = np.asarray(images, dtype=params.dtype)
     if images.shape[-3:] != expected:
         raise DimensionError(

@@ -151,13 +151,6 @@ def pack_codes(codes: np.ndarray) -> PackedCodes:
     return PackedCodes(words=rows.view(dtype), bits=bits)
 
 
-def unpack_codes(packed: PackedCodes) -> np.ndarray:
-    """Inverse of pack_codes, back to a +/-1 float64 matrix."""
-    raw = packed.words.view(np.uint8)
-    bits01 = np.unpackbits(raw, axis=1, bitorder="little")[:, : packed.bits]
-    return np.where(bits01 > 0, 1.0, -1.0)
-
-
 # rows per block of the distance scan: the XOR scratch (one word per row,
 # 64 KB to 512 KB) and the key block stay in cache between the word columns
 _SCAN_BLOCK = 1 << 16

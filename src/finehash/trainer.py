@@ -34,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from .anchors import AnchorBank, compute_anchor_bank, exchange_features
 from .checkpoint import load_arrays, save_arrays
-from .data import Dataset, build_similarity
+from .data import CHANNELS, Dataset, build_similarity
 from .errors import ContractError, DomainError, FileFormatError
 from .losses import auto_weight, batch_similarity_loss, check_similarity_inputs, total_objective
 from .model import (PARAM_DTYPE, ModelConfig, ModelParams, descriptor, forward_features,
@@ -127,6 +127,16 @@ def learning_rate_at(config: TrainConfig, iteration: int) -> float:
     return rate
 
 
+def check_part_weights(model_config: ModelConfig, train_config: TrainConfig) -> None:
+    """Reject a positive diversity weight with one part, which has no pairs
+    for the diversity terms to compare."""
+    for key in ("spatial_weight", "channel_weight"):
+        weight = getattr(train_config, key)
+        if weight and model_config.parts < 2:
+            raise ContractError(f"AlternatingTrainer: {key} = {weight} needs parts >= 2, "
+                                f"got parts = {model_config.parts}")
+
+
 def update_code_column(
     relaxed: np.ndarray, codes: np.ndarray, sim: np.ndarray, bits: int, col: int
 ) -> np.ndarray:
@@ -147,7 +157,7 @@ def update_code_column(
 
 
 def sweep_codes(
-    relaxed: np.ndarray, codes: np.ndarray, sim: np.ndarray, bits: int, sweeps: int = 1
+    relaxed: np.ndarray, codes: np.ndarray, sim: np.ndarray, bits: int, sweeps: int
 ) -> np.ndarray:
     """Cycle update_code_column over all columns, ``sweeps`` times."""
     if sweeps < 0:
@@ -332,30 +342,24 @@ class AlternatingTrainer:
         """Bind the dataset and both configs; the caller sets the trainer state."""
         dataset.require_both_splits()
         images = dataset.train_images
-        if images.shape[1:] != (model_config.image_side, model_config.image_side,
-                                model_config.in_channels):
-            raise ContractError(
-                f"AlternatingTrainer: dataset images {images.shape[1:]} do not match "
-                f"model input {(model_config.image_side,) * 2 + (model_config.in_channels,)}"
-            )
+        expected = (model_config.image_side, model_config.image_side, CHANNELS)
+        if images.shape[1:] != expected:
+            raise ContractError(f"AlternatingTrainer: dataset images {images.shape[1:]} do "
+                                f"not match model input {expected}")
         self.model_config = model_config
         self.train_config = train_config
         self.train_images = images
         self.train_labels = dataset.train_labels
         self.db_size = len(self.train_labels)
         self.history: list[dict] = []
+        check_part_weights(model_config, train_config)
         # one part has no pairs for the diversity terms, so auto weighs them 0
         parts = model_config.parts
         subset = min(train_config.samples_per_epoch, self.db_size)
         auto = auto_weight(model_config.bits, subset * self.db_size) if parts > 1 else 0.0
-        weights = []
-        for key in ("spatial_weight", "channel_weight"):
-            weight = getattr(train_config, key)
-            if weight and parts < 2:
-                raise ContractError(f"AlternatingTrainer: {key} = {weight} needs parts >= 2, "
-                                    f"got parts = {parts}")
-            weights.append(auto if weight is None else weight)
-        self._spatial_weight, self._channel_weight = weights
+        self._spatial_weight, self._channel_weight = (
+            auto if weight is None else weight
+            for weight in (train_config.spatial_weight, train_config.channel_weight))
         self._descriptors: np.ndarray | None = None
 
     @classmethod

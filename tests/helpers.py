@@ -90,6 +90,13 @@ def reference_u64_rows(codes: np.ndarray) -> np.ndarray:
     return rows
 
 
+def unpacked_codes(packed) -> np.ndarray:
+    """The +/-1 float64 matrix a PackedCodes holds, read back with
+    np.unpackbits from the bytes of its little-endian words."""
+    flags = np.unpackbits(packed.words.view(np.uint8), axis=1, bitorder="little")
+    return np.where(flags[:, : packed.bits] > 0, 1.0, -1.0)
+
+
 def naive_euclidean_order(
     features: np.ndarray, candidate_ids: np.ndarray, query_feature: np.ndarray, topk: int
 ) -> np.ndarray:

@@ -36,7 +36,6 @@ from finehash.retrieval import (
     rerank,
     save_features,
     save_packed,
-    unpack_codes,
 )
 from finehash.trainer import AlternatingTrainer, encode_images, load_checkpoint
 from helpers import reference_u64_rows
@@ -100,7 +99,7 @@ OPTIONS = {
     "synth": ["--config", "--out", "--seed", "--parts"],
     "train": ["--config", "--out-dir", "--seed", "--bits", "--parts", "--no-exchange",
               "--resume", "--metrics-out"],
-    "encode": ["--checkpoint", "--manifest", "--out", "--features", "--bits", "--split"],
+    "encode": ["--checkpoint", "--manifest", "--out", "--features", "--split"],
     "index": ["--codes", "--labels", "--features"],
     "query": ["--checkpoint", "--codes", "--queries", "--features", "--topk", "--topn",
               "--split"],
@@ -190,11 +189,12 @@ class TestSynth:
         assert (out / "manifest.csv").exists()
         assert stdout.strip().endswith("manifest.csv")
 
-    def test_no_destination_exits_2(self, tmp_path):
+    def test_no_destination_exits_2(self, tmp_path, caplog):
         config = tmp_path / "nodir.cfg"
         config.write_text("synth_classes = 2\n")
         code, _ = run_cli(["synth", "--config", config])
         assert code == 2
+        assert "synth: give --out or set data_dir in the config file" in caplog.text
 
     @pytest.mark.parametrize("command, option, config_text, source", [
         ("synth", ["--seed", "-1"], "", "synth_seed on the command line"),
@@ -240,8 +240,8 @@ class TestTrain:
 
     def test_database_file_holds_optimizer_codes(self, workspace):
         state = load_checkpoint(workspace["checkpoint"])
-        stored = unpack_codes(load_packed(workspace["codes"]))
-        assert np.array_equal(stored, state.codes)
+        stored = load_packed(workspace["codes"])
+        assert np.array_equal(stored.words, pack_codes(state.codes).words)
 
     def test_labels_match_dataset_train_split(self, workspace):
         labels = load_labels(workspace["labels"])
@@ -460,6 +460,16 @@ class TestTrain:
         assert passes == []  # rejected before the database is encoded
         assert not (tmp_path / "run" / "model.fht1").exists()
 
+    def test_rejected_part_weights_write_nothing(self, tmp_path, caplog):
+        config = tmp_path / "one.cfg"
+        config.write_text(TINY_CONFIG.replace("parts = 2\n", "parts = 1\n")
+                          + "spatial_weight = 0.5\n")
+        code, _ = run_cli(["train", "--config", config, "--out-dir", tmp_path / "run"])
+        assert code == 2
+        assert "spatial_weight = 0.5 needs parts >= 2, got parts = 1" in caplog.text
+        assert not (tmp_path / "data").exists()  # the configured data_dir
+        assert not (tmp_path / "run").exists()
+
 
 class TestEncode:
     def test_output_matches_library_encoding(self, workspace, tmp_path):
@@ -471,7 +481,7 @@ class TestEncode:
         state = load_checkpoint(workspace["checkpoint"])
         dataset = load_manifest(workspace["data"] / "manifest.csv")
         expected = encode_images(state.params, dataset.images)[0]
-        assert np.array_equal(unpack_codes(load_packed(out)), expected)
+        assert np.array_equal(load_packed(out).words, pack_codes(expected).words)
 
     def test_split_filter_narrows_rows(self, workspace, tmp_path):
         out = tmp_path / "queries.fhc1"
@@ -523,13 +533,6 @@ class TestEncode:
         assert "missing" in caplog.text
         assert not out.parent.exists()
 
-    def test_bits_mismatch_exits_2(self, workspace, tmp_path, caplog):
-        code, _ = run_cli(["encode", "--checkpoint", workspace["checkpoint"],
-                           "--manifest", workspace["data"],
-                           "--out", tmp_path / "x.fhc1", "--bits", "16"])
-        assert code == 2
-        assert "8-bit" in caplog.text
-
     def test_features_flag_writes_descriptors(self, workspace, tmp_path):
         out = tmp_path / "q.fhc1"
         feats = tmp_path / "q.fhf1"
@@ -544,7 +547,7 @@ class TestEncode:
         ("config.model.parts", np.array([2.0, 2.0])),
         ("config.model.bits", np.array(np.nan)),
     ])
-    def test_malformed_checkpoint_exits_2(self, workspace, tmp_path, name, value):
+    def test_malformed_checkpoint_exits_2(self, workspace, tmp_path, caplog, name, value):
         arrays = load_arrays(workspace["checkpoint"])
         if value is None:
             del arrays[name]
@@ -554,6 +557,20 @@ class TestEncode:
         code, _ = run_cli(["encode", "--checkpoint", tmp_path / "bad.fht1",
                            "--manifest", workspace["data"], "--out", tmp_path / "q.fhc1"])
         assert code == 2
+        assert re.search(rf"bad\.fht1: checkpoint .*'{re.escape(name)}'", caplog.text)
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda codes: codes[:, :4], "stored codes have shape (18, 4)"),
+        (lambda codes: np.where(codes > 0, 0.5, codes), "stored codes: entries must be +/-1"),
+    ], ids=["width", "entries"])
+    def test_invalid_stored_codes_exit_2(self, workspace, tmp_path, caplog, edit, problem):
+        arrays = load_arrays(workspace["checkpoint"])
+        arrays["state.codes"] = edit(arrays["state.codes"])
+        save_arrays(tmp_path / "bad.fht1", arrays)
+        code, _ = run_cli(["encode", "--checkpoint", tmp_path / "bad.fht1",
+                           "--manifest", workspace["data"], "--out", tmp_path / "q.fhc1"])
+        assert code == 2
+        assert f"bad.fht1: {problem}" in caplog.text
 
     @pytest.mark.parametrize("name, value, problem", [
         ("config.train.learning_rate", np.array(-1.0),
@@ -607,11 +624,12 @@ class TestIndex:
         assert stdout == ""
         assert "rows of 1 x uint32 for 32-bit codes" in caplog.text
 
-    def test_mismatched_labels_exit_2(self, workspace, tmp_path):
+    def test_mismatched_labels_exit_2(self, workspace, tmp_path, caplog):
         labels = tmp_path / "short.csv"
         labels.write_text("id,label\n0,0\n")
         code, _ = run_cli(["index", "--codes", workspace["codes"], "--labels", labels])
         assert code == 2
+        assert "RetrievalIndex: 1 labels for 18 codes" in caplog.text
 
     @pytest.mark.parametrize("option", ["--pq-out", "--subspaces", "--centroids",
                                         "--pq-iters", "--seed"])
@@ -792,9 +810,10 @@ class TestQuery:
         assert int(match[1]) == 48 and int(match[3]) == 79
         assert 0.0 <= float(match[2]) <= float(match[4])
 
-    def test_topk_beyond_database_exits_2(self, workspace):
+    def test_topk_beyond_database_exits_2(self, workspace, caplog):
         code, _ = run_cli(self.query_args(workspace, ["--topk", "99"]))
         assert code == 2
+        assert "--topk 99 outside [1, 18]" in caplog.text
 
     def test_overflowing_weights_exit_3(self, workspace, tmp_path, caplog):
         # finite on disk and in float32, but the second conv overflows float32
@@ -923,17 +942,29 @@ class TestEval:
         assert code == 2
         assert stdout == ""
 
-    def test_needs_a_dataset_source(self, workspace):
+    def test_needs_a_dataset_source(self, workspace, capsys):
         code, _ = run_cli(["eval", "--checkpoints", workspace["checkpoint"]])
         assert code == 2
+        assert "one of the arguments --data --config is required" in capsys.readouterr().err
 
-    def test_wrong_dataset_size_exits_2(self, workspace, tmp_path):
-        manifest = tmp_path / "tiny.csv"
+    def test_data_and_config_together_exit_2(self, workspace, capsys):
+        code, stdout = run_cli(["eval", "--checkpoints", workspace["checkpoint"],
+                                "--config", workspace["config"], "--data", workspace["data"]])
+        assert code == 2
+        assert stdout == ""
+        assert "--data: not allowed with argument --config" in capsys.readouterr().err
+
+    def test_wrong_dataset_size_exits_2(self, workspace, tmp_path, caplog):
+        # a shortened manifest beside the images it names
+        shutil.copytree(workspace["data"], tmp_path / "data")
+        manifest = tmp_path / "data" / "short.csv"
         rows = (workspace["data"] / "manifest.csv").read_text().splitlines()
         manifest.write_text("\n".join(rows[:3]) + "\n")
         code, _ = run_cli(["eval", "--checkpoints", workspace["checkpoint"],
                            "--data", manifest])
         assert code == 2
+        assert ("eval: checkpoint stores 18 database codes but the dataset's train-db "
+                "split has 2 items") in caplog.text
 
 
 def _entry(name: bytes, rank: int, extents: tuple[int, ...] = ()) -> bytes:
@@ -943,7 +974,7 @@ def _entry(name: bytes, rank: int, extents: tuple[int, ...] = ()) -> bytes:
 
 
 # file name, its bytes, the command line around it ({file} is its path) and
-# the name of the file or key the error message must carry
+# the name of the file or key the error message must carry, or its message
 MALFORMED = {
     "labels not utf-8": ("db_labels.csv", b"id,label\n0,\xff\n",
                          ["index", "--codes", "{codes}", "--labels", "{file}"], "db_labels.csv"),
@@ -951,6 +982,20 @@ MALFORMED = {
                          ["index", "--codes", "{codes}", "--labels", "{file}"], "db_labels.csv"),
     "code width past the bound": ("db.fhc1", b"FHC1" + struct.pack("<QQ", 0, 2**64 - 1),
                                   ["index", "--codes", "{file}"], "db.fhc1"),
+    "code header short": ("db.fhc1", b"FHC1" + bytes(15), ["index", "--codes", "{file}"],
+                          "db.fhc1: truncated code file header"),
+    "label row of three fields": ("db_labels.csv", b"id,label\n0,1,2\n",
+                                  ["index", "--codes", "{codes}", "--labels", "{file}"],
+                                  "db_labels.csv: line 2: expected id,label"),
+    "label not an integer": ("db_labels.csv", b"id,label\n0,x\n",
+                             ["index", "--codes", "{codes}", "--labels", "{file}"],
+                             "db_labels.csv: line 2: non-integer field"),
+    "feature header short": ("db.fhf1", b"FHF1" + bytes(15),
+                             ["index", "--codes", "{codes}", "--features", "{file}"],
+                             "db.fhf1: truncated feature file header"),
+    "feature body short": ("db.fhf1", b"FHF1" + struct.pack("<QQ", 2, 3) + bytes(20),
+                           ["index", "--codes", "{codes}", "--features", "{file}"],
+                           "db.fhf1: expected 44 bytes, found 40"),
     "manifest not utf-8": ("manifest.csv", b"relative_path,label,split\n\xff,0,query\n",
                            ["eval", "--checkpoints", "{checkpoint}", "--data", "{file}"],
                            "manifest.csv"),

@@ -122,6 +122,11 @@ class TestErrors:
         with pytest.raises(ConfigError, match="unknown key 'bots'"):
             load_config(write(tmp_path, "bots = 16\n"))
 
+    def test_in_channels_is_no_key(self, tmp_path):
+        # images are RGB, so the channel count is no setting
+        with pytest.raises(ConfigError, match="line 2: unknown key 'in_channels'"):
+            load_config(write(tmp_path, "bits = 16\nin_channels = 3\n"))
+
     def test_duplicate_key_named(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate key 'bits'"):
             load_config(write(tmp_path, "bits = 16\nbits = 32\n"))
@@ -215,8 +220,8 @@ class TestRejectionNamesSource:
 
 # every field off its default, so a parser or checkpoint that drops one shows
 NON_DEFAULT = RunConfig(
-    model=ModelConfig(parts=2, bits=16, image_side=16, in_channels=1,
-                      backbone_channels=(8, 12), backbone_pools=(2, 1), refined_channels=12),
+    model=ModelConfig(parts=2, bits=16, image_side=16, backbone_channels=(8, 12),
+                      backbone_pools=(2, 1), refined_channels=12),
     train=TrainConfig(outer_iters=7, epochs_per_iter=3, batch_size=5, samples_per_epoch=40,
                       learning_rate=0.002, lr_drop_points=(0.5,), lr_drop_factor=0.5,
                       weight_decay=0.001, warmup_fraction=0.5, exchange=False, code_sweeps=2,

@@ -155,11 +155,13 @@ class TestDatasetContainer:
 
 class TestSimilarity:
     def test_identical_labels_all_positive(self):
-        sim = build_similarity(np.array([3, 3, 3]))
+        labels = np.array([3, 3, 3])
+        sim = build_similarity(labels, labels)
         assert np.array_equal(sim, np.ones((3, 3)))
 
     def test_distinct_labels_identity_like(self):
-        sim = build_similarity(np.array([0, 1, 2]))
+        labels = np.array([0, 1, 2])
+        sim = build_similarity(labels, labels)
         assert np.array_equal(sim, 2.0 * np.eye(3) - 1.0)
 
     def test_cross_similarity(self):
@@ -169,14 +171,16 @@ class TestSimilarity:
     def test_symmetric_square(self):
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 4, size=12)
-        sim = build_similarity(labels)
+        sim = build_similarity(labels, labels)
         assert np.array_equal(sim, sim.T)
         for i in range(12):
             assert np.sum(sim[i] == 1.0) == np.sum(labels == labels[i])
 
     def test_rank_check(self):
         with pytest.raises(DimensionError):
-            build_similarity(np.zeros((2, 2)))
+            build_similarity(np.zeros((2, 2)), np.zeros(2))
+        with pytest.raises(DimensionError):
+            build_similarity(np.zeros(2), np.zeros((2, 2)))
 
 
 class TestPpm:

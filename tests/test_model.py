@@ -5,6 +5,7 @@ import pytest
 
 import finehash.autodiff as ad
 from finehash import model
+from finehash.data import CHANNELS
 from finehash.errors import ContractError, DimensionError
 
 import helpers
@@ -15,7 +16,6 @@ def small_config(**overrides):
         parts=2,
         bits=3,
         image_side=8,
-        in_channels=3,
         backbone_channels=(4,),
         backbone_pools=(2,),
         refined_channels=4,
@@ -285,7 +285,7 @@ class TestEndToEnd:
         # stack it replaces; in float32 that moves a descriptor by about 1e-7
         config = model.ModelConfig(bits=16)
         params = model.ModelParams.initialize(config, rng)
-        images = rng.uniform(size=(8, config.image_side, config.image_side, config.in_channels))
+        images = rng.uniform(size=(8, config.image_side, config.image_side, CHANNELS))
         feats = model.forward_features(params, images)
         base = model.backbone_forward(params, images)
         maps = model.attention_maps(params, base)
@@ -304,7 +304,7 @@ class TestEndToEnd:
         # finiteness check; a change to the op count per forward shows here
         config = model.ModelConfig(bits=16)
         params = model.ModelParams.initialize(config, rng)
-        image = rng.uniform(size=(config.image_side, config.image_side, config.in_channels))
+        image = rng.uniform(size=(config.image_side, config.image_side, CHANNELS))
         with ad.Tape() as tape:
             feats = model.forward_features(params, image)
             model.hash_layer(params, model.descriptor(feats.part_vecs, feats.global_vec))

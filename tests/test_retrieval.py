@@ -38,7 +38,6 @@ from finehash.retrieval import (
     save_features,
     save_labels,
     save_packed,
-    unpack_codes,
 )
 from helpers import (
     naive_average_precision,
@@ -46,6 +45,7 @@ from helpers import (
     naive_hamming_order,
     ranked_index,
     reference_u64_rows,
+    unpacked_codes,
 )
 
 
@@ -112,7 +112,7 @@ class TestPacking:
     def test_round_trip(self, bits):
         rng = np.random.default_rng(bits)
         codes = random_codes(rng, 17, bits)
-        assert np.array_equal(unpack_codes(pack_codes(codes)), codes)
+        assert np.array_equal(unpacked_codes(pack_codes(codes)), codes)
 
     def test_all_positive_and_negative(self):
         packed = pack_codes(np.ones((2, 64)))
@@ -605,7 +605,7 @@ class TestFiles:
         save_packed(path, pack_codes(codes))
         loaded = load_packed(path)
         assert loaded.bits == 70
-        assert np.array_equal(unpack_codes(loaded), codes)
+        assert np.array_equal(unpacked_codes(loaded), codes)
 
     @pytest.mark.parametrize("bits", sorted(WORD_LAYOUT))
     def test_code_file_round_trip_at_each_width(self, tmp_path, bits):
@@ -619,7 +619,7 @@ class TestFiles:
         loaded = load_packed(path)
         assert loaded.words.dtype == packed.words.dtype
         assert np.array_equal(loaded.words, packed.words)
-        assert np.array_equal(unpack_codes(loaded), codes)
+        assert np.array_equal(unpacked_codes(loaded), codes)
 
     def test_code_file_bad_magic(self, tmp_path):
         path = tmp_path / "db.fhc1"
@@ -658,7 +658,7 @@ class TestFiles:
         codes[1] = -1
         save_packed(path, pack_codes(codes))
         loaded = load_packed(path)
-        assert np.array_equal(unpack_codes(loaded), codes)
+        assert np.array_equal(unpacked_codes(loaded), codes)
         key = _distance_key(loaded, loaded.words[0])
         assert key.dtype == np.uint16 and list(key) == [0, MAX_BITS]
         with pytest.raises(ContractError, match=f"got {MAX_BITS + 1}"):

@@ -11,7 +11,7 @@ import finehash.trainer as trainer_module
 from finehash.anchors import AnchorBank, exchange_features
 from finehash.checkpoint import load_arrays, save_arrays
 from finehash.config import default_run_config
-from finehash.data import Dataset, SynthConfig, build_similarity, generate_synthetic
+from finehash.data import CHANNELS, Dataset, SynthConfig, build_similarity, generate_synthetic
 from finehash.errors import (ContractError, DimensionError, DomainError, FileFormatError,
                              NumericError)
 from finehash.losses import batch_similarity_loss, total_objective
@@ -408,6 +408,30 @@ class TestResume:
             assert np.array_equal(resumed.anchors.get(class_id),
                                   straight.anchors.get(class_id))
 
+    def test_checkpoint_with_in_channels_entry_resumes(self, small_dataset, tmp_path):
+        # files from before images were fixed to RGB store config.model.in_channels:
+        # loading skips the entry, and the first kernel's shape still holds it to 3
+        config = small_train(outer_iters=2)
+        straight = AlternatingTrainer(small_dataset, SMALL_MODEL, config)
+        straight.run_iteration()
+        path = tmp_path / "old.fht1"
+        straight.save(path)
+        arrays = load_arrays(path)
+        arrays["config.model.in_channels"] = np.array(3.0)
+        save_arrays(path, arrays)
+        resumed = AlternatingTrainer.from_checkpoint(path, small_dataset)
+        assert resumed.iteration == 1
+        straight.train()
+        resumed.train()
+        for name, arr in straight.params.arrays().items():
+            assert np.array_equal(resumed.params.arrays()[name], arr)
+        assert np.array_equal(resumed.codes, straight.codes)
+        arrays["config.model.in_channels"] = np.array(1.0)
+        arrays["backbone.0.kernel"] = arrays["backbone.0.kernel"][:, :, :1]
+        save_arrays(path, arrays)
+        with pytest.raises(FileFormatError, match="'backbone.0.kernel' has shape"):
+            load_checkpoint(path)
+
     def test_checkpoint_missing_entry(self, tmp_path):
         path = tmp_path / "bad.fht1"
         save_arrays(path, {"config.model.parts": np.array(2.0)})
@@ -441,7 +465,8 @@ class TestResume:
         assert np.array_equal(resumed.codes, trainer.codes)
 
     def test_on_disk_config_names(self, tmp_path):
-        # the entry names, shapes and encodings of the checkpoint format
+        # the entry names, shapes and encodings of the checkpoint format; files
+        # from before images were fixed to RGB also store config.model.in_channels
         params = ModelParams.initialize(SMALL_MODEL, np.random.default_rng(0))
         entries = {
             "config.model.parts": 2.0,
@@ -480,10 +505,11 @@ class TestResume:
         assert state.params.config == SMALL_MODEL
         assert state.train_config == expected
         assert state.iteration == 2
-        # and save_checkpoint writes exactly those entries back
+        # and save_checkpoint writes exactly those entries back, in_channels aside
         save_checkpoint(tmp_path / "again.fht1", params, expected, np.ones((4, 8)), 2)
         written = {name: values for name, values in load_arrays(tmp_path / "again.fht1").items()
                    if name.startswith("config.")}
+        del entries["config.model.in_channels"]
         assert sorted(written) == sorted(entries)
         for name, value in entries.items():
             np.testing.assert_array_equal(written[name], np.array(value), err_msg=name)
@@ -606,7 +632,7 @@ class TestEncoding:
         default = ModelConfig(bits=16)
         default_images = np.random.default_rng(3).random(
             (2 * trainer_module.ENCODE_CHUNK + 3, default.image_side, default.image_side,
-             default.in_channels))
+             CHANNELS))
         for params, images in ((trainer.params, images),
                                (ModelParams.initialize(default, np.random.default_rng(4)),
                                 default_images)):
