@@ -9,8 +9,17 @@ added on top, so intra-class variation can exceed the inter-class signal.
 On disk a dataset is a ``manifest.csv`` with ``relative_path,label,split``
 rows next to binary P6 PPM images; the generator writes exactly that layout
 so synthetic and external data take the same ingestion path.  The manifest
-is written last and moved into place whole: it is the commit point of a
-written set, so an interrupted write leaves no manifest to load.
+is the commit point of a written set: a write first deletes any manifest
+already there, writes the images, and moves the new manifest into place
+whole last, so an interrupted write, a rewrite included, leaves no manifest
+to load.
+
+The generator's bytes for a fixed config depend on its draw order from one
+``numpy`` generator seeded with ``config.seed``: the background's coarse
+grid, the part prototypes, the canonical part positions and the class
+patches; then, image by image in dataset order (class-major, each class's
+database images before its queries), two position-jitter normals per part
+in part order followed by the image's pixel noise.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from .errors import ContractError, DimensionError, IngestionError
 SPLITS = ("train-db", "query")
 CHANNELS = 3  # images are RGB, as P6 PPM files are
 MANIFEST_HEADER = ("relative_path", "label", "split")
+RENDER_BLOCK = 64  # images per draw of normals: about 1.5 MB at the default size
 
 
 @dataclass(frozen=True)
@@ -92,8 +102,7 @@ class Dataset:
         if self.images.ndim != 4 or self.images.shape[3] != CHANNELS:
             raise DimensionError(
                 f"Dataset: images shape {self.images.shape}, expected [n, h, w, {CHANNELS}]")
-        if self.images.min() < 0.0 or self.images.max() > 1.0:
-            raise ContractError("Dataset: image values must lie in [0, 1]")
+        _check_unit_range(self.images, "Dataset")
         unknown = set(self.splits.tolist()) - set(SPLITS)
         if unknown:
             raise ContractError(f"Dataset: unknown split tags {sorted(unknown)}")
@@ -151,14 +160,23 @@ def _smooth_wrap(texture: np.ndarray, passes: int = 2) -> np.ndarray:
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:
-    """Render the synthetic dataset; byte-identical for a fixed config."""
+    """Render the synthetic dataset; byte-identical for a fixed config.
+
+    The bytes rest on the draw order: after the shared draws, image by image
+    in dataset order (class-major, database images before queries), two
+    jitter normals per part in part order, then the image's pixel noise.
+    Images are rendered RENDER_BLOCK at a time, each block's draws taken by
+    one ``standard_normal`` call whose row i is image i's, which is that
+    order.  Parts are pasted in part order, so a later part covers an
+    earlier one where they overlap.
+    """
     rng = np.random.default_rng(config.seed)
     side, patch = config.image_side, config.patch_size
     parts, classes = config.parts_per_image, config.num_classes
 
-    block = -(-side // 4)  # ceil
+    cell = -(-side // 4)  # ceil
     coarse = rng.uniform(0.25, 0.75, size=(4, 4, 3))
-    background = _smooth_wrap(np.kron(coarse, np.ones((block, block, 1)))[:side, :side])
+    background = _smooth_wrap(np.kron(coarse, np.ones((cell, cell, 1)))[:side, :side])
 
     prototypes = rng.uniform(0.0, 1.0, size=(parts, patch, patch, 3))
     cells = side // patch
@@ -175,29 +193,32 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
         1.0,
     )
 
-    def render(class_id: int) -> np.ndarray:
-        image = background.copy()
+    labels = np.repeat(np.arange(classes), config.per_class + config.queries_per_class)
+    splits = np.tile(
+        np.repeat(np.array(SPLITS), (config.per_class, config.queries_per_class)), classes)
+    images = np.empty((len(labels), side, side, CHANNELS))
+    span = np.arange(patch)
+    jitter_draws = 2 * parts
+    for start in range(0, len(labels), RENDER_BLOCK):
+        block = images[start : start + RENDER_BLOCK]
+        count = len(block)
+        draws = rng.standard_normal((count, jitter_draws + background.size))
+        offsets = np.rint(config.position_jitter * draws[:, :jitter_draws]).astype(int)
+        corners = np.clip(positions + offsets.reshape(count, parts, 2), 0, side - patch)
+        block[...] = background
+        members = np.arange(count)[:, None, None]
         for j in range(parts):
-            offset = np.rint(rng.normal(0.0, config.position_jitter, size=2)).astype(int)
-            row, col = np.clip(positions[j] + offset, 0, side - patch)
-            image[row : row + patch, col : col + patch] = class_patches[class_id, j]
-        image += rng.normal(0.0, config.pixel_noise, size=image.shape)
-        return np.clip(image, 0.0, 1.0)
-
-    images, labels, splits = [], [], []
-    for class_id in range(classes):
-        for _ in range(config.per_class):
-            images.append(render(class_id))
-            labels.append(class_id)
-            splits.append("train-db")
-        for _ in range(config.queries_per_class):
-            images.append(render(class_id))
-            labels.append(class_id)
-            splits.append("query")
+            rows = corners[:, j, 0, None, None] + span[:, None]
+            cols = corners[:, j, 1, None, None] + span
+            block[members, rows, cols] = class_patches[labels[start : start + count], j]
+        noise = draws[:, jitter_draws:].reshape(block.shape)
+        noise *= config.pixel_noise
+        block += noise
+        np.clip(block, 0.0, 1.0, out=block)
     return Dataset(
-        images=np.stack(images),
-        labels=np.array(labels),
-        splits=np.array(splits),
+        images=images,
+        labels=labels,
+        splits=splits,
         # zero-padded, so that load_manifest's string order is class order
         label_names=[str(c).zfill(len(str(classes - 1))) for c in range(classes)],
     )
@@ -212,27 +233,44 @@ def build_similarity(labels: np.ndarray, other: np.ndarray) -> np.ndarray:
     return np.where(labels[:, None] == other[None, :], 1.0, -1.0)
 
 
+def _check_unit_range(images: np.ndarray, who: str) -> None:
+    # written as the in-range test, which NaN fails
+    if not (images.min() >= 0.0 and images.max() <= 1.0):
+        raise ContractError(f"{who}: image values must lie in [0, 1]")
+
+
+def _quantize(images: np.ndarray, who: str) -> np.ndarray:
+    """Images in [0, 1] as the uint8 pixels a PPM file holds."""
+    _check_unit_range(images, who)
+    return np.rint(images * 255.0).astype(np.uint8)
+
+
+def _write_pixels(path: Path, pixels: np.ndarray) -> None:
+    """Write one [h, w, 3] uint8 image as a binary (P6) PPM."""
+    height, width, _ = pixels.shape
+    with open(path, "wb") as fh:
+        fh.write(f"P6\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes())
+
+
 def write_ppm(path: str | Path, image: np.ndarray) -> None:
     """Write one [h, w, 3] image in [0, 1] as a binary (P6) PPM."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 3:
         raise DimensionError(f"write_ppm: image shape {image.shape}, expected [h, w, 3]")
-    if image.min() < 0.0 or image.max() > 1.0:
-        raise ContractError("write_ppm: image values must lie in [0, 1]")
-    height, width, _ = image.shape
-    quantized = np.rint(image * 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(quantized.tobytes())
+    _write_pixels(Path(path), _quantize(image, "write_ppm"))
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
-    """Parse a binary (P6) PPM into a float64 [h, w, 3] image in [0, 1].
+    """Parse a binary (P6) PPM into a float64 [h, w, 3] image in [0, 1]."""
+    return _read_pixels(Path(path)) / 255.0
+
+
+def _read_pixels(path: Path) -> np.ndarray:
+    """Parse a binary (P6) PPM into its uint8 [h, w, 3] pixels.
 
     The header tokenizer accepts arbitrary whitespace and '#' comments;
     malformed headers raise IngestionError naming the offending line.
     """
-    path = Path(path)
     try:
         blob = path.read_bytes()
     except OSError as exc:
@@ -288,26 +326,32 @@ def read_ppm(path: str | Path) -> np.ndarray:
         raise IngestionError(
             f"{path}: truncated pixel data, expected {expected} bytes, got {len(data)}"
         )
-    pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
-    return pixels.astype(np.float64) / 255.0
+    return np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
 
 
 def write_dataset(dataset: Dataset, root: str | Path) -> Path:
-    """Write PPM images, then manifest.csv, under root; returns the manifest path."""
+    """Write PPM images, then manifest.csv, under root; returns the manifest path.
+
+    A manifest already under root is deleted before the first image is
+    written, so an interrupted rewrite leaves no set to load.
+    """
     root = Path(root)
+    labels, splits = dataset.labels.tolist(), dataset.splits.tolist()
+    pixels = _quantize(dataset.images, "write_dataset") if labels else []
+    manifest = root / "manifest.csv"
     root.mkdir(parents=True, exist_ok=True)
+    manifest.unlink(missing_ok=True)
+    for label in set(labels):
+        (root / f"class_{label:03d}").mkdir(exist_ok=True)
     rows = [MANIFEST_HEADER]
     counters: dict[tuple[int, str], int] = {}
-    for image, label, split in zip(dataset.images, dataset.labels, dataset.splits):
-        label = int(label)
+    for image, label, split in zip(pixels, labels, splits):
         index = counters.get((label, split), 0)
         counters[(label, split)] = index + 1
         name = dataset.label_names[label] if dataset.label_names else str(label)
         rel = f"class_{label:03d}/{split}_{index:04d}.ppm"
-        (root / rel).parent.mkdir(parents=True, exist_ok=True)
-        write_ppm(root / rel, image)
-        rows.append((rel, name, str(split)))
-    manifest = root / "manifest.csv"
+        _write_pixels(root / rel, image)
+        rows.append((rel, name, split))
     with atomic_write(manifest, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     return manifest
@@ -358,23 +402,20 @@ def load_manifest(manifest_path: str | Path) -> Dataset:
         )
     names = sorted({label for _, _, label, _ in rows})
     label_ids = {name: i for i, name in enumerate(names)}
-    images, labels, splits = [], [], []
-    shape: tuple[int, ...] | None = None
-    for line_no, rel, label, split in rows:
-        image = read_ppm(root / rel)
-        if shape is None:
-            shape = image.shape
-        elif image.shape != shape:
+    images: np.ndarray | None = None
+    for i, (line_no, rel, _, _) in enumerate(rows):
+        pixels = _read_pixels(root / rel)
+        if images is None:
+            images = np.empty((len(rows),) + pixels.shape, dtype=np.uint8)
+        elif pixels.shape != images.shape[1:]:
             raise IngestionError(
                 f"{manifest_path}: line {line_no}: image {rel!r} has shape "
-                f"{image.shape}, expected {shape}"
+                f"{pixels.shape}, expected {images.shape[1:]}"
             )
-        images.append(image)
-        labels.append(label_ids[label])
-        splits.append(split)
+        images[i] = pixels
     return Dataset(
-        images=np.stack(images),
-        labels=np.array(labels),
-        splits=np.array(splits),
+        images=images / 255.0,
+        labels=np.array([label_ids[label] for _, _, label, _ in rows]),
+        splits=np.array([split for _, _, _, split in rows]),
         label_names=names,
     )

@@ -123,19 +123,34 @@ WRITERS = {
     "save_packed": lambda path, v: save_packed(path, pack_codes(np.full((3, 8), v))),
     "save_features": lambda path, v: save_features(path, np.full((3, 4), v)),
     "save_labels": lambda path, v: save_labels(path, np.full(3, int(v))),
-    "write_dataset": _write_manifest,
 }
+
+
+def _fail_second_write(monkeypatch):
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *args, **kwargs: _FailingWrites(open(*args, **kwargs)),
+                        raising=False)
 
 
 @pytest.mark.parametrize("writer", list(WRITERS))
 def test_failed_artifact_write_keeps_previous_file(writer, tmp_path, monkeypatch):
-    path = tmp_path / ("manifest.csv" if writer == "write_dataset" else "artifact")
+    path = tmp_path / "artifact"
     WRITERS[writer](path, 1.0)
     before = path.read_bytes()
-    monkeypatch.setattr(checkpoint, "open",
-                        lambda *args, **kwargs: _FailingWrites(open(*args, **kwargs)),
-                        raising=False)
+    _fail_second_write(monkeypatch)
     with pytest.raises(OSError):
         WRITERS[writer](path, -1.0)
     assert path.read_bytes() == before
+    assert not path.with_name(path.name + ".tmp").exists()
+
+
+def test_failed_manifest_rewrite_leaves_no_manifest(tmp_path, monkeypatch):
+    # by the manifest write a rewrite has replaced the images the old
+    # manifest listed, so neither manifest may be left to load
+    path = tmp_path / "manifest.csv"
+    _write_manifest(path, 1.0)
+    _fail_second_write(monkeypatch)
+    with pytest.raises(OSError):
+        _write_manifest(path, -1.0)
+    assert not path.exists()
     assert not path.with_name(path.name + ".tmp").exists()

@@ -1,5 +1,6 @@
 """Tests for the synthetic generator, PPM IO, and manifest ingestion."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -125,6 +126,12 @@ class TestDatasetContainer:
             Dataset(images=np.zeros((2, 4, 4, 3)), labels=np.zeros(3, dtype=int),
                     splits=np.array(["query", "query", "query"]))
 
+    def test_nan_image_rejected(self):
+        images = np.zeros((1, 2, 2, 3))
+        images[0, 1, 1, 2] = np.nan
+        with pytest.raises(ContractError):
+            Dataset(images=images, labels=[0], splits=["query"])
+
     def test_range_check(self):
         with pytest.raises(ContractError):
             Dataset(images=np.full((1, 2, 2, 3), 1.5), labels=np.zeros(1, dtype=int),
@@ -247,6 +254,13 @@ class TestPpm:
         with pytest.raises(ContractError):
             write_ppm(tmp_path / "x.ppm", np.full((2, 2, 3), 2.0))
 
+    def test_write_rejects_nan(self, tmp_path):
+        image = np.full((2, 2, 3), 0.5)
+        image[1, 0, 1] = np.nan
+        with pytest.raises(ContractError):
+            write_ppm(tmp_path / "x.ppm", image)
+        assert not (tmp_path / "x.ppm").exists()
+
 
 class TestManifest:
     def test_write_load_round_trip(self, tmp_path):
@@ -330,22 +344,55 @@ class TestManifest:
         with pytest.raises(IngestionError, match="shape"):
             load_manifest(root / "manifest.csv")
 
-    def test_failed_image_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _fail_fourth_write(monkeypatch):
+        """Make the per-file writer fail on its 4th call; returns the paths written."""
         import finehash.data as data_module
 
         written = []
+        write_pixels = data_module._write_pixels
 
-        def fail_on_fourth(path, image):
+        def fail_on_fourth(path, pixels):
             if len(written) == 3:
                 raise OSError("no space left on device")
             written.append(path)
-            write_ppm(path, image)
+            write_pixels(path, pixels)
 
-        monkeypatch.setattr(data_module, "write_ppm", fail_on_fourth)
+        monkeypatch.setattr(data_module, "_write_pixels", fail_on_fourth)
+        return written
+
+    def test_failed_image_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        written = self._fail_fourth_write(monkeypatch)
         with pytest.raises(OSError):
             write_dataset(generate_synthetic(SMALL), tmp_path / "set")
         assert len(written) == 3
         assert not (tmp_path / "set" / "manifest.csv").exists()
+
+    def test_interrupted_rewrite_leaves_no_manifest(self, tmp_path, monkeypatch):
+        # the old manifest would load the 3 new files under the old set's labels
+        write_dataset(generate_synthetic(SMALL), tmp_path / "set")
+        written = self._fail_fourth_write(monkeypatch)
+        with pytest.raises(OSError):
+            write_dataset(generate_synthetic(replace(SMALL, seed=12)), tmp_path / "set")
+        assert len(written) == 3
+        assert not (tmp_path / "set" / "manifest.csv").exists()
+
+    def test_completed_rewrite_loads_the_new_set(self, tmp_path):
+        write_dataset(generate_synthetic(SMALL), tmp_path / "set")
+        new = generate_synthetic(replace(SMALL, num_classes=2, seed=12))
+        loaded = load_manifest(write_dataset(new, tmp_path / "set"))
+        fresh = load_manifest(write_dataset(new, tmp_path / "fresh"))
+        assert np.array_equal(loaded.images, fresh.images)
+        assert np.array_equal(loaded.labels, new.labels)
+        assert np.array_equal(loaded.splits, new.splits)
+
+    def test_write_dataset_rejects_nan_and_keeps_the_old_set(self, tmp_path):
+        data = generate_synthetic(SMALL)
+        manifest = write_dataset(data, tmp_path / "set")
+        data.images[5, 0, 0, 0] = np.nan
+        with pytest.raises(ContractError, match="write_dataset"):
+            write_dataset(data, tmp_path / "set")
+        assert manifest.exists()
 
     def test_empty_manifest_gives_empty_dataset(self, tmp_path):
         root = tmp_path / "set"
@@ -353,3 +400,51 @@ class TestManifest:
         (root / "manifest.csv").write_text("relative_path,label,split\n")
         loaded = load_manifest(root / "manifest.csv")
         assert len(loaded.labels) == 0
+
+
+def _sha256(*chunks: bytes) -> str:
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+class TestPinnedBytes:
+    """The generator, the writer and the loader reproduce fixed bytes, so a
+    change to the draw order, the pasting order or the quantization shows."""
+
+    DEFAULT_LABELS = "a3b523f51b35aedda2d2ad3fb864cf2db4c81086e85e601dbafd1820c9fc9cee"
+    DEFAULT_SPLITS = "0c549eee0116a74f49deae0f7c8a34da48ef6d76e168997f2a9c4ceffde681b2"
+
+    @pytest.mark.parametrize("overrides,images,labels,splits", [
+        ({}, "114971905efd5ee91366b7ab7534a7aeb0466e6035acc927bbaf3d9ad39ce47b",
+         DEFAULT_LABELS, DEFAULT_SPLITS),
+        (dict(num_classes=16, pattern_scale=0.4, position_jitter=1.0),
+         "df5c6e233c0234fbb4a8db263a442199b9da53bc1957ed854802fe9dcef1b967",
+         "d66916f3c1ce2f4ebdd5b841340df3247d1ada4a176dbb783019405e32aeaccd",
+         "1066430f92de0cc2bb05282e1bb3d1ab047c953c6c0b92e3aec848ef71116bf7"),
+        (dict(position_jitter=0.0, pixel_noise=0.0),
+         "9f1b90aef541ff1810ba4bfd38f066461775ccdf75098e344fdb20d2cc7daf58",
+         DEFAULT_LABELS, DEFAULT_SPLITS),
+        # one 8x8 cell for 3 parts: random positions, fully overlapping parts
+        (dict(image_side=8, patch_size=8, parts_per_image=3),
+         "ea12ade518f1db77fa56c243d61e38256ac1c6e18814843996f90d87ccc010c4",
+         DEFAULT_LABELS, DEFAULT_SPLITS),
+    ], ids=["default", "harder", "still", "crowded"])
+    def test_generator(self, overrides, images, labels, splits):
+        data = generate_synthetic(SynthConfig(**overrides))
+        assert _sha256(data.images.tobytes()) == images
+        assert _sha256(data.labels.tobytes()) == labels
+        assert _sha256("\n".join(data.splits.tolist()).encode()) == splits
+
+    def test_written_files_and_loaded_images(self, tmp_path):
+        manifest = write_dataset(generate_synthetic(SynthConfig()), tmp_path)
+        files = sorted(path for path in tmp_path.rglob("*") if path.is_file())
+        assert len(files) == 481
+        assert _sha256(*(path.relative_to(tmp_path).as_posix().encode() + b"\0"
+                         + path.read_bytes() for path in files)) == (
+            "c21fd6c091112c837dbb2a6e7a8d705c9740720a776bff6308462043a5d2841f")
+        loaded = load_manifest(manifest)
+        assert loaded.images.dtype == np.float64
+        assert _sha256(loaded.images.tobytes()) == (
+            "ece9e45e7cfae2c33c157d3b1be3d962e19f03aa4c65c9dfc5a4ed576de0a4e0")
