@@ -12,7 +12,10 @@ so synthetic and external data take the same ingestion path.  The manifest
 is the commit point of a written set: a write first deletes any manifest
 already there, writes the images, and moves the new manifest into place
 whole last, so an interrupted write, a rewrite included, leaves no manifest
-to load.
+to load.  A rewrite also deletes the images of the earlier set that the new
+one does not overwrite: only files under the writer's own names,
+``class_NNN/{train-db,query}_NNNN.ppm``, and then the class folders left
+empty, so other files under root stay.
 
 The generator's bytes for a fixed config depend on its draw order from one
 ``numpy`` generator seeded with ``config.seed``: the background's coarse
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -239,30 +243,11 @@ def _check_unit_range(images: np.ndarray, who: str) -> None:
         raise ContractError(f"{who}: image values must lie in [0, 1]")
 
 
-def _quantize(images: np.ndarray, who: str) -> np.ndarray:
-    """Images in [0, 1] as the uint8 pixels a PPM file holds."""
-    _check_unit_range(images, who)
-    return np.rint(images * 255.0).astype(np.uint8)
-
-
 def _write_pixels(path: Path, pixels: np.ndarray) -> None:
     """Write one [h, w, 3] uint8 image as a binary (P6) PPM."""
     height, width, _ = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes())
-
-
-def write_ppm(path: str | Path, image: np.ndarray) -> None:
-    """Write one [h, w, 3] image in [0, 1] as a binary (P6) PPM."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise DimensionError(f"write_ppm: image shape {image.shape}, expected [h, w, 3]")
-    _write_pixels(Path(path), _quantize(image, "write_ppm"))
-
-
-def read_ppm(path: str | Path) -> np.ndarray:
-    """Parse a binary (P6) PPM into a float64 [h, w, 3] image in [0, 1]."""
-    return _read_pixels(Path(path)) / 255.0
 
 
 def _read_pixels(path: Path) -> np.ndarray:
@@ -329,29 +314,51 @@ def _read_pixels(path: Path) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
 
 
+# the image names write_dataset gives: class_{label:03d}/{split}_{index:04d}.ppm
+_IMAGE_NAME = re.compile(
+    rf"class_(\d{{3}}|[1-9]\d{{3,}})/({'|'.join(SPLITS)})_(\d{{4}}|[1-9]\d{{4,}})\.ppm")
+
+
+def _remove_stale(root: Path, keep: set[str]) -> None:
+    """Delete the images under root that bear write_dataset's names and are
+    not in keep, then the class folders that leaves empty; other files stay."""
+    stale = [path for path in root.glob("class_*/*.ppm")
+             if (rel := f"{path.parent.name}/{path.name}") not in keep
+             and _IMAGE_NAME.fullmatch(rel)]
+    for path in stale:
+        path.unlink()
+    for folder in {path.parent for path in stale}:
+        if not any(folder.iterdir()):
+            folder.rmdir()
+
+
 def write_dataset(dataset: Dataset, root: str | Path) -> Path:
     """Write PPM images, then manifest.csv, under root; returns the manifest path.
 
     A manifest already under root is deleted before the first image is
-    written, so an interrupted rewrite leaves no set to load.
+    written, so an interrupted rewrite leaves no set to load, and so are the
+    earlier set's images that this one does not overwrite.
     """
     root = Path(root)
     labels, splits = dataset.labels.tolist(), dataset.splits.tolist()
-    pixels = _quantize(dataset.images, "write_dataset") if labels else []
-    manifest = root / "manifest.csv"
-    root.mkdir(parents=True, exist_ok=True)
-    manifest.unlink(missing_ok=True)
-    for label in set(labels):
-        (root / f"class_{label:03d}").mkdir(exist_ok=True)
+    if labels:  # the range check takes the min and max of at least one image
+        _check_unit_range(dataset.images, "write_dataset")
+    pixels = np.rint(dataset.images * 255.0).astype(np.uint8)
     rows = [MANIFEST_HEADER]
     counters: dict[tuple[int, str], int] = {}
-    for image, label, split in zip(pixels, labels, splits):
+    for label, split in zip(labels, splits):
         index = counters.get((label, split), 0)
         counters[(label, split)] = index + 1
         name = dataset.label_names[label] if dataset.label_names else str(label)
-        rel = f"class_{label:03d}/{split}_{index:04d}.ppm"
+        rows.append((f"class_{label:03d}/{split}_{index:04d}.ppm", name, split))
+    manifest = root / "manifest.csv"
+    root.mkdir(parents=True, exist_ok=True)
+    manifest.unlink(missing_ok=True)
+    _remove_stale(root, {rel for rel, _, _ in rows[1:]})
+    for label in set(labels):
+        (root / f"class_{label:03d}").mkdir(exist_ok=True)
+    for image, (rel, _, _) in zip(pixels, rows[1:]):
         _write_pixels(root / rel, image)
-        rows.append((rel, name, split))
     with atomic_write(manifest, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     return manifest

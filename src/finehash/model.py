@@ -27,6 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import CHANNELS
 from .errors import ContractError, DimensionError
+from .retrieval import MAX_BITS
 
 REFINE_POOL = 2  # spatial pool factor applied by both refinement stages
 # the dtype initialize and load_checkpoint store weights in; the network
@@ -40,7 +41,7 @@ class ModelConfig:
 
     Attributes:
         parts: number of attended parts M.
-        bits: code length q.
+        bits: code length q, at most retrieval.MAX_BITS.
         image_side: input images are [image_side, image_side, CHANNELS].
         backbone_channels: output channels of each backbone block.
         backbone_pools: spatial mean-pool factor after each block (1 = none).
@@ -58,6 +59,9 @@ class ModelConfig:
         for name in ("parts", "bits", "image_side", "refined_channels"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.bits > MAX_BITS:
+            raise ContractError(f"bits must be <= {MAX_BITS}, the widest packed code, "
+                                f"got {self.bits}")
         if not self.backbone_channels:
             raise ContractError("backbone_channels must be nonempty")
         if min(self.backbone_channels) < 1:

@@ -8,11 +8,11 @@ little-endian uint64 row, and a whole-database scan is one XOR plus
 popcount pass per query.  Hamming distance relates to the inner product by
 u . v = bits - 2 * d_H.
 
-RetrievalIndex.search is the one entry point for ranking: without topn it
-returns the full Hamming (distance, id) order, the coarse_rank that
-evaluation scores, and with topn the first min(topn, n) ids of that order,
-re-sorted by Euclidean feature distance when a query feature is given.
-Ties are broken by database id in both passes.  The distances, integers in
+RetrievalIndex.search returns a query's top-topn shortlist: the first
+min(topn, n) ids of the Hamming (distance, id) order, re-sorted by
+Euclidean feature distance when a query feature is given.  coarse_rank is
+the one full (distance, id) ranking, the order evaluation scores.  Ties are
+broken by database id in both passes.  The distances, integers in
 [0, bits], are summed one word column at a time into uint8 (uint16 above
 255 bits), over blocks of 64k rows that reuse one XOR buffer, so the
 temporaries stay in cache.  The full ranking radix-sorts them with a stable
@@ -401,17 +401,12 @@ class RetrievalIndex:
     def __len__(self) -> int:
         return len(self.packed)
 
-    def search(self, query_code: np.ndarray, query_feature: np.ndarray | None = None,
-               topn: int | None = None) -> np.ndarray:
-        """Database ids ranked for one +/-1 query code: the full Hamming
-        (distance, id) order, or with topn its first min(topn, n) ids,
-        re-sorted by feature distance when query_feature is given (it needs topn)."""
+    def search(self, query_code: np.ndarray, query_feature: np.ndarray | None,
+               topn: int) -> np.ndarray:
+        """The first min(topn, n) ids of the Hamming (distance, id) order of one
+        +/-1 query code, re-sorted by feature distance when query_feature is given."""
         if query_feature is not None and self.features is None:
             raise ContractError("search: re-ranking requested without features")
-        if topn is None:
-            if query_feature is not None:
-                raise ContractError("search: re-ranking needs topn, the shortlist size")
-            return coarse_rank(self.packed, query_code)
         if topn < 0:
             raise ContractError(f"search: topn must be >= 0, got {topn}")
         shortlist = _shortlist(_query_key(self.packed, query_code), topn)
@@ -471,9 +466,12 @@ def evaluate_queries(index: RetrievalIndex, query_codes: np.ndarray,
     if shares == 1:
         score_share(0)
     else:
-        # the ranking calls release the GIL; the caller works share 0, so
-        # there are never more ranking threads than CPUs.  Imported here:
-        # evaluations of one scan block or less never load the module.
+        # the ranking calls release the GIL.  The caller works share 0 to
+        # start one thread fewer: a pool of `shares` threads mapping score
+        # over the queries gave the same map, but raised search-1m's
+        # peak_rss_mb from 911 to 928 (4 of 4 seeds, 2-vCPU VM), likely the
+        # extra thread's malloc arena.  Imported here: evaluations of one
+        # scan block or less never load the module.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(shares - 1) as pool:

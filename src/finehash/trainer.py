@@ -58,6 +58,7 @@ class TrainConfig:
     losses.auto_weight over the similarity term's (subset, database) pairs,
     or 0 when the model has one part; set explicit floats to override.  A
     positive weight needs at least two parts, which the trainer checks.
+    The code phase makes one pass per iteration, which is no setting.
     """
 
     outer_iters: int = 15
@@ -70,7 +71,6 @@ class TrainConfig:
     weight_decay: float = 1e-4
     warmup_fraction: float = 0.25
     exchange: bool = True
-    code_sweeps: int = 1
     spatial_weight: float | None = None
     channel_weight: float | None = None
     margin: float = 0.4
@@ -83,8 +83,8 @@ class TrainConfig:
                 raise ContractError(f"TrainConfig: {field.name} must be finite, got {value}")
         if self.outer_iters < 1:
             raise ContractError("TrainConfig: outer_iters must be >= 1")
-        if self.epochs_per_iter < 0 or self.code_sweeps < 0:
-            raise ContractError("TrainConfig: epochs_per_iter and code_sweeps must be >= 0")
+        if self.epochs_per_iter < 0:
+            raise ContractError("TrainConfig: epochs_per_iter must be >= 0")
         if self.batch_size < 1 or self.samples_per_epoch < 1:
             raise ContractError("TrainConfig: batch_size and samples_per_epoch must be >= 1")
         if self.learning_rate <= 0.0:
@@ -157,15 +157,12 @@ def update_code_column(
 
 
 def sweep_codes(
-    relaxed: np.ndarray, codes: np.ndarray, sim: np.ndarray, bits: int, sweeps: int
+    relaxed: np.ndarray, codes: np.ndarray, sim: np.ndarray, bits: int
 ) -> np.ndarray:
-    """Cycle update_code_column over all columns, ``sweeps`` times."""
-    if sweeps < 0:
-        raise ContractError(f"sweep_codes: sweeps must be >= 0, got {sweeps}")
+    """One pass of update_code_column over the columns in order, on a copy."""
     codes = np.array(codes, dtype=np.float64)
-    for _ in range(sweeps):
-        for col in range(bits):
-            codes[:, col] = update_code_column(relaxed, codes, sim, bits, col)
+    for col in range(bits):
+        codes[:, col] = update_code_column(relaxed, codes, sim, bits, col)
     return codes
 
 
@@ -253,8 +250,9 @@ def load_checkpoint(path) -> TrainState:
     """Rebuild a TrainState from a file written by save_checkpoint; the
     float64 weights on disk are rounded to PARAM_DTYPE.  A weight the stored
     model config does not have, one of another shape, and one that is NaN or
-    Inf once rounded are FileFormatErrors naming the entry; a stored config
-    that its dataclass rejects is one naming the config group."""
+    Inf once rounded are FileFormatErrors naming the entry, as is an older
+    file's config.train.code_sweeps other than 1; a stored config that its
+    dataclass rejects is one naming the config group."""
     arrays = load_arrays(path)
 
     def grab(name: str) -> np.ndarray:
@@ -276,6 +274,10 @@ def load_checkpoint(path) -> TrainState:
 
     model_config = read_config(ModelConfig, "config.model")
     train_config = read_config(TrainConfig, "config.train")
+    # older files store a sweep count: only the one pass made now resumes exactly
+    sweeps = "config.train.code_sweeps"
+    if sweeps in arrays and (count := read(sweeps, int)) != 1:
+        raise FileFormatError(f"{path}: checkpoint entry {sweeps!r} holds {count}, expected 1")
 
     shapes = weight_shapes(model_config)
     param_arrays = {}
@@ -410,9 +412,6 @@ class AlternatingTrainer:
         mean = self._descriptors.mean(axis=0)
         self.params.hash_bias.data[...] = self.params.hash_weight.data @ mean
 
-    def exchange_active(self, iteration: int) -> bool:
-        return self.train_config.exchange and iteration >= warmup_iters(self.train_config)
-
     def _iteration_rng(self, iteration: int) -> np.random.Generator:
         return np.random.default_rng([self.train_config.seed, iteration + 1])
 
@@ -460,18 +459,15 @@ class AlternatingTrainer:
         they track what encoding each item would produce, not an
         anchor-blended variant of it.
 
-        Returns the code objective (None when no sweep runs) and the number
-        of code entries the sweeps changed.
+        One pass over the bit columns, as in ADSH's asymmetric discrete
+        step; returns the code objective and the code entries it changed.
         """
-        config = self.train_config
-        if config.code_sweeps == 0:
-            return None, 0
         relaxed = hash_layer(self.params, ad.tensor(self._descriptors[subset])).data
         relaxed = relaxed.astype(np.float64)
         sim = build_similarity(self.train_labels[subset], self.train_labels)
         bits = self.model_config.bits
         before = self.codes
-        self.codes = sweep_codes(relaxed, before, sim, bits, config.code_sweeps)
+        self.codes = sweep_codes(relaxed, before, sim, bits)
         flipped = int(np.count_nonzero(self.codes != before))
         objective = batch_similarity_loss(ad.tensor(relaxed), self.codes, sim, bits).item()
         return objective, flipped
@@ -493,8 +489,7 @@ class AlternatingTrainer:
         wall seconds of each phase: ``bias_seconds`` sums the database bias
         refreshes, then ``theta_seconds``, ``code_seconds`` and
         ``anchor_seconds``; a phase that does not run counts 0.0.
-        ``codes_flipped`` counts the database code entries the code phase
-        changed (0 when it does not run).
+        ``codes_flipped`` counts the database code entries the code phase changed.
         """
         t = self.iteration
         if t >= self.train_config.outer_iters:
@@ -508,7 +503,7 @@ class AlternatingTrainer:
             return result
 
         rng = self._iteration_rng(t)
-        exchanging = self.exchange_active(t)
+        exchanging = self.train_config.exchange and t >= warmup_iters(self.train_config)
         timed("bias", self._refresh_hash_bias)
         if exchanging and self.anchors is None:
             # resumed or hand-built state without a bank
@@ -525,9 +520,8 @@ class AlternatingTrainer:
             timed("bias", self._refresh_hash_bias)
 
         code_objective, codes_flipped = timed("code", self._code_phase, subset)
-        if code_objective is not None:
-            logger.info("iter=%d phase=v loss=%.6f seconds=%.3f",
-                        t, code_objective, seconds["code"])
+        logger.info("iter=%d phase=v loss=%.6f seconds=%.3f",
+                    t, code_objective, seconds["code"])
 
         anchor_drift = None
         if self.train_config.exchange:

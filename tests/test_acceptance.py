@@ -254,7 +254,7 @@ def test_02_code_column_updates_are_optimal():
                 after = objective(relaxed, codes, sim, bits)
                 optimal &= bool(np.array_equal(codes, oracle))
                 monotonic &= after <= before
-        swept = sweep_codes(relaxed, codes, sim, bits, sweeps=1)
+        swept = sweep_codes(relaxed, codes, sim, bits)
         monotonic &= (objective(relaxed, swept, sim, bits)
                       <= objective(relaxed, codes, sim, bits))
     assert report(

@@ -470,6 +470,17 @@ class TestTrain:
         assert not (tmp_path / "data").exists()  # the configured data_dir
         assert not (tmp_path / "run").exists()
 
+    def test_code_width_beyond_code_file_exits_2(self, tmp_path, caplog):
+        # a code file holds at most 65,535 bits: the width fails before training
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY_CONFIG)
+        code, _ = run_cli(["train", "--config", config, "--bits", "65536",
+                           "--out-dir", tmp_path / "run"])
+        assert code == 2
+        assert "bits must be <= 65535" in caplog.text
+        assert not (tmp_path / "data").exists()  # the configured data_dir
+        assert not (tmp_path / "run").exists()
+
 
 class TestEncode:
     def test_output_matches_library_encoding(self, workspace, tmp_path):
@@ -577,7 +588,12 @@ class TestEncode:
          "config.train: TrainConfig: learning_rate must be > 0"),
         ("config.model.backbone_pools", np.array([2.0, 2.0, 1.0]),
          "config.model: 3 pool factors for 2 backbone blocks"),
-    ], ids=["learning_rate", "backbone_pools"])
+        ("config.model.bits", np.array(65536.0),
+         "config.model: bits must be <= 65535, the widest packed code, got 65536"),
+        # older files store a code sweep count; the trainer makes one pass
+        ("config.train.code_sweeps", np.array(2.0),
+         "entry 'config.train.code_sweeps' holds 2, expected 1"),
+    ], ids=["learning_rate", "backbone_pools", "bits", "code_sweeps"])
     def test_invalid_stored_config_exits_2_naming_file(self, workspace, tmp_path, caplog,
                                                        name, value, problem):
         arrays = load_arrays(workspace["checkpoint"])
@@ -728,7 +744,7 @@ class TestQuery:
         codes = encode_images(state.params, dataset.query_images)[0]
         index = RetrievalIndex(load_packed(workspace["codes"]))
         for i in range(6):
-            expected = index.search(codes[i])[:3]
+            expected = coarse_rank(index.packed, codes[i])[:3]
             got = [int(row[2]) for row in rows if int(row[0]) == i]
             assert got == expected.tolist()
 

@@ -127,6 +127,11 @@ class TestErrors:
         with pytest.raises(ConfigError, match="line 2: unknown key 'in_channels'"):
             load_config(write(tmp_path, "bits = 16\nin_channels = 3\n"))
 
+    def test_code_sweeps_is_no_key(self, tmp_path):
+        # the code phase makes one pass over the bit columns, which is no setting
+        with pytest.raises(ConfigError, match="line 1: unknown key 'code_sweeps'"):
+            load_config(write(tmp_path, "code_sweeps = 1\n"))
+
     def test_duplicate_key_named(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate key 'bits'"):
             load_config(write(tmp_path, "bits = 16\nbits = 32\n"))
@@ -185,7 +190,10 @@ class TestRejectionNamesSource:
          "TrainConfig: learning_rate must be > 0 (set: learning_rate on line 2, seed on line 3)"),
         # the group is named once, though ModelConfig's own messages omit it
         ("# model\nbits = 0\n", "ModelConfig: bits must be >= 1, got 0 (set: bits on line 2)"),
-    ], ids=["synth", "train", "model"])
+        # a code file holds at most MAX_BITS, so the width fails before training
+        ("bits = 65536\n", "ModelConfig: bits must be <= 65535, the widest packed code, "
+         "got 65536 (set: bits on line 1)"),
+    ], ids=["synth", "train", "model", "model-bits-above-max"])
     def test_file_key(self, tmp_path, text, message):
         path = write(tmp_path, text)
         with pytest.raises(ContractError) as info:
@@ -224,7 +232,7 @@ NON_DEFAULT = RunConfig(
                       backbone_pools=(2, 1), refined_channels=12),
     train=TrainConfig(outer_iters=7, epochs_per_iter=3, batch_size=5, samples_per_epoch=40,
                       learning_rate=0.002, lr_drop_points=(0.5,), lr_drop_factor=0.5,
-                      weight_decay=0.001, warmup_fraction=0.5, exchange=False, code_sweeps=2,
+                      weight_decay=0.001, warmup_fraction=0.5, exchange=False,
                       spatial_weight=0.25, channel_weight=0.125, margin=0.3, seed=11),
     synth=SynthConfig(num_classes=5, per_class=7, queries_per_class=3, image_side=16,
                       parts_per_image=2, patch_size=4, position_jitter=0.25, pixel_noise=0.02,

@@ -2,6 +2,7 @@
 
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +13,7 @@ from finehash.data import (
     build_similarity,
     generate_synthetic,
     load_manifest,
-    read_ppm,
     write_dataset,
-    write_ppm,
 )
 from finehash.errors import ContractError, DimensionError, IngestionError
 
@@ -190,76 +189,87 @@ class TestSimilarity:
             build_similarity(np.zeros(2), np.zeros((2, 2)))
 
 
+def _ppm(path, side):
+    """A black side x side P6 image, written as bytes."""
+    path.write_bytes(f"P6\n{side} {side}\n255\n".encode() + bytes(side * side * 3))
+
+
+def _load_one(root, blob: bytes) -> np.ndarray:
+    """Load one PPM file's bytes through a one-row manifest."""
+    root.mkdir()
+    (root / "a.ppm").write_bytes(blob)
+    (root / "manifest.csv").write_text("a.ppm,0,query\n")
+    return load_manifest(root / "manifest.csv").images[0]
+
+
 class TestPpm:
+    """The PPM reader and writer, through load_manifest and write_dataset."""
+
     def test_hand_built_fixture(self, tmp_path):
-        path = tmp_path / "tiny.ppm"
-        path.write_bytes(b"P6\n2 2\n255\n" + bytes(range(12)))
-        image = read_ppm(path)
+        image = _load_one(tmp_path / "set", b"P6\n2 2\n255\n" + bytes(range(12)))
         assert image.shape == (2, 2, 3)
         assert np.allclose(image, np.arange(12).reshape(2, 2, 3) / 255.0)
 
     def test_header_comments_and_whitespace(self, tmp_path):
-        path = tmp_path / "tiny.ppm"
-        path.write_bytes(b"P6 # comment\n# another line\n 2\t1 # w h\n255\n" + bytes(6))
-        image = read_ppm(path)
+        image = _load_one(tmp_path / "set",
+                          b"P6 # comment\n# another line\n 2\t1 # w h\n255\n" + bytes(6))
         assert image.shape == (1, 2, 3)
         assert np.array_equal(image, np.zeros((1, 2, 3)))
 
     def test_round_trip_quantized(self, tmp_path):
         rng = np.random.default_rng(2)
-        image = rng.uniform(0.0, 1.0, size=(5, 7, 3))
-        path = tmp_path / "img.ppm"
-        write_ppm(path, image)
-        loaded = read_ppm(path)
-        assert loaded.shape == image.shape
-        assert np.max(np.abs(loaded - image)) <= 0.5 / 255.0 + 1e-12
+        data = Dataset(images=rng.uniform(0.0, 1.0, size=(2, 5, 7, 3)), labels=[0, 0],
+                       splits=["train-db", "query"])
+        loaded = load_manifest(write_dataset(data, tmp_path / "set"))
+        assert loaded.images.shape == data.images.shape
+        assert np.max(np.abs(loaded.images - data.images)) <= 0.5 / 255.0 + 1e-12
 
     def test_round_trip_exact_after_quantization(self, tmp_path):
-        path = tmp_path / "a.ppm"
-        other = tmp_path / "b.ppm"
         rng = np.random.default_rng(3)
-        write_ppm(path, rng.uniform(0.0, 1.0, size=(4, 4, 3)))
-        write_ppm(other, read_ppm(path))
-        assert path.read_bytes() == other.read_bytes()
+        data = Dataset(images=rng.uniform(0.0, 1.0, size=(1, 4, 4, 3)), labels=[0],
+                       splits=["query"])
+        write_dataset(data, tmp_path / "a")
+        write_dataset(load_manifest(tmp_path / "a" / "manifest.csv"), tmp_path / "b")
+        image = "class_000/query_0000.ppm"
+        assert (tmp_path / "a" / image).read_bytes() == (tmp_path / "b" / image).read_bytes()
 
     def test_bad_magic_names_line(self, tmp_path):
-        path = tmp_path / "bad.ppm"
-        path.write_bytes(b"P5\n2 2\n255\n" + bytes(12))
         with pytest.raises(IngestionError, match="line 1"):
-            read_ppm(path)
+            _load_one(tmp_path / "set", b"P5\n2 2\n255\n" + bytes(12))
 
     def test_malformed_width(self, tmp_path):
-        path = tmp_path / "bad.ppm"
-        path.write_bytes(b"P6\nwide 2\n255\n" + bytes(12))
         with pytest.raises(IngestionError, match="width"):
-            read_ppm(path)
+            _load_one(tmp_path / "set", b"P6\nwide 2\n255\n" + bytes(12))
 
     def test_unsupported_maxval(self, tmp_path):
-        path = tmp_path / "bad.ppm"
-        path.write_bytes(b"P6\n2 2\n65535\n" + bytes(24))
         with pytest.raises(IngestionError, match="maxval"):
-            read_ppm(path)
+            _load_one(tmp_path / "set", b"P6\n2 2\n65535\n" + bytes(24))
 
     def test_truncated_pixels(self, tmp_path):
-        path = tmp_path / "bad.ppm"
-        path.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
         with pytest.raises(IngestionError, match="truncated"):
-            read_ppm(path)
+            _load_one(tmp_path / "set", b"P6\n2 2\n255\n" + bytes(5))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(IngestionError):
-            read_ppm(tmp_path / "absent.ppm")
+        root = tmp_path / "set"
+        root.mkdir()
+        (root / "manifest.csv").write_text("absent.ppm,0,query\n")
+        with pytest.raises(IngestionError, match="absent.ppm: cannot read image"):
+            load_manifest(root / "manifest.csv")
 
     def test_write_range_check(self, tmp_path):
-        with pytest.raises(ContractError):
-            write_ppm(tmp_path / "x.ppm", np.full((2, 2, 3), 2.0))
+        for value in (2.0, -0.5):
+            data = Dataset(images=np.full((1, 2, 2, 3), 0.5), labels=[0], splits=["query"])
+            data.images[0, 1, 0, 1] = value
+            with pytest.raises(ContractError, match="write_dataset"):
+                write_dataset(data, tmp_path / "set")
+            assert not (tmp_path / "set").exists()
 
     def test_write_rejects_nan(self, tmp_path):
-        image = np.full((2, 2, 3), 0.5)
-        image[1, 0, 1] = np.nan
-        with pytest.raises(ContractError):
-            write_ppm(tmp_path / "x.ppm", image)
-        assert not (tmp_path / "x.ppm").exists()
+        data = Dataset(images=np.full((1, 2, 2, 3), 0.5), labels=[0], splits=["query"])
+        data.images[0, 1, 0, 1] = np.nan
+        with pytest.raises(ContractError, match="write_dataset"):
+            write_dataset(data, tmp_path / "set")
+        assert not (tmp_path / "set").exists()
 
 
 class TestManifest:
@@ -286,7 +296,7 @@ class TestManifest:
         root = tmp_path / "set"
         root.mkdir()
         for name in ("a.ppm", "b.ppm", "c.ppm"):
-            write_ppm(root / name, np.zeros((2, 2, 3)))
+            _ppm(root / name, 2)
         (root / "manifest.csv").write_text(
             "relative_path,label,split\n"
             "a.ppm,sparrow,train-db\n"
@@ -300,7 +310,7 @@ class TestManifest:
     def test_headerless_manifest_accepted(self, tmp_path):
         root = tmp_path / "set"
         root.mkdir()
-        write_ppm(root / "a.ppm", np.zeros((2, 2, 3)))
+        _ppm(root / "a.ppm", 2)
         (root / "manifest.csv").write_text("a.ppm,0,query\n")
         loaded = load_manifest(root / "manifest.csv")
         assert len(loaded.labels) == 1
@@ -308,7 +318,7 @@ class TestManifest:
     def test_unknown_split_names_line(self, tmp_path):
         root = tmp_path / "set"
         root.mkdir()
-        write_ppm(root / "a.ppm", np.zeros((2, 2, 3)))
+        _ppm(root / "a.ppm", 2)
         (root / "manifest.csv").write_text("a.ppm,0,train-db\na.ppm,0,validation\n")
         with pytest.raises(IngestionError, match="line 2"):
             load_manifest(root / "manifest.csv")
@@ -316,7 +326,7 @@ class TestManifest:
     def test_duplicate_path_rejected(self, tmp_path):
         root = tmp_path / "set"
         root.mkdir()
-        write_ppm(root / "a.ppm", np.zeros((2, 2, 3)))
+        _ppm(root / "a.ppm", 2)
         (root / "manifest.csv").write_text("a.ppm,0,train-db\na.ppm,1,query\n")
         with pytest.raises(IngestionError, match="duplicate"):
             load_manifest(root / "manifest.csv")
@@ -338,8 +348,8 @@ class TestManifest:
     def test_mismatched_image_sizes(self, tmp_path):
         root = tmp_path / "set"
         root.mkdir()
-        write_ppm(root / "a.ppm", np.zeros((2, 2, 3)))
-        write_ppm(root / "b.ppm", np.zeros((3, 3, 3)))
+        _ppm(root / "a.ppm", 2)
+        _ppm(root / "b.ppm", 3)
         (root / "manifest.csv").write_text("a.ppm,0,query\nb.ppm,0,query\n")
         with pytest.raises(IngestionError, match="shape"):
             load_manifest(root / "manifest.csv")
@@ -385,6 +395,41 @@ class TestManifest:
         assert np.array_equal(loaded.images, fresh.images)
         assert np.array_equal(loaded.labels, new.labels)
         assert np.array_equal(loaded.splits, new.splits)
+
+    def test_shrinking_rewrite_removes_stale_images_only(self, tmp_path):
+        root = tmp_path / "set"
+        write_dataset(generate_synthetic(SynthConfig()), root)
+        (root / "notes.txt").write_text("kept")
+        (root / "class_000" / "notes.txt").write_text("kept")
+        (root / "class_007" / "query_7.ppm").write_text("kept")  # not a writer's name
+        small = generate_synthetic(SynthConfig(num_classes=4, per_class=20))
+        loaded = load_manifest(write_dataset(small, root))
+        images = sorted(path.relative_to(root).as_posix() for path in root.rglob("*.ppm")
+                        if path.name != "query_7.ppm")
+        assert len(images) == len(loaded.labels) == 120
+        assert images == sorted(
+            f"class_{label:03d}/{split}_{index:04d}.ppm" for label in range(4)
+            for split, count in (("train-db", 20), ("query", 10)) for index in range(count))
+        fresh = load_manifest(write_dataset(small, tmp_path / "fresh"))
+        assert np.array_equal(loaded.images, fresh.images)
+        assert (root / "notes.txt").exists() and (root / "class_000" / "notes.txt").exists()
+        # a class folder keeps what is not the writer's own; one left empty goes
+        assert (root / "class_007" / "query_7.ppm").exists()
+        assert not (root / "class_006").exists()
+
+    def test_same_size_rewrite_unlinks_nothing(self, tmp_path, monkeypatch):
+        data = generate_synthetic(SMALL)
+        write_dataset(data, tmp_path / "set")
+        unlinked = []
+        unlink = Path.unlink
+
+        def recording(path, *args, **kwargs):
+            unlinked.append(path.name)
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", recording)
+        write_dataset(data, tmp_path / "set")
+        assert unlinked == ["manifest.csv"]
 
     def test_write_dataset_rejects_nan_and_keeps_the_old_set(self, tmp_path):
         data = generate_synthetic(SMALL)

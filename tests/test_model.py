@@ -7,6 +7,7 @@ import finehash.autodiff as ad
 from finehash import model
 from finehash.data import CHANNELS
 from finehash.errors import ContractError, DimensionError
+from finehash.retrieval import MAX_BITS
 
 import helpers
 
@@ -43,6 +44,9 @@ class TestModelConfig:
     def test_invalid_bits(self):
         with pytest.raises(ContractError):
             model.ModelConfig(bits=0)
+        assert model.ModelConfig(bits=MAX_BITS).bits == MAX_BITS
+        with pytest.raises(ContractError, match=f"bits must be <= {MAX_BITS}"):
+            model.ModelConfig(bits=MAX_BITS + 1)
 
     @pytest.mark.parametrize("side", [0, -4])
     def test_invalid_image_side(self, side):

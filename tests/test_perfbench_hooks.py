@@ -1,12 +1,18 @@
-"""The benchmark tracer still finds every name it patches in the package.
+"""The benchmark still finds every name it uses in the package.
 
 ``perfbench/tracing.py`` imports each traced module and a few public
-methods by name.  The tier-1 suite never imports perfbench, so deleting one
-of those modules or methods would pass here and break only traced benchmark
-runs.  This installs the tracer over the package and uninstalls it again,
-without running a workload.
+methods by name, and the workloads import finehash names and read module
+attributes such as ``fr.save_features``.  The tier-1 suite never runs
+perfbench, so deleting one of those names would pass here and break only
+benchmark runs.  One test installs the tracer over the package and
+uninstalls it again, without running a workload; the other parses
+``perfbench/*.py`` and looks every such name up.
 """
 
+import ast
+import contextlib
+import importlib
+import inspect
 from pathlib import Path
 
 from finehash import retrieval as fr
@@ -32,3 +38,41 @@ def test_tracer_installs_over_the_package_and_restores_it(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(now is before for now, before in zip(_hooked(), originals))
+
+
+def _dotted(node: ast.Attribute) -> list[str] | None:
+    """['fr', 'RetrievalIndex', 'search'] for ``fr.RetrievalIndex.search``;
+    None when the chain starts at anything but a name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id] + parts[::-1] if isinstance(node, ast.Name) else None
+
+
+def test_benchmark_names_exist_in_the_package():
+    # the benchmark imports finehash names and reads module attributes such
+    # as fr.save_features; deleting one would break every benchmark run
+    checked = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("finehash"):
+                module = importlib.import_module(node.module)
+                for name in node.names:
+                    if not hasattr(module, name.name) and hasattr(module, "__path__"):
+                        with contextlib.suppress(ImportError):  # a submodule, maybe
+                            importlib.import_module(f"{node.module}.{name.name}")
+                    assert hasattr(module, name.name), f"{path.name}: {node.module}.{name.name}"
+                    aliases[name.asname or name.name] = getattr(module, name.name)
+        for node in ast.walk(tree):
+            chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+            if not chain or chain[0] not in aliases or not inspect.ismodule(aliases[chain[0]]):
+                continue
+            target = aliases[chain[0]]
+            for attr in chain[1:]:
+                assert hasattr(target, attr), f"{path.name}: {'.'.join(chain)}"
+                target = getattr(target, attr)
+            checked.append(".".join(chain))
+    assert "fr.save_features" in checked and "ft.AlternatingTrainer.run_iteration" in checked

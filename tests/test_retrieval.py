@@ -211,9 +211,8 @@ class TestHamming:
 
     def test_query_shape_check(self):
         index = RetrievalIndex(pack_codes(np.ones((2, 80))), features=np.zeros((2, 3)))
-        for topn in (None, 1):
-            with pytest.raises(DimensionError, match=r"expected \(80,\)"):
-                index.search(np.ones(79), topn=topn)
+        with pytest.raises(DimensionError, match=r"expected \(80,\)"):
+            index.search(np.ones(79), None, 1)
         with pytest.raises(DimensionError):
             coarse_rank(index.packed, np.ones((1, 80)))
 
@@ -240,9 +239,10 @@ class TestHamming:
         index = RetrievalIndex(pack_codes(np.ones((2, 3))), features=np.zeros((2, 3)))
         with pytest.raises(DomainError) as expected:
             pack_codes(query[None])
-        for topn in (None, 1):
+        for rank in (lambda: index.search(query, None, 1),
+                     lambda: coarse_rank(index.packed, query)):
             with pytest.raises(DomainError) as got:
-                index.search(query, topn=topn)
+                rank()
             assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("bits", [7, 12, 24, 40, 255])
@@ -332,7 +332,7 @@ class TestShortlist:
         order = coarse_rank(index.packed, query)
         for topn in topns:
             head = order[:topn]
-            assert np.array_equal(index.search(query, topn=topn), head)
+            assert np.array_equal(index.search(query, None, topn), head)
             assert np.array_equal(index.search(query, query_feature, topn),
                                   rerank(head, index.features, query_feature, topn))
 
@@ -349,7 +349,7 @@ class TestShortlist:
 
         with monkeypatch.context() as patch:
             patch.setattr(np, "flatnonzero", recording)
-            index.search(query, topn=topn)
+            index.search(query, None, topn)
         return calls.count(len(index))
 
     def test_class_structured_database(self):
@@ -415,7 +415,7 @@ class TestShortlist:
             return argsort(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "argsort", recording)
-        assert np.array_equal(index.search(query, topn=topn), head)
+        assert np.array_equal(index.search(query, None, topn), head)
         assert np.array_equal(index.search(query, query_feature, topn), expected)
         assert sorted_sizes and max(sorted_sizes) < topn
 
@@ -462,7 +462,7 @@ class TestShortlist:
                 assert np.array_equal(
                     got, self.full_head(index.packed, features, query, query_feature, topn))
                 # without a query feature: the Hamming head, not re-ranked
-                assert np.array_equal(index.search(query, topn=topn),
+                assert np.array_equal(index.search(query, None, topn),
                                       coarse_rank(index.packed, query)[:topn])
 
     @pytest.mark.parametrize("bits", [8, 65, 256, 300])
@@ -485,7 +485,8 @@ class TestShortlist:
     def test_empty_database(self):
         index = RetrievalIndex(pack_codes(np.ones((0, 9))), features=np.zeros((0, 2)))
         assert len(index.search(np.ones(9), np.zeros(2), 3)) == 0
-        assert len(index.search(np.ones(9))) == 0
+        assert len(index.search(np.ones(9), None, 3)) == 0
+        assert len(coarse_rank(index.packed, np.ones(9))) == 0
 
     def test_negative_topn_rejected(self):
         index = RetrievalIndex(pack_codes(np.ones((3, 4))), features=np.zeros((3, 2)))
@@ -748,9 +749,9 @@ class TestIndex:
         index = RetrievalIndex(pack_codes(db), features=features)
         query = random_codes(rng, 1, 6)[0]
         query_feature = rng.normal(size=3).astype(np.float32)
-        coarse = index.search(query)
         expect = coarse_rank(index.packed, query)
-        assert np.array_equal(coarse, expect)
+        # a shortlist of the whole database is the full ranking
+        assert np.array_equal(index.search(query, None, 40), expect)
         for topn in (10, 40, 45):
             # only the re-ranked head is returned, with no coarse tail
             refined = index.search(query, query_feature, topn)
@@ -759,15 +760,16 @@ class TestIndex:
         assert len(index.search(query, query_feature, 0)) == 0
 
     def test_query_feature_without_topn_rejected(self):
-        # a feature without a shortlist size would go unused, so it is rejected
+        # search always takes the shortlist size; coarse_rank is the full ranking
         db = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         features = np.array([[9.0], [0.0], [5.0], [1.0]], dtype=np.float32)
         index = RetrievalIndex(pack_codes(db), features=features)
         query, query_feature = np.array([1.0, 1.0]), np.array([0.0], dtype=np.float32)
-        assert np.array_equal(index.search(query), [0, 1, 2, 3])
+        assert np.array_equal(coarse_rank(index.packed, query), [0, 1, 2, 3])
         assert np.array_equal(index.search(query, query_feature, topn=4), [1, 3, 2, 0])
-        with pytest.raises(ContractError, match="topn"):
-            index.search(query, query_feature)
+        for partial in ((query,), (query, query_feature)):
+            with pytest.raises(TypeError, match="topn"):
+                index.search(*partial)
 
     def test_rerank_without_features_rejected(self):
         index = RetrievalIndex(pack_codes(np.ones((3, 4))))
@@ -783,7 +785,7 @@ class TestIndex:
         db = np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
         features = np.array([[5.0], [0.0], [9.0]], dtype=np.float32)
         index = RetrievalIndex(pack_codes(db), features=features)
-        coarse = index.search(np.array([1.0, 1.0]))
+        coarse = coarse_rank(index.packed, np.array([1.0, 1.0]))
         assert np.array_equal(coarse, [0, 1, 2])
         refined = index.search(np.array([1.0, 1.0]),
                                np.array([0.1], dtype=np.float32), topn=2)

@@ -185,18 +185,13 @@ class TestSweep:
         manual = codes.copy()
         for col in range(5):
             manual[:, col] = update_code_column(relaxed, manual, sim, 5, col)
-        assert np.array_equal(sweep_codes(relaxed, codes, sim, 5, sweeps=1), manual)
-
-    def test_zero_sweeps_identity(self):
-        rng = np.random.default_rng(31)
-        relaxed, codes, sim = random_instance(rng, 4, 6, 3)
-        assert np.array_equal(sweep_codes(relaxed, codes, sim, 3, sweeps=0), codes)
+        assert np.array_equal(sweep_codes(relaxed, codes, sim, 5), manual)
 
     def test_sweep_input_not_mutated(self):
         rng = np.random.default_rng(37)
         relaxed, codes, sim = random_instance(rng, 5, 6, 4)
         before = codes.copy()
-        sweep_codes(relaxed, codes, sim, 4, sweeps=2)
+        sweep_codes(relaxed, codes, sim, 4)
         assert np.array_equal(codes, before)
 
     def test_frobenius_matches_naive(self):
@@ -243,10 +238,6 @@ class TestTrainerLoop:
             assert type(metrics["codes_flipped"]) is int
             assert metrics["codes_flipped"] == np.count_nonzero(trainer.codes != before)
         assert trainer.history[0]["codes_flipped"] > 0
-        idle = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train(code_sweeps=0))
-        before = idle.codes.copy()
-        assert idle.run_iteration()["codes_flipped"] == 0
-        assert np.array_equal(idle.codes, before)
 
     def test_theta_loss_decreases(self, small_dataset):
         trainer = AlternatingTrainer(small_dataset, SMALL_MODEL,
@@ -330,8 +321,7 @@ class TestSharedEncoding:
                                           descriptor(features.part_vecs, features.global_vec)).data
         labels = small_dataset.train_labels
         sim = build_similarity(labels[subset], labels)
-        expected = sweep_codes(relaxed_ref, codes_before, sim, SMALL_MODEL.bits,
-                               config.code_sweeps)
+        expected = sweep_codes(relaxed_ref, codes_before, sim, SMALL_MODEL.bits)
         assert np.array_equal(trainer.codes, expected)
         assert metrics["code_objective"] == code_objective(
             relaxed_ref, trainer.codes, sim, SMALL_MODEL.bits
@@ -432,6 +422,28 @@ class TestResume:
         with pytest.raises(FileFormatError, match="'backbone.0.kernel' has shape"):
             load_checkpoint(path)
 
+    def test_checkpoint_with_one_code_sweep_entry_resumes(self, small_dataset, tmp_path):
+        # older files store config.train.code_sweeps; 1, the trainer's one
+        # pass, resumes on the straight run's trajectory, and 2 would not
+        straight = AlternatingTrainer(small_dataset, SMALL_MODEL, small_train(outer_iters=2))
+        straight.run_iteration()
+        path = tmp_path / "old.fht1"
+        straight.save(path)
+        arrays = load_arrays(path)
+        arrays["config.train.code_sweeps"] = np.array(1.0)
+        save_arrays(path, arrays)
+        resumed = AlternatingTrainer.from_checkpoint(path, small_dataset)
+        straight.train()
+        resumed.train()
+        for name, arr in straight.params.arrays().items():
+            assert np.array_equal(resumed.params.arrays()[name], arr)
+        assert np.array_equal(resumed.codes, straight.codes)
+        arrays["config.train.code_sweeps"] = np.array(2.0)
+        save_arrays(path, arrays)
+        with pytest.raises(FileFormatError,
+                           match="entry 'config.train.code_sweeps' holds 2, expected 1"):
+            load_checkpoint(path)
+
     def test_checkpoint_missing_entry(self, tmp_path):
         path = tmp_path / "bad.fht1"
         save_arrays(path, {"config.model.parts": np.array(2.0)})
@@ -465,8 +477,8 @@ class TestResume:
         assert np.array_equal(resumed.codes, trainer.codes)
 
     def test_on_disk_config_names(self, tmp_path):
-        # the entry names, shapes and encodings of the checkpoint format; files
-        # from before images were fixed to RGB also store config.model.in_channels
+        # the entry names, shapes and encodings of the checkpoint format; older
+        # files also store config.model.in_channels and config.train.code_sweeps
         params = ModelParams.initialize(SMALL_MODEL, np.random.default_rng(0))
         entries = {
             "config.model.parts": 2.0,
@@ -486,7 +498,7 @@ class TestResume:
             "config.train.weight_decay": 0.0,
             "config.train.warmup_fraction": 0.34,
             "config.train.exchange": 0.0,
-            "config.train.code_sweeps": 2.0,
+            "config.train.code_sweeps": 1.0,
             "config.train.spatial_weight": np.nan,
             "config.train.channel_weight": 0.125,
             "config.train.margin": 0.3,
@@ -500,16 +512,16 @@ class TestResume:
         save_arrays(path, arrays)
         state = load_checkpoint(path)
         expected = small_train(learning_rate=0.002, lr_drop_points=(0.5,), lr_drop_factor=0.5,
-                               weight_decay=0.0, exchange=False, code_sweeps=2,
-                               channel_weight=0.125, margin=0.3)
+                               weight_decay=0.0, exchange=False, channel_weight=0.125,
+                               margin=0.3)
         assert state.params.config == SMALL_MODEL
         assert state.train_config == expected
         assert state.iteration == 2
-        # and save_checkpoint writes exactly those entries back, in_channels aside
+        # and save_checkpoint writes exactly those entries back, the older two aside
         save_checkpoint(tmp_path / "again.fht1", params, expected, np.ones((4, 8)), 2)
         written = {name: values for name, values in load_arrays(tmp_path / "again.fht1").items()
                    if name.startswith("config.")}
-        del entries["config.model.in_channels"]
+        del entries["config.model.in_channels"], entries["config.train.code_sweeps"]
         assert sorted(written) == sorted(entries)
         for name, value in entries.items():
             np.testing.assert_array_equal(written[name], np.array(value), err_msg=name)
@@ -530,6 +542,8 @@ class TestResume:
         ("anchors.1", np.zeros((2, 7))),  # mixed anchor shapes
         ("config.train.exchange", np.array(2.0)),  # a bool is 0 or 1
         ("config.train.exchange", np.array(-7.0)),
+        ("config.train.code_sweeps", np.array(2.0)),  # older files: one sweep only
+        ("config.train.code_sweeps", np.array(1.5)),
     ])
     def test_malformed_checkpoint_names_entry(self, tmp_path, name, value):
         path = tmp_path / "ckpt.fht1"
