@@ -8,10 +8,10 @@ exchanged at once with a [batch, parts] mask of 0/1 entries, which the
 trainer draws from its per-iteration generator.
 
 The bank is one [classes, parts, dim] table indexed by the dense class id,
-recomputed whole from the database at every anchor phase; a checkpoint
-stores it as the entries anchors.0 .. anchors.{C-1}.  Anchors are plain
-arrays: wrapped as constants when spliced into the graph, they never
-receive gradients.
+recomputed whole from the database at every anchor phase; trainer's
+save_checkpoint and load_checkpoint, which name every checkpoint entry,
+store it as anchors.0 .. anchors.{C-1}.  Anchors are plain arrays: wrapped
+as constants when spliced into the graph, they never receive gradients.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, DimensionError, FileFormatError
-
-_PREFIX = "anchors."
+from .errors import ContractError, DimensionError
 
 
 class AnchorBank:
@@ -41,41 +39,9 @@ class AnchorBank:
 
     def get(self, class_id: int) -> np.ndarray:
         """Anchors [parts, dim] of one class."""
-        return self.rows(int(class_id))
-
-    def rows(self, class_ids: np.ndarray) -> np.ndarray:
-        """Stacked anchors [n, parts, dim] of each class id in turn."""
-        class_ids = np.asarray(class_ids)
-        outside = class_ids[(class_ids < 0) | (class_ids >= len(self.table))]
-        if outside.size:
-            raise KeyError(f"no anchors for classes {np.unique(outside).tolist()}")
-        return self.table[class_ids]
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Flatten to the checkpoint entries anchors.0 .. anchors.{C-1}."""
-        return {f"{_PREFIX}{c}": matrix.copy() for c, matrix in enumerate(self.table)}
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "AnchorBank | None":
-        """Rebuild from exactly the entries anchors.0 .. anchors.{C-1}, all of
-        one [parts, dim] shape; None when there are no anchor entries."""
-        names = {name for name in arrays if name.startswith(_PREFIX)}
-        if not names:
-            return None
-        expected = {f"{_PREFIX}{c}" for c in range(len(names))}
-        if names != expected:
-            raise FileFormatError(
-                f"anchor entries must be {_PREFIX}0..{len(names) - 1}: missing "
-                f"{sorted(expected - names)}, unexpected {sorted(names - expected)}"
-            )
-        table = [arrays[f"{_PREFIX}{c}"] for c in range(len(names))]
-        for c, matrix in enumerate(table):
-            if matrix.ndim != 2 or matrix.shape != table[0].shape:
-                raise FileFormatError(
-                    f"entry '{_PREFIX}{c}' has shape {matrix.shape}, expected one "
-                    "[parts, dim] shape for every class"
-                )
-        return cls(np.stack(table))
+        if not 0 <= class_id < len(self.table):
+            raise KeyError(f"no anchors for class {class_id}")
+        return self.table[class_id]
 
 
 def compute_anchor_bank(part_vecs: np.ndarray, labels: np.ndarray) -> AnchorBank:

@@ -136,8 +136,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     check_part_weights(config.model, config.train)  # before any file is written
-    dataset = _resolve_dataset(config)
     out_dir = Path(args.out_dir)
+    if args.metrics_out:  # written once training ends, so a path it cannot take fails now
+        metrics_out = Path(args.metrics_out)
+        if metrics_out.is_dir() or not (metrics_out.parent.is_dir()
+                                        or metrics_out.parent.resolve() == out_dir.resolve()):
+            raise ConfigError(f"train: --metrics-out {metrics_out} is a directory or in a "
+                              "missing one")
+    dataset = _resolve_dataset(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint = out_dir / CHECKPOINT_NAME
     if args.resume and checkpoint.exists():

@@ -208,11 +208,12 @@ def save_checkpoint(
     iteration: int,
     anchors: AnchorBank | None = None,
 ) -> None:
-    """Write weights, codes, anchors, and both configs into one file; each
-    config field is the entry ``config.{model,train}.<field>``, None as NaN."""
+    """Write weights, codes, anchors, and both configs into one file; this
+    and load_checkpoint name every entry: ``config.{model,train}.<field>``
+    per config field (None as NaN) and ``anchors.<class id>`` per class."""
     arrays = dict(params.arrays())
     if anchors is not None:
-        arrays.update(anchors.arrays())
+        arrays.update((f"anchors.{c}", matrix) for c, matrix in enumerate(anchors.table))
     for prefix, config in (("config.model", params.config), ("config.train", train_config)):
         for field in fields(config):
             value = getattr(config, field.name)
@@ -249,10 +250,12 @@ def _entry_value(values: np.ndarray, kind, what: str):
 def load_checkpoint(path) -> TrainState:
     """Rebuild a TrainState from a file written by save_checkpoint; the
     float64 weights on disk are rounded to PARAM_DTYPE.  A weight the stored
-    model config does not have, one of another shape, and one that is NaN or
-    Inf once rounded are FileFormatErrors naming the entry, as is an older
-    file's config.train.code_sweeps other than 1; a stored config that its
-    dataclass rejects is one naming the config group."""
+    model config does not have, one of another shape, one that is NaN or Inf
+    once rounded, anchor ids with a gap or a stray anchors.* name, an anchor
+    entry that is not [parts, refined_channels], and an older file's
+    config.train.code_sweeps other than 1 are FileFormatErrors naming the
+    entry; a stored config that its dataclass rejects is one naming the
+    config group."""
     arrays = load_arrays(path)
 
     def grab(name: str) -> np.ndarray:
@@ -308,10 +311,18 @@ def load_checkpoint(path) -> TrainState:
     if not 0 <= iteration <= train_config.outer_iters:
         raise FileFormatError(f"{path}: checkpoint entry 'state.iteration' holds {iteration}, "
                               f"outside 0..{train_config.outer_iters}")
-    try:
-        anchors = AnchorBank.from_arrays(arrays)
-    except FileFormatError as exc:
-        raise FileFormatError(f"{path}: checkpoint {exc}") from None
+    stored = {name for name in arrays if name.startswith("anchors.")}
+    names = [f"anchors.{c}" for c in range(len(stored))]
+    if stored != set(names):
+        raise FileFormatError(
+            f"{path}: checkpoint anchor entries must be anchors.0..{len(names) - 1}: missing "
+            f"{sorted(set(names) - stored)}, unexpected {sorted(stored - set(names))}")
+    shape = (model_config.parts, model_config.refined_channels)
+    for name in names:
+        if arrays[name].shape != shape:
+            raise FileFormatError(f"{path}: checkpoint entry {name!r} has shape "
+                                  f"{arrays[name].shape}, expected {shape}")
+    anchors = AnchorBank(np.stack([arrays[name] for name in names])) if names else None
     return TrainState(
         params=params,
         train_config=train_config,
@@ -375,13 +386,10 @@ class AlternatingTrainer:
                 f"from_checkpoint: stored codes {state.codes.shape} do not match "
                 f"{(trainer.db_size, trainer.model_config.bits)}"
             )
-        config = trainer.model_config
-        expected = (dataset.num_classes, config.parts, config.refined_channels)
-        if state.anchors is not None and state.anchors.table.shape != expected:
-            raise ContractError(
-                f"from_checkpoint: stored anchors {state.anchors.table.shape} do not match "
-                f"[classes, parts, dim] {expected}"
-            )
+        # load_checkpoint has held each class's anchors to the stored model config
+        if state.anchors is not None and len(state.anchors.table) != dataset.num_classes:
+            raise ContractError(f"from_checkpoint: stored anchors hold {len(state.anchors.table)} "
+                                f"classes, the dataset {dataset.num_classes}")
         trainer.params = state.params
         trainer.codes = state.codes
         trainer.anchors = state.anchors
@@ -423,7 +431,7 @@ class AlternatingTrainer:
             if exchanging:
                 labels = self.train_labels[batch]
                 mask = rng.integers(0, 2, size=(len(batch), self.model_config.parts))
-                part_vecs = exchange_features(part_vecs, self.anchors.rows(labels), mask)
+                part_vecs = exchange_features(part_vecs, self.anchors.table[labels], mask)
             relaxed = hash_layer(self.params, descriptor(part_vecs, features.global_vec))
             sim_rows = build_similarity(self.train_labels[batch], self.train_labels)
             total = total_objective(relaxed, features, self.codes, sim_rows,

@@ -5,7 +5,7 @@ import pytest
 
 import finehash.autodiff as ad
 from finehash import anchors
-from finehash.errors import ContractError, DimensionError, FileFormatError
+from finehash.errors import ContractError, DimensionError
 
 
 class TestComputeAnchorBank:
@@ -55,16 +55,6 @@ class TestComputeAnchorBank:
         with pytest.raises(DimensionError):
             anchors.compute_anchor_bank(np.zeros((3, 2, 4)), np.zeros(2, dtype=int))
 
-    def test_checkpoint_round_trip(self):
-        rng = np.random.default_rng(5)
-        bank = anchors.AnchorBank(rng.standard_normal((3, 3, 4)))
-        entries = bank.arrays()
-        assert sorted(entries) == ["anchors.0", "anchors.1", "anchors.2"]
-        rebuilt = anchors.AnchorBank.from_arrays({"hash.weight": np.zeros(2), **entries})
-        assert rebuilt.classes == bank.classes == [0, 1, 2]
-        assert np.array_equal(rebuilt.table, bank.table)
-        assert anchors.AnchorBank.from_arrays({"hash.weight": np.zeros(2)}) is None
-
 
 class TestAnchorBank:
     def test_missing_class_is_key_error(self):
@@ -74,29 +64,19 @@ class TestAnchorBank:
                 bank.get(missing)
 
     def test_mismatched_shapes_rejected(self):
+        # the checkpoint's anchor entries are checked by trainer.load_checkpoint
         with pytest.raises(DimensionError):
             anchors.AnchorBank(np.zeros((2, 3)))
-        entries = {"anchors.0": np.zeros((2, 3)), "anchors.1": np.zeros((2, 4))}
-        with pytest.raises(FileFormatError, match="anchors.1"):
-            anchors.AnchorBank.from_arrays(entries)
-
-    def test_sparse_class_ids_rejected(self):
-        for ids in ((0, 2), (1, 2), ("0", "x")):
-            entries = {f"anchors.{c}": np.zeros((2, 3)) for c in ids}
-            with pytest.raises(FileFormatError):
-                anchors.AnchorBank.from_arrays(entries)
 
     def test_rows_stack_each_label_anchors(self):
+        # the trainer gathers a batch's anchors as table[labels]
         rng = np.random.default_rng(6)
         bank = anchors.AnchorBank(rng.standard_normal((5, 2, 3)))
         labels = np.array([4, 1, 4, 0])
-        rows = bank.rows(labels)
+        rows = bank.table[labels]
         assert rows.shape == (4, 2, 3)
         for row, label in zip(rows, labels):
             assert np.array_equal(row, bank.get(label))
-        for missing in (-1, 5, 10):
-            with pytest.raises(KeyError):
-                bank.rows(np.array([1, missing]))
 
 
 class TestExchangeFeatures:

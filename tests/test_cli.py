@@ -481,6 +481,26 @@ class TestTrain:
         assert not (tmp_path / "data").exists()  # the configured data_dir
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("metrics", ["nodir/m.jsonl", "."], ids=["missing-dir", "a-dir"])
+    def test_metrics_out_it_cannot_write_exits_2(self, tmp_path, caplog, metrics):
+        # the file is written once training ends, so the path fails before training
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY_CONFIG)
+        code, _ = run_cli(["train", "--config", config, "--out-dir", tmp_path / "run",
+                           "--metrics-out", tmp_path / metrics])
+        assert code == 2
+        assert f"--metrics-out {tmp_path / metrics} is a directory or in a missing one" \
+            in caplog.text
+        assert not (tmp_path / "data").exists()  # the configured data_dir
+        assert not (tmp_path / "run").exists()
+
+    def test_metrics_out_into_the_new_out_dir(self, workspace, tmp_path):
+        metrics = tmp_path / "run" / "m.jsonl"
+        code, _ = run_cli(["train", "--config", workspace["config"], "--out-dir",
+                           tmp_path / "run", "--metrics-out", metrics])
+        assert code == 0
+        assert len(metrics.read_text().splitlines()) == 2
+
 
 class TestEncode:
     def test_output_matches_library_encoding(self, workspace, tmp_path):

@@ -5,8 +5,10 @@ methods by name, and the workloads import finehash names and read module
 attributes such as ``fr.save_features``.  The tier-1 suite never runs
 perfbench, so deleting one of those names would pass here and break only
 benchmark runs.  One test installs the tracer over the package and
-uninstalls it again, without running a workload; the other parses
-``perfbench/*.py`` and looks every such name up.
+uninstalls it again, without running a workload; another parses
+``perfbench/*.py`` and looks every such name up.  Names alone miss the
+attributes read off returned objects, such as ``state.anchors.classes``, so
+a third runs the benchmark's checkpoint comparison on a small trainer.
 """
 
 import ast
@@ -17,6 +19,8 @@ from pathlib import Path
 
 from finehash import retrieval as fr
 from finehash import trainer as ft
+from finehash.data import SynthConfig, generate_synthetic
+from finehash.model import ModelConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -76,3 +80,25 @@ def test_benchmark_names_exist_in_the_package():
                 target = getattr(target, attr)
             checked.append(".".join(chain))
     assert "fr.save_features" in checked and "ft.AlternatingTrainer.run_iteration" in checked
+
+
+def test_benchmark_checkpoint_comparison_reads_a_saved_trainer(monkeypatch, tmp_path):
+    # the train and serve workloads check each checkpoint they write with
+    # _same_checkpoint, which reads the weights, codes and anchor bank back
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    dataset = generate_synthetic(SynthConfig(num_classes=3, per_class=6, queries_per_class=2,
+                                             image_side=16, parts_per_image=2, patch_size=4))
+    model = ModelConfig(parts=2, bits=8, image_side=16, backbone_channels=(6, 8),
+                        backbone_pools=(2, 2), refined_channels=8)
+    train = ft.TrainConfig(outer_iters=2, epochs_per_iter=1, batch_size=6, samples_per_epoch=12,
+                           warmup_fraction=0.0)
+    trainer = ft.AlternatingTrainer(dataset, model, train)
+    path = tmp_path / "model.fht1"
+    for anchors in (False, True):  # iteration 0, then after one exchanging iteration
+        assert (trainer.anchors is not None) == anchors
+        trainer.save(path)
+        assert workloads._same_checkpoint(path, trainer)
+        trainer.run_iteration()
+    assert not workloads._same_checkpoint(path, trainer)  # one iteration on

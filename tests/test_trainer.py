@@ -1,5 +1,6 @@
 """Tests for the alternating trainer: schedules, code updates, resume."""
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -538,19 +539,16 @@ class TestResume:
         ("config.train.margin", np.array(np.inf)),
         ("config.train.channel_weight", np.array(-np.inf)),  # float | None: NaN alone is None
         ("config.train.lr_drop_points", np.array([0.5, np.inf])),  # tuple of floats
-        ("anchors.1", None),  # class ids with a gap
+        ("anchors.1", None),  # class ids (0, 2)
         ("anchors.1", np.zeros((2, 7))),  # mixed anchor shapes
         ("config.train.exchange", np.array(2.0)),  # a bool is 0 or 1
         ("config.train.exchange", np.array(-7.0)),
         ("config.train.code_sweeps", np.array(2.0)),  # older files: one sweep only
         ("config.train.code_sweeps", np.array(1.5)),
+        ("anchors.0", None),  # class ids (1, 2)
     ])
     def test_malformed_checkpoint_names_entry(self, tmp_path, name, value):
-        path = tmp_path / "ckpt.fht1"
-        params = ModelParams.initialize(SMALL_MODEL, np.random.default_rng(0))
-        bank = AnchorBank(np.zeros((3, SMALL_MODEL.parts, SMALL_MODEL.refined_channels)))
-        save_checkpoint(path, params, small_train(), np.ones((4, 8)), 1, bank)
-        arrays = load_arrays(path)
+        path, arrays = self._saved_with_anchors(tmp_path)
         if value is None:
             del arrays[name]
         else:
@@ -558,6 +556,38 @@ class TestResume:
         save_arrays(path, arrays)
         with pytest.raises(FileFormatError, match=name):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("entries, name", [
+        ({"anchors.x": np.zeros((2, 8))}, "anchors.x"),  # a class id that is no integer
+        # every class one shape, but not the stored config's [parts, refined_channels]
+        ({f"anchors.{c}": np.zeros((3, 8)) for c in range(3)}, "anchors.0"),
+    ], ids=["stray-name", "one-other-shape"])
+    def test_malformed_anchor_entries_name_entry(self, tmp_path, entries, name):
+        path, arrays = self._saved_with_anchors(tmp_path)
+        save_arrays(path, {**arrays, **entries})
+        with pytest.raises(FileFormatError, match=rf"ckpt\.fht1: checkpoint .*'{name}'"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _saved_with_anchors(tmp_path):
+        """A checkpoint with a 3-class bank and its entries."""
+        path = tmp_path / "ckpt.fht1"
+        params = ModelParams.initialize(SMALL_MODEL, np.random.default_rng(0))
+        bank = AnchorBank(np.zeros((3, SMALL_MODEL.parts, SMALL_MODEL.refined_channels)))
+        save_checkpoint(path, params, small_train(), np.ones((4, 8)), 1, bank)
+        return path, load_arrays(path)
+
+    def test_checkpoint_bytes_pinned(self, tmp_path):
+        # the whole layout, without and with anchors: entry names, order, shapes, values
+        params = ModelParams.initialize(SMALL_MODEL, np.random.default_rng(0))
+        codes = np.where(np.arange(4 * 8).reshape(4, 8) % 3 == 0, 1.0, -1.0)
+        bank = AnchorBank(np.arange(3 * 2 * 8).reshape(3, 2, 8) / 7.0)
+        path = tmp_path / "pinned.fht1"
+        for anchors, digest in (
+                (None, "a35fec5b5a11dac0a20ace289cc071d629dc19db4c5526f6463de76d038ba57b"),
+                (bank, "8e02e92c8a4006c78e256e356fe14c58179c1a311805bb86ed5ce782c3cabec3")):
+            save_checkpoint(path, params, small_train(), codes, 2, anchors)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("name, edit, problem", [
         ("hash.bias", lambda values: np.where(np.arange(values.size) == 1, np.nan, values),
@@ -688,7 +718,7 @@ class TestBatchIndependence:
             with ad.Tape() as tape:
                 features = forward_features(params, trainer.train_images[batch[rows]])
                 part_vecs = exchange_features(features.part_vecs,
-                                              trainer.anchors.rows(labels[batch[rows]]),
+                                              trainer.anchors.table[labels[batch[rows]]],
                                               mask[rows])
                 relaxed = hash_layer(params, descriptor(part_vecs, features.global_vec))
                 total = total_objective(relaxed, features, trainer.codes,
