@@ -6,7 +6,11 @@ order.  Because entries are appended as they are created, the record list is
 already a topological order of the computation, and ``backward`` simply
 pops it in reverse, visiting and then dropping every entry exactly once.  A
 tape is built fresh for every forward pass and serves one ``backward``;
-there is no graph reuse between passes.
+there is no graph reuse between passes.  A record keeps its inputs, its
+output and the arrays its gradient functions read, and no more: :func:`conv2d`
+rebuilds its padded input from x in backward, and a relu after a conv is fused
+into it (``conv2d(..., relu=True)`` and :func:`gated_conv2d`), so the tape
+holds no pre-activation.
 
 Numeric conventions shared by the whole package live here as well: every
 op computes in the dtype of its inputs (the network runs in float32, a
@@ -189,6 +193,24 @@ def _result(op: str, data: np.ndarray, inputs: Sequence[tuple[Tensor, _GradFn]])
     """Check the values an op computed, then record it like :func:`_rearranged`."""
     _require_finite(data, op)
     return _rearranged(data, inputs)
+
+
+def _rectified(op: str, data: np.ndarray, inputs: Sequence[tuple[Tensor, _GradFn]]) -> Tensor:
+    """Check the pre-activation an op computed, apply relu to it in place, and
+    record the op with the relu folded in: one tape entry whose gradient
+    functions all get ``g * (out > 0)``, formed once per ``g``.  Bit for bit
+    :func:`relu` of what :func:`_result` records, without keeping the
+    pre-activation; -inf still raises, naming ``op``."""
+    _require_finite(data, op)
+    np.maximum(data, 0.0, out=data)
+    memo: list = []  # [g, g * (data > 0)]
+
+    def masked(g: np.ndarray) -> np.ndarray:
+        if not (memo and memo[0] is g):
+            memo[:] = [g, g * (data > 0.0)]
+        return memo[1]
+
+    return _rearranged(data, [(tens, lambda g, fn=fn: fn(masked(g))) for tens, fn in inputs])
 
 
 def _rearranged(data: np.ndarray, inputs: Sequence[tuple[Tensor, _GradFn]]) -> Tensor:
@@ -456,14 +478,19 @@ def _check_conv(op: str, x: Tensor, kernels: Tensor, bias: Tensor) -> None:
         raise DimensionError(f"{op}: bias of shape {bias.shape} for {c_out} output channels")
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
     """Same-padding stride-1 2-D convolution (ML convention, no kernel flip)
-    plus a per-channel bias.
+    plus a per-channel bias, optionally followed by a fused relu.
 
     Args:
         x: input maps [..., H, W, Cin].
         kernels: filter bank [kh, kw, Cin, Cout] with odd kh and kw.
         bias: one value per output channel, [Cout].
+        relu: apply :func:`relu` to the result inside this op.  Its values
+            and gradients are bit-equal to ``relu(conv2d(x, kernels, bias))``,
+            but the tape records one entry and keeps no pre-activation; the
+            pre-activation is checked for NaN and Inf first, so -inf still
+            raises as a ``conv2d`` error.
 
     Returns:
         Tensor [..., H, W, Cout] in the result dtype of the three inputs;
@@ -471,10 +498,13 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         multiplies the im2col columns (one row per map and position,
         ``kh * kw * Cin`` entries) with the flattened bank one block of whole
         maps at a time, each block at most ``_CONV_BLOCK_ROWS`` rows (or one
-        map), and adds the bias to the product in place; a block's columns
-        are a forward temporary that the tape does not keep, and a 1x1 bank's
-        columns are the maps themselves, with no padding.  Each backward
-        direction for x and the kernels is one product per kernel tap.
+        map), and adds the bias to the product in place; the padded input
+        and a block's columns are forward temporaries, and a 1x1 bank's
+        columns are the maps themselves, with no padding.  The tape keeps x,
+        which is alive as the op's input anyway: the kernels' backward
+        rebuilds the zero border from it, and x's backward needs only the
+        padded shape.  Each backward direction for x and the kernels is one
+        product per kernel tap.
         Whether a map's result depends on the other maps stacked with it is
         up to how the BLAS blocks each product.  On OpenBLAS 0.3.31 (Haswell
         kernels, one thread), for 130-map float32 stacks, every conv of the
@@ -486,22 +516,25 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     *lead, height, width, c_in = x.shape
     k_h, k_w, _, c_out = kernels.shape
     pad_h, pad_w = k_h // 2, k_w // 2
+    padded_shape = (*lead, height + k_h - 1, width + k_w - 1, c_in)
     k_data = kernels.data
     dtype = np.result_type(x.data, k_data)
-    if k_h == k_w == 1:  # no padding, and each map is its own columns
-        padded = x.data.astype(dtype, copy=False)
+
+    def pad() -> np.ndarray:  # x with its zero border; a 1x1 bank needs none
+        if k_h == k_w == 1:
+            return x.data.astype(dtype, copy=False)
+        padded = np.zeros(padded_shape, dtype=dtype)
+        padded[..., pad_h : pad_h + height, pad_w : pad_w + width, :] = x.data
+        return padded
+
+    padded = pad()  # a forward temporary: the closures below keep x, not this
+    if k_h == k_w == 1:  # each map is its own columns
         windows = padded[..., None, None, :]
     else:
-        padded = np.zeros((*lead, height + k_h - 1, width + k_w - 1, c_in), dtype=dtype)
-        padded[..., pad_h : pad_h + height, pad_w : pad_w + width, :] = x.data
         # one view [..., H, W, kh, kw, Cin] of every window, already in column
         # order, so reshaping a block of maps is that block's one copy
         windows = _view(padded, (*lead, height, width, k_h, k_w, c_in),
                         (*padded.strides[:-1], *padded.strides[-3:]))
-
-    def window(off_i: int, off_j: int) -> np.ndarray:
-        return padded[..., off_i : off_i + height, off_j : off_j + width, :].reshape(-1, c_in)
-
     bank = k_data.reshape(-1, c_out)
     maps, rows = math.prod(lead), height * width
     if maps * rows <= _CONV_BLOCK_ROWS:  # one block, without the loop's per-call cost
@@ -517,7 +550,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     out += bias.data
 
     def back_x(g: np.ndarray) -> np.ndarray:
-        grad_pad = np.zeros_like(padded)
+        grad_pad = np.zeros(padded_shape, dtype=dtype)
         g_mat = g.reshape(-1, c_out)
         for off_i, off_j in np.ndindex(k_h, k_w):
             grad_pad[..., off_i : off_i + height, off_j : off_j + width, :] += (
@@ -528,11 +561,14 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     def back_k(g: np.ndarray) -> np.ndarray:
         grad_k = np.empty_like(k_data)
         g_mat = g.reshape(-1, c_out)
+        padded = pad()
         for off_i, off_j in np.ndindex(k_h, k_w):
-            grad_k[off_i, off_j] = window(off_i, off_j).T @ g_mat
+            window = padded[..., off_i : off_i + height, off_j : off_j + width, :]
+            grad_k[off_i, off_j] = window.reshape(-1, c_in).T @ g_mat
         return grad_k
 
-    return _result(
+    record = _rectified if relu else _result
+    return record(
         "conv2d",
         out.reshape(*lead, height, width, c_out),
         [(x, back_x), (kernels, back_k), (bias, lambda g: g.reshape(-1, c_out).sum(axis=0))],
@@ -540,9 +576,13 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
 
 def gated_conv2d(x: Tensor, maps: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """:func:`conv2d` of every gated copy of the input maps, the stack
+    """:func:`conv2d` with a fused relu (``relu=True``) of every gated copy of
+    the input maps, the stack
     ``np.moveaxis(maps, -1, -3)[..., None] * x[..., None, :, :, :]``,
-    computed without forming the gated stack or its columns.
+    computed without forming the gated stack or its columns.  Its one caller
+    always rectifies, so the relu is not optional: values and gradients are
+    bit-equal to :func:`relu` of the unrectified op, which the tape does not
+    keep.
 
     Args:
         x: input maps [..., H, W, Cin].
@@ -567,9 +607,10 @@ def gated_conv2d(x: Tensor, maps: Tensor, kernels: Tensor, bias: Tensor) -> Tens
         transposed batched products for the gates (scattered back one tap at
         a time) and for the tap products, and one product each over the
         block's padded input for x and the kernels, whose gradient sums the
-        blocks.  The sums run in another order than :func:`conv2d` of the
-        gated stack, so float32 results differ from it by rounding, about 1e-7
-        relative.
+        blocks.  The tape keeps the padded input and padded gates for that
+        backward, and the rectified output for the relu's mask.  The sums run
+        in another order than :func:`conv2d` of the gated stack, so float32
+        results differ from it by rounding, about 1e-7 relative.
     """
     _check_conv("gated_conv2d", x, kernels, bias)
     *lead, height, width, c_in = x.shape
@@ -650,7 +691,7 @@ def gated_conv2d(x: Tensor, maps: Tensor, kernels: Tensor, bias: Tensor) -> Tens
         )]
         return memo[1]
 
-    return _result(
+    return _rectified(
         "gated_conv2d",
         out.reshape(*lead, parts, height, width, c_out),
         [

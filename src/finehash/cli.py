@@ -160,6 +160,10 @@ def cmd_train(args: argparse.Namespace) -> int:
                               + "; ".join(differing))
     else:
         trainer = AlternatingTrainer(dataset, config.model, config.train)
+    # an earlier run's database files would pair with this run's checkpoint
+    # if it stopped before writing its own
+    for name in (CODES_NAME, FEATURES_NAME, LABELS_NAME):
+        (out_dir / name).unlink(missing_ok=True)
     trainer.train(checkpoint_path=checkpoint)
     if args.metrics_out:
         with atomic_write(args.metrics_out, "w") as fh:

@@ -207,7 +207,7 @@ def backbone_forward(params: ModelParams, images: np.ndarray) -> ad.Tensor:
     for kernel, bias, factor in zip(
         params.backbone_kernels, params.backbone_biases, config.backbone_pools
     ):
-        out = ad.relu(ad.conv2d(out, kernel, bias))
+        out = ad.conv2d(out, kernel, bias, relu=True)
         if factor > 1:
             out = ad.avg_pool2(out, factor)
     return out
@@ -239,7 +239,7 @@ def local_refine(params: ModelParams, feature_map: ad.Tensor,
     touch the features of any other part.
     """
     refined = ad.avg_pool2(
-        ad.relu(ad.gated_conv2d(feature_map, attention, params.local_kernel, params.local_bias)),
+        ad.gated_conv2d(feature_map, attention, params.local_kernel, params.local_bias),
         REFINE_POOL,
     )
     return refined, ad.global_avg_pool(refined)
@@ -248,7 +248,7 @@ def local_refine(params: ModelParams, feature_map: ad.Tensor,
 def global_refine(params: ModelParams, feature_map: ad.Tensor) -> ad.Tensor:
     """Independent refinement branch over the ungated feature maps."""
     refined = ad.avg_pool2(
-        ad.relu(ad.conv2d(feature_map, params.global_kernel, params.global_bias)), REFINE_POOL
+        ad.conv2d(feature_map, params.global_kernel, params.global_bias, relu=True), REFINE_POOL
     )
     return ad.global_avg_pool(refined)
 

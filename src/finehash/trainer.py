@@ -252,10 +252,10 @@ def load_checkpoint(path) -> TrainState:
     float64 weights on disk are rounded to PARAM_DTYPE.  A weight the stored
     model config does not have, one of another shape, one that is NaN or Inf
     once rounded, anchor ids with a gap or a stray anchors.* name, an anchor
-    entry that is not [parts, refined_channels], and an older file's
-    config.train.code_sweeps other than 1 are FileFormatErrors naming the
-    entry; a stored config that its dataclass rejects is one naming the
-    config group."""
+    entry that is not [parts, refined_channels] or holds NaN or Inf, and an
+    older file's config.train.code_sweeps other than 1 are FileFormatErrors
+    naming the entry; a stored config that its dataclass rejects is one
+    naming the config group."""
     arrays = load_arrays(path)
 
     def grab(name: str) -> np.ndarray:
@@ -322,6 +322,8 @@ def load_checkpoint(path) -> TrainState:
         if arrays[name].shape != shape:
             raise FileFormatError(f"{path}: checkpoint entry {name!r} has shape "
                                   f"{arrays[name].shape}, expected {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise FileFormatError(f"{path}: checkpoint entry {name!r} holds NaN or Inf")
     anchors = AnchorBank(np.stack([arrays[name] for name in names])) if names else None
     return TrainState(
         params=params,

@@ -4,6 +4,7 @@ Forward expectations are hand-computed literals; every gradient is compared
 against central finite differences (eps=1e-5) with relative error < 1e-4.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -244,10 +245,11 @@ class TestConv2dAgainstNaiveLoop:
 
 
 def gated_stack_conv2d(x, maps, kernels, bias):
-    """The composition gated_conv2d replaces: the gated stack, then conv2d;
-    here the gates are [..., P, H, W]."""
+    """The composition gated_conv2d replaces: the gated stack, then conv2d
+    and its relu; here the gates are [..., P, H, W]."""
     stack = ad.reshape(x, (*x.shape[:-3], 1, *x.shape[-3:]))
-    return ad.conv2d(ad.hadamard(ad.reshape(maps, (*maps.shape, 1)), stack), kernels, bias)
+    return ad.relu(ad.conv2d(ad.hadamard(ad.reshape(maps, (*maps.shape, 1)), stack), kernels,
+                             bias))
 
 
 def gated_stack_with_grads(arrays, weights):
@@ -342,6 +344,100 @@ class TestGatedConv2d:
         with pytest.raises(NumericError, match="^gated_conv2d: "):
             ad.gated_conv2d(ad.tensor(np.ones((6, 7, 3))), ad.Tensor(maps),
                             ad.tensor(np.ones((3, 3, 3, 5))), zero_bias(5))
+
+
+def bits_of(array):
+    """An array's bytes with its dtype and shape: equal only when bit for bit
+    equal, -0.0 against +0.0 included."""
+    return array.dtype, array.shape, array.tobytes()
+
+
+class TestFusedRelu:
+    """conv2d(..., relu=True) and gated_conv2d against ad.relu of the op with
+    the relu left out, which the tape would record as two entries."""
+
+    @staticmethod
+    def _case(op, dtype):
+        rng = np.random.default_rng(7)
+        k_h, k_w = (1, 1) if op == "conv2d_1x1" else (3, 3)
+        x = rng.standard_normal((2, 5, 6, 3))
+        kernels = rng.standard_normal((k_h, k_w, 3, 4))
+        bias = rng.standard_normal(4)
+        kernels[..., 0] = 0.0  # channel 0's pre-activation is exactly +0
+        bias[0] = 0.0
+        if op == "gated_conv2d":
+            arrays = [x, rng.uniform(size=(2, 5, 6, 2)), kernels, bias]
+            weights = rng.standard_normal((2, 2, 5, 6, 4))
+        else:
+            arrays = [x, kernels, bias]
+            weights = rng.standard_normal((2, 5, 6, 4))
+        return [a.astype(dtype) for a in arrays], weights.astype(dtype)
+
+    @staticmethod
+    def _fused(op):
+        if op == "gated_conv2d":
+            return ad.gated_conv2d
+        return lambda x, k, b: ad.conv2d(x, k, b, relu=True)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", ["conv2d_3x3", "conv2d_1x1", "gated_conv2d"])
+    def test_values_and_gradients_equal_relu_of_unfused_op(self, op, dtype, monkeypatch):
+        arrays, weights = self._case(op, dtype)
+        fused = with_grads(self._fused(op), arrays, weights)
+        # the same op recorded without its relu, then ad.relu as its own entry
+        monkeypatch.setattr(ad, "_rectified", ad._result)
+        pre = self._fused(op)(*[ad.tensor(a) for a in arrays]).data
+        assert np.any(pre == 0.0) and np.any(pre > 0.0) and np.any(pre < 0.0)
+        unfused = with_grads(lambda *leaves: ad.relu(self._fused(op)(*leaves)), arrays, weights)
+        assert fused[0].dtype == dtype
+        for got, want in zip(fused, unfused, strict=True):
+            assert bits_of(got) == bits_of(want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zero_pre_activations_equal_relu(self, dtype):
+        # the products above give +0.0 but never -0.0, so the fold itself is
+        # checked on a pre-activation holding both zeros
+        pre = np.array([[-0.0, 0.0, -1.5], [2.0, -0.0, 0.0]], dtype=dtype)
+        g = np.array([[1.0, -2.0, 3.0], [-4.0, 5.0, 6.0]], dtype=dtype)
+        results = []
+        for fold in (ad._rectified, lambda *args: ad.relu(ad._result(*args))):
+            with ad.Tape() as tape:
+                leaf = ad.parameter(np.zeros_like(pre))
+                out = fold("op", pre.copy(), [(leaf, lambda g: 2 * g)])
+                loss = ad.sum_all(ad.hadamard(out, ad.tensor(g)))
+            tape.backward(loss)
+            results.append((bits_of(out.data), bits_of(leaf.grad)))
+        assert results[0] == results[1]
+        assert results[0][1] == bits_of(2 * g * (pre > 0.0))
+
+    @pytest.mark.parametrize("op", ["conv2d", "gated_conv2d"])
+    def test_negative_infinite_pre_activation_raises(self, op):
+        # relu would map -inf to 0, so the pre-activation is checked first
+        x = ad.tensor(np.full((1, 1, 1), 1e20, np.float32))
+        kernels = ad.tensor(np.full((1, 1, 1, 1), -1e20, np.float32))
+        bias = zero_bias(1, np.float32)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=rf"^{op}: "):
+            if op == "conv2d":
+                ad.conv2d(x, kernels, bias, relu=True)
+            else:
+                ad.gated_conv2d(x, ad.tensor(np.ones((1, 1, 1), np.float32)), kernels, bias)
+
+    def test_tape_keeps_no_padded_copy_or_pre_activation(self):
+        # after the forward pass the tape holds x (the caller's), the output
+        # and small closures; the padded input and the unrectified map were
+        # 1.3 and 1.0 outputs more
+        x = ad.tensor(np.random.default_rng(3).standard_normal((8, 16, 16, 8)))
+        kernels = ad.parameter(np.ones((3, 3, 8, 8)))
+        bias = zero_bias(8)
+        tracemalloc.start()
+        try:
+            with ad.Tape() as tape:
+                out = ad.conv2d(x, kernels, bias, relu=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        assert held < 1.2 * out.data.nbytes, f"{held} bytes for a {out.data.nbytes}-byte output"
 
 
 class TestSoftmax:

@@ -494,6 +494,25 @@ class TestTrain:
         assert not (tmp_path / "data").exists()  # the configured data_dir
         assert not (tmp_path / "run").exists()
 
+    def test_failed_run_leaves_no_database_files(self, workspace, tmp_path, monkeypatch):
+        # the completed run's database files would rank against the failed
+        # run's checkpoint
+        run = tmp_path / "run"
+        shutil.copytree(workspace["checkpoint"].parent, run)
+        save = AlternatingTrainer.save
+
+        def save_then_fail(trainer, path):
+            save(trainer, path)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(AlternatingTrainer, "save", save_then_fail)
+        code, _ = run_cli(["train", "--config", workspace["config"], "--out-dir", run,
+                           "--seed", "8"])
+        assert code == 2
+        assert load_checkpoint(run / "model.fht1").iteration == 1
+        for name in ("db.fhc1", "db.fhf1", "db_labels.csv"):
+            assert not (run / name).exists()
+
     def test_metrics_out_into_the_new_out_dir(self, workspace, tmp_path):
         metrics = tmp_path / "run" / "m.jsonl"
         code, _ = run_cli(["train", "--config", workspace["config"], "--out-dir",
